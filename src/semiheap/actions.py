@@ -11,7 +11,7 @@ from dataclasses import dataclass, InitVar
 
 import numpy as np
 
-from .core import FiniteSemiheap, InvalidTable, LawError
+from .core import FiniteSemiheap, InvalidTable, LawError, _first_disagreement
 from .functors import heapify
 
 
@@ -34,19 +34,16 @@ def action_compat_witness(table, semiheap):
     m = a.shape[0]
     if a.size and (a.min() < 0 or a.max() >= m):
         raise InvalidTable("action table entry outside the space")
-    if m == 0 or n == 0:
-        return None
     t = semiheap.table.entries
-    lhs = a[a]  # lhs[p,x1,x2,x3,x4] = a[a[p,x1,x2],x3,x4]
-    rhs = a[np.arange(m)[:, None, None, None, None],
-            np.arange(n)[None, :, None, None, None],
-            t[None, None, :, :, :]]
-    bad = lhs != rhs
-    if not bad.any():
+    pairs = a.reshape(m * n, n)                 # pairs[p * n + x1, x2] = a[p,x1,x2]
+    hit = _first_disagreement(m * n, n ** 3,
+                              lambda r: a[pairs[r]],      # a[a[p,x1,x2],x3,x4]
+                              lambda r: pairs[r][:, t])   # a[p,x1,[x2,x3,x4]]
+    if hit is None:
         return None
-    p, x1, x2, x3, x4 = np.unravel_index(int(np.argmax(bad)), bad.shape)
-    return ActionCounterexample(int(p), (int(x1), int(x2), int(x3), int(x4)),
-                                int(lhs[p, x1, x2, x3, x4]), int(rhs[p, x1, x2, x3, x4]))
+    (pair, *rest), (lhs, rhs) = hit
+    p, x1 = divmod(pair, n)
+    return ActionCounterexample(p, (x1, *rest), lhs, rhs)
 
 
 @dataclass(frozen=True)
@@ -105,17 +102,14 @@ def group_action_witness(act, g):
     m = a.shape[0]
     if a.size and (a.min() < 0 or a.max() >= m):
         raise InvalidTable("group action entry outside the space")
-    if not np.array_equal(a[:, g.e], np.arange(m)):
-        p = int(np.nonzero(a[:, g.e] != np.arange(m))[0][0])
-        return ("identity", (p,), int(a[p, g.e]), p)
-    lhs = a[a]  # lhs[p,g1,g2] = a[a[p,g1],g2]
-    rhs = a[np.arange(m)[:, None, None], g.mul[None, :, :]]
-    bad = lhs != rhs
-    if bad.any():
-        p, g1, g2 = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        return ("compatibility", (int(p), int(g1), int(g2)),
-                int(lhs[p, g1, g2]), int(rhs[p, g1, g2]))
-    return None
+    hit = _first_disagreement(m, 1, lambda r: a[r, g.e], lambda r: np.arange(m)[r])
+    if hit is not None:
+        (p,), (ap, _) = hit
+        return ("identity", (p,), ap, p)
+    hit = _first_disagreement(m, g.n ** 2,
+                              lambda r: a[a[r]],              # a[a[p,g1],g2]
+                              lambda r: a[r][:, g.mul])       # a[p,g1 g2]
+    return None if hit is None else ("compatibility", hit[0], *hit[1])
 
 
 def action_from_group_action(g, act):
@@ -162,13 +156,10 @@ def equivariance_witness(mapping, a_m, a_n):
     psi = np.asarray(mapping, dtype=np.int64)
     if psi.shape != (a_m.space_size,) or (psi.size and (psi.min() < 0 or psi.max() >= a_n.space_size)):
         raise InvalidTable("map malformed")
-    lhs = psi[a_m.table]
-    rhs = a_n.table[psi]
-    bad = lhs != rhs
-    if not bad.any():
-        return None
-    p, x, y = np.unravel_index(int(np.argmax(bad)), bad.shape)
-    return (int(p), int(x), int(y), int(lhs[p, x, y]), int(rhs[p, x, y]))
+    hit = _first_disagreement(a_m.space_size, a_m.semiheap.n ** 2,
+                              lambda r: psi[a_m.table[r]],
+                              lambda r: a_n.table[psi[r]])
+    return None if hit is None else (*hit[0], *hit[1])
 
 
 def is_equivariant(mapping, a_m, a_n):
@@ -178,7 +169,7 @@ def is_equivariant(mapping, a_m, a_n):
 def orbit(action, p):
     """The reachable set {sigma(p, x, y)} — a plain set, never a quotient."""
     if not 0 <= p < action.space_size:
-        raise IndexError(f"point {p} outside space of size {action.space_size}")
+        raise InvalidTable(f"point {p} outside space of size {action.space_size}")
     return frozenset(int(v) for v in action.table[p].reshape(-1))
 
 

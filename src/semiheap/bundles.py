@@ -8,6 +8,7 @@ is not part of the bundle axioms — it is required only of the principal
 bundles fed to heapify_principal.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,7 @@ from .core import (
     InvalidTable,
     LawError,
     SemiheapHom,
+    _first_disagreement,
     induce_via_bijection,
     is_homomorphism,
 )
@@ -86,12 +88,9 @@ def verify_bundle(b):
         return BundleFailure("projection-surjective", (missing[0],))
 
     act = b.action.table
-    if total and n:
-        pr = proj[act]
-        bad = pr != proj[:, None, None]
-        if bad.any():
-            p, x, y = np.unravel_index(int(np.argmax(bad)), bad.shape)
-            return BundleFailure("fiber-preservation", (int(p), int(x), int(y), int(act[p, x, y])))
+    bad = _fiber_witness(proj, act)
+    if bad is not None:
+        return BundleFailure("fiber-preservation", (*bad, int(act[bad])))
 
     covered = set().union(*b.cover) if b.cover else set()
     uncovered = [m for m in range(b.base_size) if m not in covered]
@@ -115,15 +114,38 @@ def verify_bundle(b):
             seen.add((bm, s))
         if len(seen) != len(u) * n:
             return BundleFailure("chart-bijective", (i, len(seen), len(u) * n))
-        t = b.structure.table.entries
-        for p in sorted(domain):
-            bm, s = chart[p]
-            for x in range(n):
-                for y in range(n):
-                    q = int(act[p, x, y])
-                    if chart[q] != (bm, int(t[s, x, y])):
-                        return BundleFailure("chart-equivariance", (i, p, x, y, chart[q], (bm, int(t[s, x, y]))))
+        bad = _chart_equivariance_witness(chart, act, b.structure.table.entries)
+        if bad is not None:
+            return BundleFailure("chart-equivariance", (i, *bad))
     return None
+
+
+def _fiber_witness(proj, act):
+    """First index of the action table whose image leaves its point's fiber, or None."""
+    hit = _first_disagreement(act.shape[0], math.prod(act.shape[1:]),
+                              lambda r: proj[act[r]],
+                              lambda r: proj[r].reshape((-1,) + (1,) * (act.ndim - 1)))
+    return None if hit is None else hit[0]
+
+
+def _chart_equivariance_witness(chart, act, mul):
+    """First (p, *w, chart image, expected image) with chart(act[p, *w]) != (base, mul[label, *w]).
+
+    Charts commute with the projection and the action preserves fibers
+    (both checked before), so only the fiber labels need comparing.
+    """
+    points = np.array(sorted(chart), dtype=np.int64)
+    label = np.zeros(act.shape[0], dtype=np.int64)
+    label[points] = [chart[p][1] for p in points.tolist()]
+    hit = _first_disagreement(points.size, math.prod(act.shape[1:]),
+                              lambda r: label[act[points[r]]],
+                              lambda r: mul[label[points[r]]])
+    if hit is None:
+        return None
+    (i, *w), _ = hit
+    p = int(points[i])
+    bm, lab = chart[p]
+    return (p, *w, chart[int(act[(p, *w)])], (bm, int(mul[(lab, *w)])))
 
 
 def trivial_bundle(base_size, s):
@@ -213,8 +235,9 @@ class FinitePrincipalBundle:
             raise LawError(f"not a right group action: {bad[0]}", bad)
         if set(int(v) for v in proj) != set(range(self.base_size)):
             raise LawError("projection must be surjective")
-        if not np.array_equal(proj[act], np.broadcast_to(proj[:, None], act.shape)):
-            raise LawError("group action must preserve fibers")
+        bad = _fiber_witness(proj, act)
+        if bad is not None:
+            raise LawError("group action must preserve fibers", bad)
         for p in range(total):
             fixed = np.nonzero(act[p] == p)[0]
             if fixed.tolist() != [g.e]:
@@ -239,11 +262,9 @@ class FinitePrincipalBundle:
                 images.add((bm, gp))
             if len(images) != len(u) * g.n:
                 raise LawError(f"chart {i} not bijective")
-            for p in sorted(domain):
-                bm, gp = chart[p]
-                for h in range(g.n):
-                    if chart[int(act[p, h])] != (bm, int(g.mul[gp, h])):
-                        raise LawError(f"chart {i} not G-equivariant at ({p},{h})")
+            bad = _chart_equivariance_witness(chart, act, g.mul)
+            if bad is not None:
+                raise LawError(f"chart {i} not G-equivariant at ({bad[0]},{bad[1]})")
 
 
 def heapify_principal(pb):
@@ -297,16 +318,8 @@ def verify_bundle_hom(h, b, b2):
         raise InvalidTable("base map malformed")
     if psi.source.key() != b.structure.key() or psi.target.key() != b2.structure.key():
         raise InvalidTable("structure hom endpoints do not match the bundles")
-    if not np.array_equal(b2.projection[phi], base[b.projection]):
-        p = int(np.nonzero(b2.projection[phi] != base[b.projection])[0][0])
-        return BundleFailure("hom-projection", (p,))
-    lhs = phi[b.action.table]
-    rhs = b2.action.table[phi][:, psi.mapping, :][:, :, psi.mapping]
-    bad = lhs != rhs
-    if bad.any():
-        p, x, y = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        return BundleFailure("hom-equivariance", (int(p), int(x), int(y)))
-    return None
+    return _hom_failure(phi, base, b.projection, b2.projection, b.action.table,
+                        lambda r: b2.action.table[np.ix_(phi[r], psi.mapping, psi.mapping)])
 
 
 @dataclass(frozen=True)
@@ -325,16 +338,18 @@ def verify_principal_hom(h, pb, pb2):
     psi = np.asarray(h.group_hom, dtype=np.int64)
     if group_hom_witness(psi, pb.group, pb2.group) is not None:
         return BundleFailure("hom-group", tuple(int(v) for v in psi))
-    if not np.array_equal(pb2.projection[phi], base[pb.projection]):
-        p = int(np.nonzero(pb2.projection[phi] != base[pb.projection])[0][0])
-        return BundleFailure("hom-projection", (p,))
-    lhs = phi[pb.action]
-    rhs = pb2.action[phi][:, psi]
-    bad = lhs != rhs
-    if bad.any():
-        p, g = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        return BundleFailure("hom-equivariance", (int(p), int(g)))
-    return None
+    return _hom_failure(phi, base, pb.projection, pb2.projection, pb.action,
+                        lambda r: pb2.action[np.ix_(phi[r], psi)])
+
+
+def _hom_failure(phi, base, proj, proj2, act, moved_image):
+    """The base square, then phi(p . w) = phi(p) . psi(w), its right side given per slab of points."""
+    hit = _first_disagreement(phi.size, 1, lambda r: proj2[phi[r]], lambda r: base[proj[r]])
+    if hit is not None:
+        return BundleFailure("hom-projection", hit[0])
+    hit = _first_disagreement(phi.size, math.prod(act.shape[1:]),
+                              lambda r: phi[act[r]], moved_image)
+    return None if hit is None else BundleFailure("hom-equivariance", hit[0])
 
 
 def heapify_principal_hom(h, pb, pb2):

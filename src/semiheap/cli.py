@@ -29,6 +29,17 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
+def _positive(kind):
+    """An argparse type: kind(text), rejected unless it is greater than zero."""
+    def parse(text):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+    parse.__name__ = kind.__name__    # argparse names the type in its messages
+    return parse
+
+
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--in", dest="infile", help="read input from a file instead of stdin")
@@ -73,8 +84,8 @@ def build_parser():
                                         "mult-field", "tangent", "coassoc", "euclidean",
                                         "exp-hom"])
     p.add_argument("--chart", default="so3", choices=sorted(bundled_charts()))
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--h", type=float, default=None)
+    p.add_argument("--samples", type=_positive(int), default=100)
+    p.add_argument("--h", type=_positive(float), default=None)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--square", action="store_true",
                    help="mult-function: use the quadratic test function instead of a linear one")
@@ -260,7 +271,7 @@ def _cmd_numeric(args, out):
     elif args.subcheck == "left-invariant":
         v = chart.basis[0]
         report = numeric.left_invariant_field_check(chart, v, samples, seed,
-                                                    h=args.h if args.h else None, **kw)
+                                                    h=args.h, **kw)
     elif args.subcheck == "group-vs-heap":
         report = numeric.compare_group_vs_heap_invariance(chart, chart.basis[0], samples, seed, **kw)
     elif args.subcheck == "bracket":
@@ -281,7 +292,7 @@ def _cmd_numeric(args, out):
         report = numeric.multiplicative_vector_field_check(lambda y: y, triples, seed=seed, **kw)
     elif args.subcheck == "tangent":
         report = numeric.tangent_semiheap_check(chart, samples, seed,
-                                                h=args.h if args.h else None, **kw)
+                                                h=args.h, **kw)
     elif args.subcheck == "coassoc":
         report = numeric.coassociativity_check(chart, samples, seed, **kw)
     elif args.subcheck == "euclidean":

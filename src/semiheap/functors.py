@@ -17,11 +17,12 @@ from .core import (
     LawError,
     PointedSemiheap,
     TernaryTable,
+    _first_disagreement,
     is_biunitary,
     is_heap,
     is_homomorphism,
 )
-from .groups import FiniteGroup, is_group_hom
+from .groups import FiniteGroup, associativity_witness, is_group_hom
 
 
 class BudgetExceeded(RuntimeError):
@@ -75,14 +76,13 @@ def groupify_diagnose(h):
     mul, inv = _groupify_tables(h)
     n = h.n
     e = h.basepoint
-    ar = np.arange(n)
-    if not (np.array_equal(mul[e], ar) and np.array_equal(mul[:, e], ar)):
-        x = next(int(x) for x in range(n) if mul[e, x] != x or mul[x, e] != x)
-        return GroupAxiomWitness("identity", (e, x, int(mul[e, x]), int(mul[x, e])))
-    bad = mul[mul] != mul[ar[:, None, None], mul[None, :, :]]
-    if bad.any():
-        a, b, c = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        return GroupAxiomWitness("associativity", (int(a), int(b), int(c)))
+    hit = _first_disagreement(n, 1, lambda r: np.arange(n)[r], lambda r: mul[e, r], lambda r: mul[r, e])
+    if hit is not None:
+        (x,), (_, left, right) = hit
+        return GroupAxiomWitness("identity", (e, x, left, right))
+    bad = associativity_witness(mul)
+    if bad is not None:
+        return GroupAxiomWitness("associativity", bad)
     for x in range(n):
         if mul[x, inv[x]] != e or mul[inv[x], x] != e:
             return GroupAxiomWitness("inverse", (x, int(inv[x])))

@@ -10,7 +10,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .core import InvalidTable, LawError
+from .core import InvalidTable, LawError, _first_disagreement
 
 
 @dataclass(frozen=True)
@@ -39,12 +39,9 @@ class FiniteGroup:
         ar = np.arange(n)
         if not (np.array_equal(mul[self.e], ar) and np.array_equal(mul[:, self.e], ar)):
             raise LawError(f"element {self.e} is not a two-sided identity")
-        lhs = mul[mul]
-        rhs = mul[ar[:, None, None], mul[None, :, :]]
-        bad = lhs != rhs
-        if bad.any():
-            a, b, c = np.unravel_index(int(np.argmax(bad)), bad.shape)
-            raise LawError(f"associativity fails at ({a},{b},{c})", (int(a), int(b), int(c)))
+        bad = associativity_witness(mul)
+        if bad is not None:
+            raise LawError(f"associativity fails at ({bad[0]},{bad[1]},{bad[2]})", bad)
         if not (np.array_equal(mul[ar, inv], np.full(n, self.e)) and np.array_equal(mul[inv, ar], np.full(n, self.e))):
             raise LawError("inverse table does not invert")
         mul.flags.writeable = False
@@ -81,18 +78,22 @@ class FiniteGroup:
         return cls(mul, e, inv, name=name)
 
 
+def associativity_witness(mul):
+    """First triple with (ab)c != a(bc) in a Cayley table, or None."""
+    n = mul.shape[0]
+    hit = _first_disagreement(n, n * n, lambda r: mul[mul[r]], lambda r: mul[r][:, mul])
+    return None if hit is None else hit[0]
+
+
 def group_hom_witness(mapping, g, g2):
     """First pair with f(xy) != f(x)f(y), or None."""
     f = np.asarray(mapping, dtype=np.int64)
     if f.shape != (g.n,) or (f.size and (f.min() < 0 or f.max() >= g2.n)):
         raise InvalidTable("map malformed")
-    lhs = f[g.mul]
-    rhs = g2.mul[np.ix_(f, f)]
-    bad = lhs != rhs
-    if not bad.any():
-        return None
-    a, b = np.unravel_index(int(np.argmax(bad)), bad.shape)
-    return (int(a), int(b), int(lhs[a, b]), int(rhs[a, b]))
+    hit = _first_disagreement(g.n, g.n,
+                              lambda r: f[g.mul[r]],
+                              lambda r: g2.mul[f[r, None], f])
+    return None if hit is None else (*hit[0], *hit[1])
 
 
 def is_group_hom(mapping, g, g2):

@@ -8,13 +8,17 @@ f[g].  The composition laws
     L_{x1 x2} . L_{x3 x4} = L_{[x1,x2,x3], x4}
     L_{x1 x2} . R_{x3 x4} = R_{x3 x4} . L_{x1 x2}
 
-are theorems for any semiheap; the checkers here re-derive them tuple by
-tuple as an independent code path.
+are theorems for any semiheap: each is the para-associative law read on
+a permutation of its variables.  The checkers here re-derive them
+exhaustively, quadruple by quadruple and point by point, as an
+independent code path.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from .core import _first_disagreement
 
 
 @dataclass(frozen=True)
@@ -41,85 +45,49 @@ def centric_endomap(s, x1, x2):
     return s.table.entries[x1, :, x2].copy()
 
 
-def _first_endomap_diff(law, params, lhs, rhs):
-    diff = np.nonzero(lhs != rhs)[0]
-    if diff.size == 0:
+def _law_witness(law, s, lhs, rhs):
+    """Scan the pairs (x1, x2), then (x3, x4, p); lhs and rhs are indexed [pair, x3, x4, p]."""
+    n = s.n
+    hit = _first_disagreement(n * n, n ** 3, lhs, rhs)
+    if hit is None:
         return None
-    p = int(diff[0])
-    return LawCounterexample(law, params, p, int(lhs[p]), int(rhs[p]))
+    (pair, x3, x4, p), values = hit
+    return LawCounterexample(law, (*divmod(pair, n), x3, x4), p, *values)
 
 
-def right_compose_law(s, assert_associativity=True):
+def right_compose_law(s):
     """Check R_{x3x4} . R_{x1x2} = R_{x1,[x2,x3,x4]} over all quadruples.
 
-    Returns None (certificate) or the first counterexample.  Composition
-    associativity is automatic for endomaps but asserted anyway, on all
-    sextuples for n <= 4 and on a fixed sample above that.
+    Read at every point p: [[p,x1,x2],x3,x4] against [p,x1,[x2,x3,x4]].
+    Returns None (certificate) or the first counterexample.
     """
-    n = s.n
     t = s.table.entries
-    rights = {(a, b): t[:, a, b] for a in range(n) for b in range(n)}
-    for x1 in range(n):
-        for x2 in range(n):
-            r12 = rights[(x1, x2)]
-            for x3 in range(n):
-                for x4 in range(n):
-                    lhs = rights[(x3, x4)][r12]
-                    rhs = rights[(x1, int(t[x2, x3, x4]))]
-                    bad = _first_endomap_diff("right-compose", (x1, x2, x3, x4), lhs, rhs)
-                    if bad is not None:
-                        return bad
-    if assert_associativity:
-        _assert_composition_associative(list(rights.values()), n)
-    return None
+    right = t.transpose(1, 2, 0)                # right[a, b, x] = [x,a,b]
+    pairs = right.reshape(s.n ** 2, s.n)
+    x1, x2 = np.divmod(np.arange(s.n ** 2), s.n)
+    return _law_witness("right-compose", s, lambda r: t[pairs[r]].transpose(0, 2, 3, 1),
+                        lambda r: right[x1[r, None, None], t[x2[r]]])
 
 
 def left_compose_law(s):
-    """Check L_{x1x2} . L_{x3x4} = L_{[x1,x2,x3],x4} over all quadruples."""
-    n = s.n
+    """Check L_{x1x2} . L_{x3x4} = L_{[x1,x2,x3],x4} over all quadruples.
+
+    Read at every point p: [x1,x2,[x3,x4,p]] against [[x1,x2,x3],x4,p].
+    """
     t = s.table.entries
-    for x1 in range(n):
-        for x2 in range(n):
-            l12 = t[x1, x2, :]
-            for x3 in range(n):
-                for x4 in range(n):
-                    lhs = l12[t[x3, x4, :]]
-                    rhs = t[int(t[x1, x2, x3]), x4, :]
-                    bad = _first_endomap_diff("left-compose", (x1, x2, x3, x4), lhs, rhs)
-                    if bad is not None:
-                        return bad
-    return None
+    pairs = t.reshape(s.n ** 2, s.n)
+    return _law_witness("left-compose", s, lambda r: pairs[r][:, t], lambda r: t[pairs[r]])
 
 
 def lr_commute(s):
-    """Check L_{x1x2} . R_{x3x4} = R_{x3x4} . L_{x1x2} over all quadruples."""
-    n = s.n
+    """Check L_{x1x2} . R_{x3x4} = R_{x3x4} . L_{x1x2} over all quadruples.
+
+    Read at every point p: [x1,x2,[p,x3,x4]] against [[x1,x2,p],x3,x4].
+    """
     t = s.table.entries
-    for x1 in range(n):
-        for x2 in range(n):
-            l12 = t[x1, x2, :]
-            for x3 in range(n):
-                for x4 in range(n):
-                    r34 = t[:, x3, x4]
-                    bad = _first_endomap_diff("lr-commute", (x1, x2, x3, x4), l12[r34], r34[l12])
-                    if bad is not None:
-                        return bad
-    return None
-
-
-def _assert_composition_associative(endomaps, n, sample=1000):
-    maps = endomaps
-    k = len(maps)
-    if k == 0:
-        return
-    if n <= 4:
-        triples = ((a, b, c) for a in range(k) for b in range(k) for c in range(k))
-    else:
-        rng = np.random.default_rng(0)
-        triples = (tuple(rng.integers(0, k, size=3)) for _ in range(sample))
-    for a, b, c in triples:
-        f, g, h = maps[a], maps[b], maps[c]
-        assert np.array_equal(f[g][h], f[g[h]]), "endomap composition must associate"
+    pairs = t.reshape(s.n ** 2, s.n)
+    return _law_witness("lr-commute", s, lambda r: pairs[r][:, t.transpose(1, 2, 0)],
+                        lambda r: t[pairs[r]].transpose(0, 2, 3, 1))
 
 
 def centric_nonclosure_witness(semiheaps, max_results=1):
@@ -158,26 +126,17 @@ def is_biunital(ps):
 def left_monoid_check(ps):
     """On a biunital pointed semiheap, L_{x0 x0} is the unit of L(S).
 
-    Checks that L_{x0x0} is the identity endomap and a two-sided unit for
-    composition against every left translation.  Returns None or a
-    counterexample.
+    Checks that L_{x0x0} is the identity endomap, which makes it a
+    two-sided unit for composition with every left translation.  Returns
+    None or a counterexample.
     """
-    n = ps.n
     t = ps.table.entries
     x0 = ps.basepoint
-    unit = t[x0, x0, :]
-    bad = _first_endomap_diff("left-unit-id", (x0, x0), unit, np.arange(n))
-    if bad is not None:
-        return bad
-    for a in range(n):
-        for b in range(n):
-            lab = t[a, b, :]
-            bad = _first_endomap_diff("left-unit-post", (a, b), unit[lab], lab)
-            if bad is None:
-                bad = _first_endomap_diff("left-unit-pre", (a, b), lab[unit], lab)
-            if bad is not None:
-                return bad
-    return None
+    hit = _first_disagreement(ps.n, 1, lambda r: t[x0, x0, r], lambda r: np.arange(ps.n)[r])
+    if hit is None:
+        return None
+    (p,), (lhs, rhs) = hit
+    return LawCounterexample("left-unit-id", (x0, x0), p, lhs, rhs)
 
 
 def reachability_check(ps):

@@ -1,13 +1,20 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import semiheap
 from semiheap import formats, functors, groups
 from semiheap.actions import translation_action
+
+# The CLI subprocess imports the same semiheap as this test run, installed or not.
+SRC = str(Path(semiheap.__file__).resolve().parents[1])
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
 
 
 def run_cli(args, stdin=""):
     proc = subprocess.run([sys.executable, "-m", "semiheap.cli", *args],
-                          input=stdin, capture_output=True, text=True)
+                          input=stdin, capture_output=True, text=True, env=ENV)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -151,3 +158,26 @@ def test_out_flag_writes_file(tmp_path):
     code, out, _ = run_cli(["check", "--out", str(target)], XOR_HEAP)
     assert code == 0 and out == ""
     assert target.read_text().startswith("pass para-associative=true")
+
+
+def test_orbit_point_outside_space_exit_2(tmp_path):
+    s = functors.heapify(groups.cyclic(4)).semiheap
+    shf = tmp_path / "s.shf"
+    shf.write_text(formats.write_shf1(s))
+    code, out, err = run_cli(["orbit", "--semiheap", str(shf), "--point", "9"],
+                             formats.write_act1(translation_action(s)))
+    assert code == 2 and out == ""
+    assert err.startswith("error input point 9 outside space of size 4")
+
+
+def test_numeric_rejects_no_samples():
+    code, out, err = run_cli(["numeric", "para-assoc", "--samples", "0"])
+    assert code == 2 and out == ""
+    assert "--samples: must be positive" in err
+
+
+def test_numeric_rejects_non_positive_step():
+    for sub in ("pushforward", "left-invariant", "tangent"):
+        code, out, err = run_cli(["numeric", sub, "--samples", "5", "--h", "0"])
+        assert code == 2 and out == "", sub
+        assert "--h: must be positive" in err
