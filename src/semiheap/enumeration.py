@@ -16,7 +16,7 @@ from itertools import permutations, product as iproduct
 
 import numpy as np
 
-from .core import FiniteSemiheap, TernaryTable, is_heap, verify_para_associative
+from .core import _SLAB, FiniteSemiheap, TernaryTable, _product_slabs, is_heap, verify_para_associative
 from .functors import BudgetExceeded, heapify
 from .groups import FiniteGroup, LawError
 
@@ -49,15 +49,23 @@ def enumerate_semiheaps(n, up_to_iso=False, method="backtrack", budget=None, job
     else:
         raise ValueError(f"unknown method {method!r}")
     if up_to_iso:
-        keep = []
-        seen = set()
-        for t in tables:
-            c = canonical_form(t)
-            if c.flat() not in seen:
-                seen.add(c.flat())
-                keep.append(FiniteSemiheap(c, _certified=True))
-        return EnumerationResult(keep, complete)
+        return EnumerationResult(_iso_classes(tables), complete)
     return EnumerationResult([FiniteSemiheap(t, _certified=True) for t in tables], complete)
+
+
+def _iso_classes(tables):
+    """The canonical form of each isomorphism class, in order of first appearance.
+
+    For tables in lexicographic order the first member seen of a complete
+    class is its canonical form.
+    """
+    keep, seen = [], set()
+    for t in tables:
+        c = canonical_form(t)
+        if c.flat() not in seen:
+            seen.add(c.flat())
+            keep.append(FiniteSemiheap(c, _certified=True))
+    return keep
 
 
 def _deadline(budget):
@@ -141,27 +149,47 @@ def _backtrack(cube, cell, n, out, deadline, perms):
     return complete
 
 
+# Per carrier size: the flat cube reads of every para-associativity instance.
+_QUINTUPLE_READS = {}
+
+
+def _quintuple_reads(n):
+    """Where the three forms of each quintuple read the cube, one slab at a time.
+
+    For the forms [[x1,x2,x3],x4,x5], [x1,[x4,x3,x2],x5] and
+    [x1,x2,[x3,x4,x5]], row k of inner holds the flat index of the inner
+    product, and the outer product of value v sits at v * scale[k] +
+    outer[k].  A slab holds every x1 when all n^5 quintuples fit in _SLAB,
+    else one x1; the next slab reads n^2 further on wherever x1 enters,
+    which is advance.
+    """
+    if n not in _QUINTUPLE_READS:
+        rows = n if n ** 5 <= _SLAB else 1
+        x1, x2, x3, x4, x5 = np.indices((rows, n, n, n, n)).reshape(5, -1)
+        inner = np.stack([(x1 * n + x2) * n + x3, (x4 * n + x3) * n + x2, (x3 * n + x4) * n + x5])
+        outer = np.stack([x4 * n + x5, x1 * n * n + x5, (x1 * n + x2) * n])
+        scale = np.array([[n * n], [n], [1]])
+        advance = n * n * np.array([[[1], [0], [0]], [[0], [1], [1]]])
+        _QUINTUPLE_READS[n] = rows, inner, scale, outer, advance
+    return _QUINTUPLE_READS[n]
+
+
 def _partial_consistent(cube, n):
-    # Evaluate every para-associativity instance lazily; -1 marks an
-    # unassigned cell.  Two evaluable expressions that disagree doom every
-    # completion of this prefix.
-    for x1 in range(n):
-        for x2 in range(n):
-            for x3 in range(n):
-                for x4 in range(n):
-                    for x5 in range(n):
-                        vals = []
-                        a = cube[x1, x2, x3]
-                        if a >= 0 and cube[a, x4, x5] >= 0:
-                            vals.append(cube[a, x4, x5])
-                        b = cube[x4, x3, x2]
-                        if b >= 0 and cube[x1, b, x5] >= 0:
-                            vals.append(cube[x1, b, x5])
-                        c = cube[x3, x4, x5]
-                        if c >= 0 and cube[x1, x2, c] >= 0:
-                            vals.append(cube[x1, x2, c])
-                        if len(vals) > 1 and len(set(int(v) for v in vals)) > 1:
-                            return False
+    """False iff two evaluable forms of some para-associativity instance disagree.
+
+    -1 marks an unassigned cell; a form whose inner or outer cell is
+    unassigned is not evaluable.  Such a disagreement dooms every
+    completion of the prefix.
+    """
+    rows, inner, scale, outer, advance = _quintuple_reads(n)
+    flat = np.append(cube.reshape(-1), -1)      # index n^3 reads as unassigned
+    for start in range(0, n, rows):
+        if start:
+            inner, outer = inner + advance[0], outer + advance[1]
+        a = flat[inner]
+        v = flat[np.where(a >= 0, a * scale + outer, n ** 3)]
+        if (v.max(axis=0) > v.min(axis=0, where=v >= 0, initial=n)).any():
+            return False
     return True
 
 
@@ -189,16 +217,25 @@ def _prefix_dominated(cube, assigned, n, perms):
 
 
 def all_group_tables(n):
-    """Every Cayley table on n labeled points that satisfies the group axioms."""
+    """Every Cayley table on n labeled points that satisfies the group axioms.
+
+    Candidates are scanned in slabs in lexicographic order; only Latin
+    squares, whose rows and columns are permutations, go on to the group
+    constructor, which alone decides what is a group.
+    """
     out = []
     if n == 0:
         return out
-    for flat in iproduct(range(n), repeat=n * n):
-        mul = np.array(flat, dtype=np.int64).reshape(n, n)
-        try:
-            out.append(FiniteGroup.from_mul(mul))
-        except LawError:
-            continue
+    ar = np.arange(n)
+    for flat in _product_slabs(n, n * n, n * n):
+        mul = flat.reshape(-1, n, n)
+        latin = (np.sort(mul, axis=1) == ar[:, None]).all(axis=(1, 2)) & \
+                (np.sort(mul, axis=2) == ar).all(axis=(1, 2))
+        for m in mul[latin]:
+            try:
+                out.append(FiniteGroup.from_mul(m))
+            except LawError:
+                continue
     return out
 
 
@@ -230,19 +267,12 @@ def enumerate_heaps(n, up_to_iso=False, budget=None):
         t = heapify(g).semiheap.table
         via_groups[t.flat()] = t
     direct_keys = {t.flat() for t in direct}
-    assert direct_keys == set(via_groups), \
-        "direct heap search and the group oracle must produce the same tables"
-    tables = sorted(direct_keys)
-    heaps = [FiniteSemiheap(TernaryTable.from_flat(n, flat), _certified=True) for flat in tables]
+    if direct_keys != set(via_groups):
+        raise AssertionError("direct heap search and the group oracle must produce the same tables")
+    tables = [TernaryTable.from_flat(n, flat) for flat in sorted(direct_keys)]
     if up_to_iso:
-        keep, seen = [], set()
-        for s in heaps:
-            c = canonical_form(s.table).flat()
-            if c not in seen:
-                seen.add(c)
-                keep.append(s)
-        return EnumerationResult(keep, True)
-    return EnumerationResult(heaps, True)
+        return EnumerationResult(_iso_classes(tables), True)
+    return EnumerationResult([FiniteSemiheap(t, _certified=True) for t in tables], True)
 
 
 def _heap_backtrack_3(budget):

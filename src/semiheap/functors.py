@@ -8,7 +8,6 @@ homomorphisms.
 """
 
 from dataclasses import dataclass
-from itertools import product as iproduct
 
 import numpy as np
 
@@ -18,6 +17,7 @@ from .core import (
     PointedSemiheap,
     TernaryTable,
     _first_disagreement,
+    _product_slabs,
     is_biunitary,
     is_heap,
     is_homomorphism,
@@ -34,7 +34,8 @@ def heapify(g):
     m1 = g.mul[:, g.inv]                      # m1[x,y] = x * y^-1
     cube = g.mul[m1]                          # cube[x,y,z] = (x * y^-1) * z
     s = FiniteSemiheap(TernaryTable(cube), _certified=True)
-    assert is_heap(s), "heapification of a validated group must be a heap"
+    if not is_heap(s):
+        raise AssertionError("heapification of a validated group must be a heap")
     return PointedSemiheap(s, g.e)
 
 
@@ -122,21 +123,24 @@ def check_fully_faithful(g, g2, budget=1_000_000):
     The set of group homomorphisms must equal the set of basepoint-
     preserving semiheap homomorphisms between the heapifications; a
     mismatch is an implementation bug, so it raises.  Unpointed semiheap
-    homs are reported as well: there are generally more of them.
+    homs are reported as well: there are generally more of them.  Maps
+    are classified in slabs, each as a row of an array, in
+    itertools.product order.
     """
     total = g2.n ** g.n
     if total > budget:
         raise BudgetExceeded(f"{total} maps exceed the budget of {budget}")
     h, h2 = heapify(g), heapify(g2)
+    t, mul2, t2 = h.semiheap.table.entries, g2.mul.reshape(-1), h2.semiheap.table.entries.reshape(-1)
     g_homs, p_homs, u_homs = [], [], []
-    for f in iproduct(range(g2.n), repeat=g.n):
-        arr = np.array(f, dtype=np.int64)
-        if is_group_hom(arr, g, g2):
-            g_homs.append(f)
-        if is_homomorphism(arr, h.semiheap, h2.semiheap):
-            u_homs.append(f)
-            if f[h.basepoint] == h2.basepoint:
-                p_homs.append(f)
+    for f in _product_slabs(g2.n, g.n, g.n ** 3):
+        pair = f[:, :, None] * g2.n + f[:, None, :]      # flat index of (f x, f y)
+        group = (f[:, g.mul] == mul2[pair]).all(axis=(1, 2))
+        heap = (f[:, t] == t2[pair[..., None] * g2.n + f[:, None, None, :]]).all(axis=(1, 2, 3))
+        pointed = heap & (f[:, h.basepoint] == h2.basepoint)
+        for homs, keep in ((g_homs, group), (p_homs, pointed), (u_homs, heap)):
+            homs.extend(map(tuple, f[keep].tolist()))
     report = FullyFaithfulReport(total, tuple(g_homs), tuple(p_homs), tuple(u_homs))
-    assert report.bijective, "heapification must be fully faithful on pointed homs"
+    if not report.bijective:
+        raise AssertionError("heapification must be fully faithful on pointed homs")
     return report

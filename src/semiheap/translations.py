@@ -96,22 +96,24 @@ def centric_nonclosure_witness(semiheaps, max_results=1):
     Returns a list of (semiheap, (x1, x2), (x3, x4)) witnesses, at most
     max_results long, in deterministic scan order; empty if the centric
     translations of every input happen to be closed under composition.
+    For each C_{x1x2}, all n^2 compositions C_{x3x4} . C_{x1x2} are formed
+    at once and looked up among the sorted distinct centric translations.
     """
     found = []
     for s in semiheaps:
         n = s.n
-        t = s.table.entries
-        centrics = {tuple(int(v) for v in t[a, :, b]) for a in range(n) for b in range(n)}
-        for a in range(n):
-            for b in range(n):
-                cab = t[a, :, b]
-                for c in range(n):
-                    for d in range(n):
-                        comp = t[c, :, d][cab]
-                        if tuple(int(v) for v in comp) not in centrics:
-                            found.append((s, (a, b), (c, d)))
-                            if len(found) >= max_results:
-                                return found
+        if n == 0:
+            continue
+        centric = s.table.entries.transpose(0, 2, 1).reshape(n * n, n)   # centric[a*n+b] = C_{ab}
+        row = np.dtype((np.void, centric.itemsize * n))                  # one endomap as one sortable item
+        known = np.unique(centric.view(row).ravel())
+        for ab in range(n * n):
+            comps = np.ascontiguousarray(centric[:, centric[ab]]).view(row).ravel()
+            at = np.minimum(np.searchsorted(known, comps), known.size - 1)
+            for cd in np.flatnonzero(known[at] != comps).tolist():
+                found.append((s, divmod(ab, n), divmod(cd, n)))
+                if len(found) >= max_results:
+                    return found
     return found
 
 

@@ -136,3 +136,62 @@ def first_action_failure(act, m, flat_s, n):
 def action_compat_loops(act, m, flat_s, n):
     """Pure-loop compatibility check of an action table act[p][x][y]."""
     return first_action_failure(act, m, flat_s, n) is None
+
+
+def partial_consistent_loops(flat, n):
+    """False iff two evaluable forms of some quintuple disagree in a partial table.
+
+    -1 marks an unassigned cell; a form is evaluable when its inner and
+    outer cells are both assigned.
+    """
+    def t(i, j, k):
+        return flat[(i * n + j) * n + k]
+
+    def outer_of(inner, read):
+        return read(inner) if inner >= 0 else -1
+
+    for x1, x2, x3, x4, x5 in iproduct(range(n), repeat=5):
+        vals = [outer_of(t(x1, x2, x3), lambda a: t(a, x4, x5)),
+                outer_of(t(x4, x3, x2), lambda b: t(x1, b, x5)),
+                outer_of(t(x3, x4, x5), lambda c: t(x1, x2, c))]
+        if len({v for v in vals if v >= 0}) > 1:
+            return False
+    return True
+
+
+def fully_faithful_loops(mul, e, mul2, e2):
+    """(group homs, pointed heap homs, unpointed heap homs) among all maps, in product order.
+
+    The heaps are x * y^-1 * z on each group; a pointed hom sends e to e2.
+    """
+    def heap(mul, e):
+        inv = [next(y for y in range(len(mul)) if mul[x][y] == e) for x in range(len(mul))]
+        return lambda x, y, z: mul[mul[x][inv[y]]][z]
+
+    n, m = len(mul), len(mul2)
+    h, h2 = heap(mul, e), heap(mul2, e2)
+    group, pointed, unpointed = [], [], []
+    for f in iproduct(range(m), repeat=n):
+        if all(f[mul[x][y]] == mul2[f[x]][f[y]] for x, y in iproduct(range(n), repeat=2)):
+            group.append(f)
+        if all(f[h(x, y, z)] == h2(f[x], f[y], f[z]) for x, y, z in iproduct(range(n), repeat=3)):
+            unpointed.append(f)
+            if f[e] == e2:
+                pointed.append(f)
+    return group, pointed, unpointed
+
+
+def centric_nonclosure_loops(flat, n, max_results):
+    """The first max_results ((a, b), (c, d)) with C_cd . C_ab not a centric translation."""
+    def centric(a, b):
+        return tuple(flat[(a * n + x) * n + b] for x in range(n))
+
+    centrics = {centric(a, b) for a in range(n) for b in range(n)}
+    found = []
+    for a, b, c, d in iproduct(range(n), repeat=4):
+        cab, ccd = centric(a, b), centric(c, d)
+        if tuple(ccd[cab[x]] for x in range(n)) not in centrics:
+            found.append(((a, b), (c, d)))
+            if len(found) >= max_results:
+                break
+    return found
