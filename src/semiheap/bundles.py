@@ -166,7 +166,8 @@ def trivial_bundle(base_size, s):
     chart = {p: (p // n, p % n) for p in range(total)}
     b = DiscreteSemiheapBundle(base_size, proj, s, action, (frozenset(range(base_size)),), (chart,))
     failure = verify_bundle(b)
-    assert failure is None, f"trivial bundle must verify, got {failure}"
+    if failure is not None:
+        raise AssertionError(f"trivial bundle must verify, got {failure}")
     return b
 
 
@@ -191,8 +192,8 @@ def fiber_semiheap(b, m, i):
         induced_j = induce_via_bijection(other, b.structure)
         inv_j = {int(s): a for a, s in enumerate(other)}
         transition = np.array([inv_j[int(s)] for s in labels], dtype=np.int64)
-        assert is_homomorphism(transition, induced, induced_j), \
-            "cross-chart fiber structures must be isomorphic"
+        if not is_homomorphism(transition, induced, induced_j):
+            raise AssertionError("cross-chart fiber structures must be isomorphic")
     return induced, fiber
 
 
@@ -281,7 +282,8 @@ def heapify_principal(pb):
     action = FiniteAction(structure, table, verify=False)
     b = DiscreteSemiheapBundle(pb.base_size, pb.projection, structure, action, pb.cover, pb.charts)
     failure = verify_bundle(b)
-    assert failure is None, f"heapified principal bundle must verify, got {failure}"
+    if failure is not None:
+        raise AssertionError(f"heapified principal bundle must verify, got {failure}")
     return b
 
 
@@ -364,6 +366,6 @@ def heapify_principal_hom(h, pb, pb2):
     s, s2 = heapify(pb.group).semiheap, heapify(pb2.group).semiheap
     hom = BundleHom(h.total_map, h.base_map, SemiheapHom(s, s2, h.group_hom))
     b, b2 = heapify_principal(pb), heapify_principal(pb2)
-    assert verify_bundle_hom(hom, b, b2) is None, \
-        "heapified principal homs must be semiheap-bundle homs"
+    if verify_bundle_hom(hom, b, b2) is not None:
+        raise AssertionError("heapified principal homs must be semiheap-bundle homs")
     return hom

@@ -40,6 +40,7 @@ class MatrixHeapChart:
     sample: Callable                            # rng -> group element
     exp_tangent: Callable                       # Lie algebra element -> group element
     coords: Callable                            # group element -> 1d coordinate array
+    project_algebra: Callable                   # matrix -> its part in the Lie algebra
     h: float = 1e-5
     tol: float = 1e-9
 
@@ -60,9 +61,6 @@ class MatrixHeapChart:
         """Distance of a from the span pattern of the Lie algebra."""
         proj = self.project_algebra(a)
         return rel_norm(a - proj, a)
-
-    def project_algebra(self, a):
-        raise NotImplementedError
 
     def random_algebra(self, rng, scale=1.0):
         coeff = rng.normal(scale=scale, size=self.dim)
@@ -94,9 +92,8 @@ def _orthogonal_residual(g):
     return rel_norm(g.T @ g - np.eye(d)) + abs(float(np.linalg.det(g)) - 1.0)
 
 
-class _SO3(MatrixHeapChart):
-    def project_algebra(self, a):
-        return 0.5 * (a - a.T)
+def _skew_part(a):
+    return 0.5 * (a - a.T)
 
 
 def so3():
@@ -105,17 +102,13 @@ def so3():
     def sample(rng):
         return _rodrigues(sum(c * e for c, e in zip(rng.normal(size=3), basis)))
 
-    return _SO3(
+    return MatrixHeapChart(
         name="so3", dim_matrix=3, basis=basis,
         membership_residual=_orthogonal_residual,
         sample=sample, exp_tangent=_rodrigues,
         coords=lambda g: g.reshape(-1),
+        project_algebra=_skew_part,
     )
-
-
-class _SO2(MatrixHeapChart):
-    def project_algebra(self, a):
-        return 0.5 * (a - a.T)
 
 
 def so2():
@@ -125,12 +118,13 @@ def so2():
         c, s = math.cos(theta), math.sin(theta)
         return np.array([[c, -s], [s, c]])
 
-    return _SO2(
+    return MatrixHeapChart(
         name="so2", dim_matrix=2, basis=(gen,),
         membership_residual=_orthogonal_residual,
         sample=lambda rng: rot(float(rng.uniform(-math.pi, math.pi))),
         exp_tangent=lambda a: rot(float(a[1, 0])),
         coords=lambda g: g.reshape(-1),
+        project_algebra=_skew_part,
     )
 
 
@@ -147,11 +141,6 @@ def _exp_upper_2(a):
     return np.array([[ep, b * dd], [0.0, eq]])
 
 
-class _UpperTriangular2(MatrixHeapChart):
-    def project_algebra(self, a):
-        return np.triu(a)
-
-
 def upper_triangular2():
     basis = (
         np.array([[1.0, 0.0], [0.0, 0.0]]),
@@ -166,20 +155,13 @@ def upper_triangular2():
             [0.0, float(rng.uniform(0.5, 2.0))],
         ])
 
-    return _UpperTriangular2(
+    return MatrixHeapChart(
         name="ut2", dim_matrix=2, basis=basis,
         membership_residual=lambda g: rel_norm(np.tril(g, -1), g),
         sample=sample, exp_tangent=_exp_upper_2,
         coords=lambda g: g.reshape(-1),
+        project_algebra=np.triu,
     )
-
-
-class _Translations(MatrixHeapChart):
-    def project_algebra(self, a):
-        n = self.dim_matrix - 1
-        out = np.zeros_like(a)
-        out[:n, n] = a[:n, n]
-        return out
 
 
 def translations(n):
@@ -201,27 +183,29 @@ def translations(n):
         g[:n, n] = rng.uniform(-2.0, 2.0, size=n)
         return g
 
-    return _Translations(
+    def project_algebra(a):
+        out = np.zeros_like(a)
+        out[:n, n] = a[:n, n]
+        return out
+
+    return MatrixHeapChart(
         name=f"r{n}", dim_matrix=d, basis=tuple(basis),
         membership_residual=membership,
         sample=sample,
         exp_tangent=lambda a: np.eye(d) + a,   # translation generators square to zero
         coords=lambda g: g[:n, n].copy(),
+        project_algebra=project_algebra,
     )
 
 
-class _NonzeroReals(MatrixHeapChart):
-    def project_algebra(self, a):
-        return a
-
-
 def nonzero_reals():
-    return _NonzeroReals(
+    return MatrixHeapChart(
         name="rx", dim_matrix=1, basis=(np.array([[1.0]]),),
         membership_residual=lambda g: 0.0 if abs(float(g[0, 0])) > 1e-300 else 1.0,
         sample=lambda rng: np.array([[float(rng.uniform(0.5, 3.0) * rng.choice([-1.0, 1.0]))]]),
         exp_tangent=lambda a: np.array([[math.exp(float(a[0, 0]))]]),
         coords=lambda g: g.reshape(-1),
+        project_algebra=lambda a: a,
     )
 
 

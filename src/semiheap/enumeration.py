@@ -16,7 +16,7 @@ from itertools import permutations, product as iproduct
 
 import numpy as np
 
-from .core import _SLAB, FiniteSemiheap, TernaryTable, _product_slabs, is_heap, verify_para_associative
+from .core import _SLAB, FiniteSemiheap, TernaryTable, _product_slabs, verify_para_associative
 from .functors import BudgetExceeded, heapify
 from .groups import FiniteGroup, LawError
 
@@ -93,60 +93,64 @@ def _filter_pipeline(n, budget):
 def _backtrack_pipeline(n, budget, symmetry_break=False, jobs=1):
     if n == 0:
         return [TernaryTable(np.zeros((0, 0, 0), dtype=np.int64))], True
-    deadline = _deadline(budget)
-    perms = [np.array(p, dtype=np.int64) for p in permutations(range(n))] if symmetry_break else None
     if jobs > 1:
-        return _backtrack_parallel(n, deadline, perms, jobs)
-    out = []
-    cube = np.full((n, n, n), -1, dtype=np.int64)
-    complete = _backtrack(cube, 0, n, out, deadline, perms)
-    return out, complete
+        return _backtrack_parallel(n, budget, symmetry_break, jobs)
+    return _search(np.full((n, n, n), -1, dtype=np.int64), budget, symmetry_break)
 
 
-def _backtrack_parallel(n, deadline, perms, jobs):
+def _backtrack_parallel(n, budget, symmetry_break, jobs):
     # Partition by the value of the first cell; workers stay deterministic
     # because each prefix block is emitted in order.
     from multiprocessing import Pool
 
-    args = [(n, v, None if deadline is None else deadline - time.perf_counter(),
-             perms is not None) for v in range(n)]
     with Pool(min(jobs, n)) as pool:
-        blocks = pool.map(_backtrack_block, args)
+        blocks = pool.map(_backtrack_block, [(n, v, budget, symmetry_break) for v in range(n)])
     out = [t for block, _ in blocks for t in block]
     return out, all(c for _, c in blocks)
 
 
 def _backtrack_block(arg):
     n, first, budget, symmetry_break = arg
-    deadline = _deadline(budget)
-    perms = [np.array(p, dtype=np.int64) for p in permutations(range(n))] if symmetry_break else None
     cube = np.full((n, n, n), -1, dtype=np.int64)
     cube[0, 0, 0] = first
+    return _search(cube, budget, symmetry_break)
+
+
+def _search(cube, budget, symmetry_break=False):
+    """Every para-associative completion of cube, in lexicographic order.
+
+    The unassigned (-1) cells are filled depth first in flat order; the
+    assigned ones are forced and must be consistent among themselves.  A
+    value stays while the cube is consistent and, with symmetry_break, no
+    relabeling of the prefix up to it is smaller; neither test can start
+    passing as cells fill, so the root needs neither.  Returns (tables,
+    complete), complete False once budget seconds have run out.
+    """
+    n = cube.shape[0]
+    deadline = _deadline(budget)
+    perms = [np.array(p, dtype=np.int64) for p in permutations(range(n))] if symmetry_break else None
+    flat = cube.reshape(-1)
+    free = np.flatnonzero(flat < 0)
     out = []
-    complete = True
-    if _partial_consistent(cube, n) and not _prefix_dominated(cube, 1, n, perms):
-        complete = _backtrack(cube, 1, n, out, deadline, perms)
-    return out, complete
 
+    def fill(depth):
+        if _expired(deadline):
+            return False
+        if depth == len(free):
+            out.append(TernaryTable(cube.copy()))
+            return True
+        cell = free[depth]
+        complete = True
+        for v in range(n):
+            flat[cell] = v
+            if _partial_consistent(cube, n) and not _prefix_dominated(cube, cell + 1, n, perms):
+                complete = fill(depth + 1)
+                if not complete:
+                    break
+        flat[cell] = -1
+        return complete
 
-def _backtrack(cube, cell, n, out, deadline, perms):
-    """Depth-first fill; returns False as soon as the deadline passes."""
-    if _expired(deadline):
-        return False
-    if cell == n ** 3:
-        out.append(TernaryTable(cube.copy()))
-        return True
-    i, r = divmod(cell, n * n)
-    j, k = divmod(r, n)
-    complete = True
-    for v in range(n):
-        cube[i, j, k] = v
-        if _partial_consistent(cube, n) and not _prefix_dominated(cube, cell + 1, n, perms):
-            complete = _backtrack(cube, cell + 1, n, out, deadline, perms)
-            if not complete:
-                break
-    cube[i, j, k] = -1
-    return complete
+    return out, fill(0)
 
 
 # Per carrier size: the flat cube reads of every para-associativity instance.
@@ -242,23 +246,19 @@ def all_group_tables(n):
 def enumerate_heaps(n, up_to_iso=False, budget=None):
     """All heap tables on {0..n-1}, checked against the group oracle.
 
-    Route one searches tables directly (filtering at n <= 2, backtracking
-    with the biunitary cells pre-forced at n = 3).  Route two heapifies
-    every group table on the carrier and deduplicates.  For n >= 1 the two
-    routes must agree exactly; n = 0 is the lone exception, since the
-    empty semiheap is vacuously a heap but arises from no group.  A
-    partial (budget-limited) result skips the cross-route assertion.
+    Route one searches tables directly, backtracking with the biunitary
+    cells pre-forced.  Route two heapifies every group table on the
+    carrier and deduplicates.  For n >= 1 the two routes must agree
+    exactly; n = 0 is the lone exception, since the empty semiheap is
+    vacuously a heap but arises from no group.  A partial (budget-limited)
+    result skips the cross-route assertion.
     """
     if n == 0:
         return EnumerationResult(
             [FiniteSemiheap(TernaryTable(np.zeros((0, 0, 0), dtype=np.int64)), _certified=True)], True)
-    if n <= 2:
-        found = enumerate_semiheaps(n, budget=budget)
-        direct, complete = [s.table for s in found if is_heap(s)], found.complete
-    elif n == 3:
-        direct, complete = _heap_backtrack_3(budget)
-    else:
+    if n >= 4:
         raise BudgetExceeded(f"direct heap search not implemented for n={n}")
+    direct, complete = _heap_search(n, budget)
     if not complete:
         return EnumerationResult(
             [FiniteSemiheap(t, _certified=True) for t in direct], False)
@@ -275,40 +275,14 @@ def enumerate_heaps(n, up_to_iso=False, budget=None):
     return EnumerationResult([FiniteSemiheap(t, _certified=True) for t in tables], True)
 
 
-def _heap_backtrack_3(budget):
-    # Biunitarity forces the cells (y,x,x) = y and (x,x,y) = y; only the
-    # 12 cells with pairwise-distinct middle patterns remain to search.
-    n = 3
-    deadline = _deadline(budget)
+def _heap_search(n, budget):
+    # Biunitarity forces the cells (y,x,x) = y and (x,x,y) = y; at n = 3
+    # only the 12 cells with pairwise-distinct middle patterns remain.
     cube = np.full((n, n, n), -1, dtype=np.int64)
-    for x in range(n):
-        for y in range(n):
-            cube[y, x, x] = y
-            cube[x, x, y] = y
-    free = [(i, j, k) for i in range(n) for j in range(n) for k in range(n) if cube[i, j, k] < 0]
-    out = []
-
-    def recurse(idx):
-        if _expired(deadline):
-            return False
-        if idx == len(free):
-            t = TernaryTable(cube.copy())
-            if verify_para_associative(t) is None:
-                out.append(t)
-            return True
-        i, j, k = free[idx]
-        complete = True
-        for v in range(n):
-            cube[i, j, k] = v
-            if _partial_consistent(cube, n):
-                complete = recurse(idx + 1)
-                if not complete:
-                    break
-        cube[i, j, k] = -1
-        return complete
-
-    complete = recurse(0)
-    return out, complete
+    x, y = np.indices((n, n))
+    cube[y, x, x] = y
+    cube[x, x, y] = y
+    return _search(cube, budget)
 
 
 def relabel(table, perm):

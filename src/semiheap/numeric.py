@@ -127,8 +127,8 @@ def left_invariant_field_check(chart, v, samples, seed, tol=1e-6, h=None):
     h = chart.h if h is None else h
     rng = np.random.default_rng(seed)
     fieldrule = left_invariant_field(chart, v)
-    assert np.array_equal(fieldrule(chart.basepoint), v), \
-        "field must reproduce its generator at the basepoint"
+    if not np.array_equal(fieldrule(chart.basepoint), v):
+        raise AssertionError("field must reproduce its generator at the basepoint")
     worst = 0.0
     for _ in range(samples):
         x, y, z = (chart.sample(rng) for _ in range(3))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from semiheap import functors, groups
+from semiheap import enumeration, functors, groups
 from semiheap.core import TernaryTable, is_heap, verify_para_associative
 from semiheap.enumeration import (
     all_group_tables,
@@ -36,6 +36,10 @@ def test_backtrack_parallel_matches_serial():
     serial = [s.table.flat() for s in enumerate_semiheaps(2, method="backtrack")]
     parallel = [s.table.flat() for s in enumerate_semiheaps(2, method="backtrack", jobs=2)]
     assert serial == parallel
+    for up_to_iso in (False, True):
+        serial = [s.table.flat() for s in enumerate_semiheaps(3, up_to_iso=up_to_iso)]
+        parallel = [s.table.flat() for s in enumerate_semiheaps(3, up_to_iso=up_to_iso, jobs=2)]
+        assert serial == parallel
 
 
 def test_enumeration_order_is_deterministic():
@@ -54,6 +58,23 @@ def test_heap_dual_route_counts():
 def test_heaps_filtered_from_semiheaps_at_n2(order2_semiheaps):
     direct = {s.table.flat() for s in order2_semiheaps if is_heap(s)}
     assert direct == {s.table.flat() for s in enumerate_heaps(2)}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_heap_search_matches_filtered_semiheaps(n):
+    # The search with the biunitary cells forced finds exactly the heaps
+    # among all semiheaps, in the same order.
+    filtered = [s.table.flat() for s in enumerate_semiheaps(n) if is_heap(s)]
+    assert [s.table.flat() for s in enumerate_heaps(n)] == filtered
+
+
+@pytest.mark.parametrize("n, calls", [(1, 0), (2, 4), (3, 39)])
+def test_heap_consistency_calls_pinned(monkeypatch, n, calls):
+    seen = []
+    real = enumeration._partial_consistent
+    monkeypatch.setattr(enumeration, "_partial_consistent", lambda cube, k: seen.append(1) or real(cube, k))
+    assert len(enumerate_heaps(n)) == 1
+    assert len(seen) == calls
 
 
 def test_up_to_iso_counts():
@@ -109,6 +130,8 @@ def test_budget_exhaustion_reports_partial():
     assert found.complete is False
     heaps = enumerate_heaps(3, budget=1e-6)
     assert heaps.complete is False
+    for found in (enumerate_semiheaps(3, budget=0.0), enumerate_heaps(3, budget=0.0)):
+        assert list(found) == [] and found.complete is False
     # n=4+ direct heap search is out of scope: explicit refusal
     with pytest.raises(BudgetExceeded):
         enumerate_heaps(4)

@@ -96,6 +96,16 @@ def test_sampled_elements_and_tangents_satisfy_constraints():
             assert chart.tangent_residual(g, v) < 1e-9, name
 
 
+@pytest.mark.parametrize("name", sorted(CHARTS))
+def test_project_algebra_fixes_basis_and_is_idempotent(name):
+    chart = CHARTS[name]
+    for e in chart.basis:
+        assert np.array_equal(chart.project_algebra(e), e)
+    a = np.random.default_rng(41).normal(size=(chart.dim_matrix, chart.dim_matrix))
+    once = chart.project_algebra(a)
+    assert np.array_equal(chart.project_algebra(once), once)
+
+
 def test_dL_rejects_non_tangent_vector():
     chart = CHARTS["so3"]
     with pytest.raises(ValueError, match="not tangent"):

@@ -143,13 +143,29 @@ def test_centric_witnesses_match_loops(corpus, order2_semiheaps):
 # Each case breaks one invariant by patching (owner, name) and runs the code
 # that must notice; the patch is undone before the next case.
 INVARIANTS = """
+import dataclasses
+import numpy as np
+import semiheap.bundles as bundles, semiheap.charts as charts, semiheap.numeric as numeric
 import semiheap.enumeration as enumeration, semiheap.functors as functors, semiheap.groups as groups
 print("debug", __debug__)
+z2 = groups.cyclic(2)
+trivial = bundles.trivial_bundle(1, functors.heapify(z2).semiheap)
+two_charts = dataclasses.replace(trivial, cover=trivial.cover * 2, charts=trivial.charts * 2)
+principal = bundles.trivial_principal_bundle(1, z2)
+identity = bundles.PrincipalBundleHom(np.arange(2), np.arange(1), np.arange(2))
+so2 = charts.so2()
 cases = [
     (functors, "is_heap", lambda s: False, lambda: functors.heapify(groups.cyclic(2))),
     (functors.FullyFaithfulReport, "bijective", property(lambda r: False),
      lambda: functors.check_fully_faithful(groups.cyclic(2), groups.cyclic(2))),
     (enumeration, "all_group_tables", lambda n: [], lambda: enumeration.enumerate_heaps(2)),
+    (bundles, "verify_bundle", lambda b: "broken", lambda: bundles.trivial_bundle(1, trivial.structure)),
+    (bundles, "is_homomorphism", lambda *a: False, lambda: bundles.fiber_semiheap(two_charts, 0, 0)),
+    (bundles, "verify_bundle", lambda b: "broken", lambda: bundles.heapify_principal(principal)),
+    (bundles, "verify_bundle_hom", lambda *a: "broken",
+     lambda: bundles.heapify_principal_hom(identity, principal, principal)),
+    (numeric, "left_invariant_field", lambda chart, v: lambda x: x @ v + 1.0,
+     lambda: numeric.left_invariant_field_check(so2, so2.basis[0], samples=1, seed=0)),
 ]
 for owner, name, fake, run in cases:
     real = getattr(owner, name)
@@ -170,4 +186,6 @@ def test_search_invariants_hold_under_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", INVARIANTS], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["debug False", "is_heap raised", "bijective raised",
-                                        "all_group_tables raised"]
+                                        "all_group_tables raised", "verify_bundle raised",
+                                        "is_homomorphism raised", "verify_bundle raised",
+                                        "verify_bundle_hom raised", "left_invariant_field raised"]
