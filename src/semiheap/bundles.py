@@ -156,13 +156,8 @@ def trivial_bundle(base_size, s):
     """
     n = s.n
     total = base_size * n
-    proj = np.arange(total) // n if total else np.zeros(0, dtype=np.int64)
-    table = np.empty((total, n, n), dtype=np.int64)
-    t = s.table.entries
-    for p in range(total):
-        m, x = divmod(p, n)
-        table[p] = m * n + t[x]
-    action = FiniteAction(s, table, verify=False)
+    proj, x = np.divmod(np.arange(total), n)
+    action = FiniteAction(s, proj[:, None, None] * n + s.table.entries[x], verify=False)
     chart = {p: (p // n, p % n) for p in range(total)}
     b = DiscreteSemiheapBundle(base_size, proj, s, action, (frozenset(range(base_size)),), (chart,))
     failure = verify_bundle(b)
@@ -291,11 +286,8 @@ def trivial_principal_bundle(base_size, g):
     """The product principal bundle M x G with right multiplication."""
     n = g.n
     total = base_size * n
-    proj = np.arange(total) // n
-    act = np.empty((total, n), dtype=np.int64)
-    for p in range(total):
-        m, x = divmod(p, n)
-        act[p] = m * n + g.mul[x]
+    proj, x = np.divmod(np.arange(total), n)
+    act = proj[:, None] * n + g.mul[x]
     chart = {p: (p // n, p % n) for p in range(total)}
     return FinitePrincipalBundle(g, base_size, proj, act, (frozenset(range(base_size)),), (chart,))
 

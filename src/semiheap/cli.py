@@ -8,6 +8,7 @@ seeds produce byte-identical reports.  Exit codes: 0 all checks pass,
 
 import argparse
 import sys
+import time
 
 import numpy as np
 
@@ -236,6 +237,8 @@ def _cmd_translations(args, out):
 
 
 def _cmd_enumerate(args, out):
+    # The class count stops at the deadline of the search.
+    deadline = None if args.budget is None else time.time() + args.budget
     if args.heaps:
         found = enumeration.enumerate_heaps(args.n, up_to_iso=args.up_to_iso, budget=args.budget)
         kind = "heap"
@@ -243,13 +246,12 @@ def _cmd_enumerate(args, out):
         found = enumeration.enumerate_semiheaps(args.n, up_to_iso=args.up_to_iso,
                                                 budget=args.budget, jobs=args.jobs)
         kind = "semiheap"
-    iso = {enumeration.canonical_form(s.table).flat() for s in found} if args.n <= 4 else None
+    iso = enumeration.iso_classes([s.table for s in found], deadline)
     if not args.no_tables:
         for s in found:
             out.write(formats.write_shf1(s))
-    iso_count = "na" if iso is None else str(len(iso))
-    complete = str(bool(getattr(found, "complete", True))).lower()
-    out.write(f"n={args.n} kind={kind} count={len(found)} iso_count={iso_count} complete={complete}\n")
+    complete = str(found.complete and iso.complete).lower()
+    out.write(f"n={args.n} kind={kind} count={len(found)} iso_count={len(iso)} complete={complete}\n")
     return EXIT_OK
 
 

@@ -263,22 +263,14 @@ def product(s, s2):
     """Componentwise product on the pair-encoded carrier (index = x*n2 + y)."""
     n, n2 = s.n, s2.n
     t, t2 = s.table.entries, s2.table.entries
-    m = n * n2
-    if m == 0:
-        return FiniteSemiheap(TernaryTable(np.zeros((0, 0, 0), dtype=np.int64)), _certified=True)
-    xs, ys = np.divmod(np.arange(m), n2)
-    big = np.empty((m, m, m), dtype=np.int64)
-    for a in range(m):
-        for b in range(m):
-            big[a, b, :] = t[xs[a], xs[b], xs] * n2 + t2[ys[a], ys[b], ys]
+    xs, ys = np.divmod(np.arange(n * n2), n2)
+    big = t[np.ix_(xs, xs, xs)] * n2 + t2[np.ix_(ys, ys, ys)]
     return FiniteSemiheap(TernaryTable(big), _certified=True)
 
 
 def product_projections(s, s2):
     """The two coordinate projections of product(s, s2), as index arrays."""
-    m = s.n * s2.n
-    idx = np.arange(m)
-    return idx // s2.n, idx % s2.n
+    return np.divmod(np.arange(s.n * s2.n), s2.n)
 
 
 def homomorphism_witness(mapping, s, s2):

@@ -12,7 +12,7 @@ these oracle routes and pinned as a regression value.
 """
 
 import time
-from itertools import permutations, product as iproduct
+from itertools import islice, permutations, product as iproduct
 
 import numpy as np
 
@@ -37,49 +37,55 @@ def enumerate_semiheaps(n, up_to_iso=False, method="backtrack", budget=None, job
     """All semiheap tables on {0..n-1}, in lexicographic table order.
 
     method "filter" scans every n^(n^3) table through the verifier;
-    "backtrack" fills the cube cell by cell with constraint propagation.
+    "backtrack" fills the cube cell by cell, pruning inconsistent prefixes.
     With up_to_iso only canonical representatives are kept.  budget is a
     wall-clock limit in seconds; when it runs out the result is returned
     as found so far, flagged incomplete.
     """
-    if method == "filter":
-        tables, complete = _filter_pipeline(n, budget)
-    elif method == "backtrack":
-        tables, complete = _backtrack_pipeline(n, budget, symmetry_break=up_to_iso, jobs=jobs)
-    else:
+    if method not in ("filter", "backtrack"):
         raise ValueError(f"unknown method {method!r}")
+    deadline = _deadline(budget)
+    if n == 0:                                  # complete even at budget 0
+        tables, complete = [TernaryTable(np.zeros((0, 0, 0), dtype=np.int64))], True
+    elif method == "filter":
+        tables, complete = _filter_pipeline(n, deadline)
+    else:
+        tables, complete = _backtrack_pipeline(n, deadline, symmetry_break=up_to_iso, jobs=jobs)
     if up_to_iso:
-        return EnumerationResult(_iso_classes(tables), complete)
+        classes = iso_classes(tables, deadline)
+        return EnumerationResult(classes, complete and classes.complete)
     return EnumerationResult([FiniteSemiheap(t, _certified=True) for t in tables], complete)
 
 
-def _iso_classes(tables):
-    """The canonical form of each isomorphism class, in order of first appearance.
+def iso_classes(tables, deadline=None):
+    """The canonical form of each isomorphism class among tables, in order of first appearance.
 
     For tables in lexicographic order the first member seen of a complete
-    class is its canonical form.
+    class is its canonical form.  deadline is a time.time() reading; once
+    it has passed, the classes found so far are returned, flagged incomplete.
     """
     keep, seen = [], set()
     for t in tables:
-        c = canonical_form(t)
+        c = canonical_form(t, deadline)
+        if c is None:
+            return EnumerationResult(keep, False)
         if c.flat() not in seen:
             seen.add(c.flat())
             keep.append(FiniteSemiheap(c, _certified=True))
-    return keep
+    return EnumerationResult(keep, True)
 
 
 def _deadline(budget):
-    return None if budget is None else time.perf_counter() + budget
+    # time.time(), unlike perf_counter, compares across worker processes;
+    # it is not monotonic, so a clock step moves the deadline with it.
+    return None if budget is None else time.time() + budget
 
 
 def _expired(deadline):
-    return deadline is not None and time.perf_counter() > deadline
+    return deadline is not None and time.time() > deadline
 
 
-def _filter_pipeline(n, budget):
-    if n == 0:
-        return [TernaryTable(np.zeros((0, 0, 0), dtype=np.int64))], True
-    deadline = _deadline(budget)
+def _filter_pipeline(n, deadline):
     out = []
     for flat in iproduct(range(n), repeat=n ** 3):
         if _expired(deadline):
@@ -90,33 +96,32 @@ def _filter_pipeline(n, budget):
     return out, True
 
 
-def _backtrack_pipeline(n, budget, symmetry_break=False, jobs=1):
-    if n == 0:
-        return [TernaryTable(np.zeros((0, 0, 0), dtype=np.int64))], True
+def _backtrack_pipeline(n, deadline, symmetry_break=False, jobs=1):
     if jobs > 1:
-        return _backtrack_parallel(n, budget, symmetry_break, jobs)
-    return _search(np.full((n, n, n), -1, dtype=np.int64), budget, symmetry_break)
+        return _backtrack_parallel(n, deadline, symmetry_break, jobs)
+    return _search(np.full((n, n, n), -1, dtype=np.int64), deadline, symmetry_break)
 
 
-def _backtrack_parallel(n, budget, symmetry_break, jobs):
+def _backtrack_parallel(n, deadline, symmetry_break, jobs):
     # Partition by the value of the first cell; workers stay deterministic
-    # because each prefix block is emitted in order.
+    # because each prefix block is emitted in order.  All blocks share one
+    # deadline, so blocks queued behind busy workers do not extend it.
     from multiprocessing import Pool
 
     with Pool(min(jobs, n)) as pool:
-        blocks = pool.map(_backtrack_block, [(n, v, budget, symmetry_break) for v in range(n)])
+        blocks = pool.map(_backtrack_block, [(n, v, deadline, symmetry_break) for v in range(n)])
     out = [t for block, _ in blocks for t in block]
     return out, all(c for _, c in blocks)
 
 
 def _backtrack_block(arg):
-    n, first, budget, symmetry_break = arg
+    n, first, deadline, symmetry_break = arg
     cube = np.full((n, n, n), -1, dtype=np.int64)
     cube[0, 0, 0] = first
-    return _search(cube, budget, symmetry_break)
+    return _search(cube, deadline, symmetry_break)
 
 
-def _search(cube, budget, symmetry_break=False):
+def _search(cube, deadline, symmetry_break=False):
     """Every para-associative completion of cube, in lexicographic order.
 
     The unassigned (-1) cells are filled depth first in flat order; the
@@ -124,11 +129,9 @@ def _search(cube, budget, symmetry_break=False):
     value stays while the cube is consistent and, with symmetry_break, no
     relabeling of the prefix up to it is smaller; neither test can start
     passing as cells fill, so the root needs neither.  Returns (tables,
-    complete), complete False once budget seconds have run out.
+    complete), complete False once the _deadline has passed.
     """
     n = cube.shape[0]
-    deadline = _deadline(budget)
-    perms = [np.array(p, dtype=np.int64) for p in permutations(range(n))] if symmetry_break else None
     flat = cube.reshape(-1)
     free = np.flatnonzero(flat < 0)
     out = []
@@ -143,7 +146,7 @@ def _search(cube, budget, symmetry_break=False):
         complete = True
         for v in range(n):
             flat[cell] = v
-            if _partial_consistent(cube, n) and not _prefix_dominated(cube, cell + 1, n, perms):
+            if _partial_consistent(cube, n) and not (symmetry_break and _prefix_dominated(cube, cell + 1, n)):
                 complete = fill(depth + 1)
                 if not complete:
                     break
@@ -197,27 +200,34 @@ def _partial_consistent(cube, n):
     return True
 
 
-def _prefix_dominated(cube, assigned, n, perms):
-    # Symmetry break: discard a prefix as soon as some relabeling is
-    # provably lexicographically smaller on every completion.
-    if perms is None:
-        return False
+def _prefix_dominated(cube, assigned, n):
+    """True iff some relabeling precedes the first assigned cells, hence every completion."""
     flat = cube.reshape(-1)
-    for perm in perms:
-        inv = np.argsort(perm)
-        for pos in range(assigned):
-            i, r = divmod(pos, n * n)
-            j, k = divmod(r, n)
-            src = cube[inv[i], inv[j], inv[k]]
-            if src < 0:
-                break
-            rel = perm[src]
-            orig = flat[pos]
-            if rel < orig:
-                return True
-            if rel > orig:
-                break
-    return False
+    return any(_precedes(rows, flat[:assigned]).any() for rows in _relabelings(flat, n, assigned))
+
+
+def _relabelings(flat, n, width):
+    """The first width cells of every relabeling of a flat cube, in slabs.
+
+    Row r covers the r-th permutation perm in lexicographic order, with
+    inverse inv: cell (i, j, k) holds perm[flat[(inv[i]*n + inv[j])*n + inv[k]]],
+    or -1 where that source cell is -1 (unassigned).  A slab holds at most
+    _SLAB elements and at least one permutation; permutations are streamed,
+    so nothing n!-sized is built or kept.
+    """
+    perms = permutations(range(n))
+    while len(perm := np.array(list(islice(perms, max(1, _SLAB // n ** 3))), dtype=np.int64)):
+        inv = np.argsort(perm, axis=1)
+        cells = (inv[:, :, None, None] * n + inv[:, None, :, None]) * n + inv[:, None, None, :]
+        src = flat[cells.reshape(len(perm), -1)[:, :width]]
+        yield np.where(src < 0, -1, perm[np.arange(len(perm))[:, None], src])
+
+
+def _precedes(rows, ref):
+    """Which rows, at the first cell where they differ from ref, are assigned and smaller."""
+    first = (rows != ref).argmax(axis=1)
+    at = rows[np.arange(len(rows)), first]
+    return (at >= 0) & (at < ref[first])
 
 
 def all_group_tables(n):
@@ -258,7 +268,8 @@ def enumerate_heaps(n, up_to_iso=False, budget=None):
             [FiniteSemiheap(TernaryTable(np.zeros((0, 0, 0), dtype=np.int64)), _certified=True)], True)
     if n >= 4:
         raise BudgetExceeded(f"direct heap search not implemented for n={n}")
-    direct, complete = _heap_search(n, budget)
+    deadline = _deadline(budget)
+    direct, complete = _heap_search(n, deadline)
     if not complete:
         return EnumerationResult(
             [FiniteSemiheap(t, _certified=True) for t in direct], False)
@@ -271,18 +282,18 @@ def enumerate_heaps(n, up_to_iso=False, budget=None):
         raise AssertionError("direct heap search and the group oracle must produce the same tables")
     tables = [TernaryTable.from_flat(n, flat) for flat in sorted(direct_keys)]
     if up_to_iso:
-        return EnumerationResult(_iso_classes(tables), True)
+        return iso_classes(tables, deadline)
     return EnumerationResult([FiniteSemiheap(t, _certified=True) for t in tables], True)
 
 
-def _heap_search(n, budget):
+def _heap_search(n, deadline):
     # Biunitarity forces the cells (y,x,x) = y and (x,x,y) = y; at n = 3
     # only the 12 cells with pairwise-distinct middle patterns remain.
     cube = np.full((n, n, n), -1, dtype=np.int64)
     x, y = np.indices((n, n))
     cube[y, x, x] = y
     cube[x, x, y] = y
-    return _search(cube, budget)
+    return _search(cube, deadline)
 
 
 def relabel(table, perm):
@@ -294,24 +305,26 @@ def relabel(table, perm):
     return TernaryTable(out) if n else table
 
 
-def canonical_form(table):
+def canonical_form(table, deadline=None):
     """The lexicographically least relabeling of the table.
 
     Idempotent and relabeling-invariant; two tables are isomorphic iff
-    their canonical forms are equal.  The permutation scan is exhaustive,
-    so the carrier is capped at 4 elements.
+    their canonical forms are equal.  All n! relabelings are compared a
+    slab at a time, so time grows as n! * n^3 and memory stays O(_SLAB).
+    Once deadline, a time.time() reading, has passed it returns None.
     """
     n = table.n
-    if n > 4:
-        raise BudgetExceeded(f"canonical form by permutation scan is capped at n=4, got {n}")
     if n <= 1:
         return table
-    best = None
-    for perm in permutations(range(n)):
-        cand = relabel(table, perm).flat()
-        if best is None or cand < best:
-            best = cand
-    return TernaryTable.from_flat(n, best)
+    best = table.entries.reshape(-1)
+    for rows in _relabelings(best, n, n ** 3):
+        if _expired(deadline):
+            return None
+        # Keep only the rows below the best so far; each pass lowers best.
+        while (below := _precedes(rows, best)).any():
+            rows = rows[below]
+            best = rows[0]
+    return TernaryTable(best.reshape(n, n, n))
 
 
 def are_isomorphic(s, s2):

@@ -4,7 +4,7 @@ Everything here is deliberately written with plain nested loops over
 tuples, sharing no code path with the library's vectorized checkers.
 """
 
-from itertools import product as iproduct
+from itertools import permutations, product as iproduct
 
 
 def first_para_failure(flat, n):
@@ -157,6 +157,50 @@ def partial_consistent_loops(flat, n):
         if len({v for v in vals if v >= 0}) > 1:
             return False
     return True
+
+
+def relabel_loops(flat, n, perm):
+    """The flat table transported along x -> perm[x]."""
+    out = [0] * len(flat)
+    for i, j, k in iproduct(range(n), repeat=3):
+        out[(perm[i] * n + perm[j]) * n + perm[k]] = perm[flat[(i * n + j) * n + k]]
+    return tuple(out)
+
+
+def canonical_loops(flat, n):
+    """The lexicographically least relabeling of a flat table."""
+    return min(relabel_loops(flat, n, perm) for perm in permutations(range(n)))
+
+
+def prefix_dominated_loops(flat, assigned, n):
+    """True iff some relabeling beats the first assigned cells of a partial table.
+
+    A relabeling beats the prefix when, at the first cell where they
+    differ, its source cell is assigned and its value is smaller.
+    """
+    for perm in permutations(range(n)):
+        inv = [perm.index(x) for x in range(n)]
+        for pos in range(assigned):
+            i, r = divmod(pos, n * n)
+            j, k = divmod(r, n)
+            src = flat[(inv[i] * n + inv[j]) * n + inv[k]]
+            if src < 0:
+                break
+            if perm[src] < flat[pos]:
+                return True
+            if perm[src] > flat[pos]:
+                break
+    return False
+
+
+def product_loops(flat, n, flat2, n2):
+    """The componentwise product table on pairs encoded as x * n2 + y."""
+    m = n * n2
+    out = []
+    for a, b, c in iproduct(range(m), repeat=3):
+        (x1, y1), (x2, y2), (x3, y3) = divmod(a, n2), divmod(b, n2), divmod(c, n2)
+        out.append(flat[(x1 * n + x2) * n + x3] * n2 + flat2[(y1 * n2 + y2) * n2 + y3])
+    return tuple(out)
 
 
 def fully_faithful_loops(mul, e, mul2, e2):

@@ -1,11 +1,13 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import semiheap
 from semiheap import formats, functors, groups
 from semiheap.actions import translation_action
+from semiheap.cli import main
 
 # The CLI subprocess imports the same semiheap as this test run, installed or not.
 SRC = str(Path(semiheap.__file__).resolve().parents[1])
@@ -110,6 +112,25 @@ def test_enumerate_summary_lines():
     assert out.strip() == "n=2 kind=semiheap count=6 iso_count=6 complete=true"
     code, out, _ = run_cli(["enumerate", "--n", "3", "--no-tables"])
     assert out.strip() == "n=3 kind=semiheap count=135 iso_count=31 complete=true"
+
+
+def test_enumerate_counts_classes_beyond_four_points():
+    code, out, _ = run_cli(["enumerate", "--n", "5", "--budget", "0.5", "--no-tables"])
+    assert code == 0
+    fields = dict(kv.split("=") for kv in out.split())
+    assert fields["n"] == "5" and fields["complete"] == "false"
+    assert 0 <= int(fields["iso_count"]) <= int(fields["count"])
+
+
+def test_enumerate_counts_classes_within_the_budget(capsys):
+    # At n = 7 the search finds tables within the budget and each canonical
+    # form scans 5040 relabelings; the class count stops at the same deadline.
+    start = time.perf_counter()
+    assert main(["enumerate", "--n", "7", "--budget", "1", "--no-tables"]) == 0
+    elapsed = time.perf_counter() - start
+    fields = dict(kv.split("=") for kv in capsys.readouterr().out.split())
+    assert fields["complete"] == "false" and int(fields["count"]) > 0
+    assert elapsed < 2.5
 
 
 def test_enumerate_streams_parseable_tables():

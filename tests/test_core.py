@@ -28,7 +28,7 @@ from semiheap.core import (
     verify_para_associative,
 )
 
-from oracles import semiheap_tables_brute
+from oracles import product_loops, semiheap_tables_brute
 
 
 def constant_semiheap(n, c=0):
@@ -152,6 +152,15 @@ def test_product_of_z2_heaps_is_klein_heap():
     p = product(z2, z2)
     k4 = functors.heapify(groups.klein_four()).semiheap
     assert p.key() == k4.key()
+
+
+def test_product_matches_componentwise_loops(corpus, order2_semiheaps):
+    pool = [functors.heapify(g).semiheap for g in corpus if g.n <= 4] + list(order2_semiheaps)[::3]
+    for s in pool:
+        for s2 in pool:
+            if s.n * s2.n <= 12:
+                want = product_loops(s.table.flat(), s.n, s2.table.flat(), s2.n)
+                assert product(s, s2).table.flat() == want
 
 
 def test_product_projections_are_homomorphisms(order2_semiheaps):

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -109,9 +111,8 @@ def test_isomorphism_checks():
     rng = np.random.default_rng(7)
     from semiheap.core import FiniteSemiheap
     shuffled = FiniteSemiheap(relabel(s3h.table, rng.permutation(6)), _certified=True)
-    # n = 6 exceeds the canonical-form cap, so compare through relabeling search
-    with pytest.raises(BudgetExceeded):
-        are_isomorphic(s3h, shuffled)
+    assert are_isomorphic(s3h, shuffled)
+    assert not are_isomorphic(s3h, functors.heapify(groups.cyclic(6)).semiheap)
     from itertools import permutations
     assert any(relabel(s3h.table, p).flat() == shuffled.table.flat()
                for p in permutations(range(6)))
@@ -135,6 +136,45 @@ def test_budget_exhaustion_reports_partial():
     # n=4+ direct heap search is out of scope: explicit refusal
     with pytest.raises(BudgetExceeded):
         enumerate_heaps(4)
+
+
+def test_parallel_blocks_share_one_deadline(monkeypatch):
+    # Every first-cell block compares against the run's one deadline, taken
+    # before the pool starts, not a budget of its own that starts when a
+    # worker takes the block.  A serial stand-in pool records the arguments.
+    import multiprocessing
+
+    deadlines, started = [], []
+
+    class SerialPool:
+        def __init__(self, processes):
+            started.append(time.time())
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            deadlines.extend(a[2] for a in args)
+            return [fn(a) for a in args]
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    before = time.time()
+    found = enumerate_semiheaps(4, budget=0.5, jobs=2)
+    assert found.complete is False and len(deadlines) == 4
+    assert len(set(deadlines)) == 1 and before + 0.5 <= deadlines[0] <= started[0] + 0.5
+
+
+def test_parallel_run_keeps_to_its_budget():
+    # Four blocks on two workers used to take two budgets back to back, so
+    # at least 2 s here; the bound leaves 0.9 s for pool start-up and tables.
+    start = time.perf_counter()
+    found = enumerate_semiheaps(4, budget=1.0, jobs=2)
+    elapsed = time.perf_counter() - start
+    assert found.complete is False and len(found) > 0
+    assert elapsed < 1.9
 
 
 def test_complete_flag_true_on_full_runs():

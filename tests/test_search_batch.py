@@ -8,22 +8,35 @@ operation; these tests hold them to plain loops, in order and type.
 import os
 import subprocess
 import sys
-from itertools import product as iproduct
+import time
+import tracemalloc
+from itertools import permutations, product as iproduct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import semiheap
-from oracles import centric_nonclosure_loops, fully_faithful_loops, partial_consistent_loops
+from oracles import (
+    canonical_loops,
+    centric_nonclosure_loops,
+    fully_faithful_loops,
+    partial_consistent_loops,
+    prefix_dominated_loops,
+    relabel_loops,
+)
 from semiheap import enumeration
-from semiheap.core import TernaryTable, _product_slabs
+from semiheap.core import _SLAB, TernaryTable, _product_slabs
 from semiheap.enumeration import (
     _partial_consistent,
+    _relabelings,
+    _prefix_dominated,
     all_group_tables,
     canonical_form,
     enumerate_heaps,
     enumerate_semiheaps,
+    iso_classes,
+    relabel,
 )
 from semiheap.functors import check_fully_faithful, heapify
 from semiheap.groups import FiniteGroup, LawError
@@ -67,6 +80,74 @@ def test_partial_consistent_reads_every_slab():
     for cube in (heap, last_row, bad_row, holes):
         assert _partial_consistent(cube, n) == partial_consistent_loops(cube.reshape(-1).tolist(), n)
     assert _partial_consistent(heap, n) and not _partial_consistent(bad_row, n)
+
+
+def test_canonical_form_matches_loops():
+    for n in (0, 1, 2, 3):
+        for s in enumerate_semiheaps(n):
+            assert canonical_form(s.table).flat() == canonical_loops(s.table.flat(), n)
+    rng = np.random.default_rng(20141)
+    for trial in range(1000):
+        n = 1 + trial % 5
+        values = 1 + trial // 5 % n             # few values leave many automorphisms
+        t = TernaryTable(rng.integers(0, values, size=(n, n, n)))
+        assert canonical_form(t).flat() == canonical_loops(t.flat(), n), (n, t.flat())
+
+
+def test_relabelings_follow_permutations_in_lexicographic_order():
+    rng = np.random.default_rng(20143)
+    for n in range(1, 7):                       # n = 6 spans several slabs
+        flat = rng.integers(0, n, size=n ** 3)
+        slabs = list(_relabelings(flat, n, n ** 3))
+        assert all(len(rows) * n ** 3 <= max(_SLAB, n ** 3) for rows in slabs)
+        full = np.vstack(slabs)
+        assert full.tolist() == [list(relabel_loops(flat.tolist(), n, p)) for p in permutations(range(n))]
+        assert (np.vstack(list(_relabelings(flat, n, n))) == full[:, :n]).all()
+    assert len(slabs) > 1
+
+
+def test_iso_classes_stop_at_the_budget():
+    tables = [s.table for s in enumerate_semiheaps(3)]
+    classes = iso_classes(tables)
+    assert classes.complete is True and len(classes) == 31
+    late = iso_classes(tables, deadline=time.time())
+    assert late.complete is False and list(late) == []
+
+
+def test_prefix_dominated_matches_loops_on_random_partial_cubes():
+    rng = np.random.default_rng(20142)
+    verdicts = set()
+    for trial in range(3000):
+        n = 2 + trial % 3
+        t = TernaryTable(rng.integers(0, n, size=(n, n, n)))
+        if trial % 2:
+            t = canonical_form(t)               # canonical prefixes are never dominated
+        cube = t.entries.copy()
+        assigned = int(rng.integers(1, n ** 3 + 1))
+        cube.reshape(-1)[assigned:] = -1
+        want = prefix_dominated_loops(cube.reshape(-1).tolist(), assigned, n)
+        assert _prefix_dominated(cube, assigned, n) == want, (n, assigned, cube.reshape(-1).tolist())
+        verdicts.add((n, want))
+    assert verdicts == {(n, v) for n in (2, 3, 4) for v in (True, False)}
+
+
+def test_canonical_form_relabeling_invariant_at_eight_points(corpus):
+    named = {g.name: g for g in corpus}
+    rng = np.random.default_rng(8)
+    forms = set()
+    for name in ("Z8", "D4", "Q8"):
+        table = heapify(named[name]).semiheap.table
+        shuffled = relabel(table, rng.permutation(8))
+        tracemalloc.start()
+        try:
+            c = canonical_form(shuffled)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20 and kept < 2 ** 20     # nothing n!-sized stays cached
+        assert c.flat() == canonical_form(table).flat() <= table.flat()
+        forms.add(c.flat())
+    assert len(forms) == 3
 
 
 @pytest.mark.parametrize("pair", [("Z1", "Z3"), ("Z2", "Z4"), ("Z4", "Q8"), ("S3", "Z6"), ("Z3", "S3")])
