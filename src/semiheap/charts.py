@@ -19,8 +19,13 @@ COND_LIMIT = 1e10
 
 
 def solve(a, b):
-    """a^-1 b via LU with partial pivoting, guarded by a condition bound."""
-    if np.linalg.cond(a) > COND_LIMIT:
+    """a^-1 b via LU with partial pivoting, guarded by a condition bound.
+
+    The 2-norm condition number is the ratio of the extreme singular
+    values; a matrix with a NaN or infinite entry has none.
+    """
+    s = np.linalg.svd(a, compute_uv=False) if np.isfinite(a).all() else None
+    if s is None or not (s[-1] > 0 and s[0] / s[-1] <= COND_LIMIT):
         raise ValueError(f"matrix condition number exceeds {COND_LIMIT:g}")
     return np.linalg.solve(a, b)
 

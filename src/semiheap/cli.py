@@ -237,7 +237,8 @@ def _cmd_translations(args, out):
 
 
 def _cmd_enumerate(args, out):
-    # The class count stops at the deadline of the search.
+    # Up to iso the tables found are the classes; otherwise the class count
+    # stops at the deadline of the search.
     deadline = None if args.budget is None else time.time() + args.budget
     if args.heaps:
         found = enumeration.enumerate_heaps(args.n, up_to_iso=args.up_to_iso, budget=args.budget)
@@ -246,7 +247,7 @@ def _cmd_enumerate(args, out):
         found = enumeration.enumerate_semiheaps(args.n, up_to_iso=args.up_to_iso,
                                                 budget=args.budget, jobs=args.jobs)
         kind = "semiheap"
-    iso = enumeration.iso_classes([s.table for s in found], deadline)
+    iso = found if args.up_to_iso else enumeration.iso_classes([s.table for s in found], deadline)
     if not args.no_tables:
         for s in found:
             out.write(formats.write_shf1(s))
@@ -256,55 +257,47 @@ def _cmd_enumerate(args, out):
 
 
 def _cmd_numeric(args, out):
-    chart = bundled_charts()[args.chart]
-    seed, samples = args.seed, args.samples
-    kw = {}
-    if args.tol is not None:
-        kw["tol"] = args.tol
-    if args.subcheck == "para-assoc":
-        report = numeric.check_para_associative_numeric(chart, samples, seed, **kw)
-    elif args.subcheck == "pushforward":
+    chart, samples, seed = bundled_charts()[args.chart], args.samples, args.seed
+    if args.subcheck == "pushforward":
         h = args.h if args.h is not None else 1e-3
         res_h, res_half, ratio = numeric.pushforward_convergence(chart, samples, seed, h=h)
         ok = 3.5 <= ratio <= 4.5
         out.write(f"check=pushforward res_h={res_h:.3e} res_half={res_half:.3e} "
                   f"ratio={ratio:.3f} seed={seed} pass={str(ok).lower()}\n")
         return EXIT_OK if ok else EXIT_FAIL
-    elif args.subcheck == "left-invariant":
-        v = chart.basis[0]
-        report = numeric.left_invariant_field_check(chart, v, samples, seed,
-                                                    h=args.h, **kw)
-    elif args.subcheck == "group-vs-heap":
-        report = numeric.compare_group_vs_heap_invariance(chart, chart.basis[0], samples, seed, **kw)
-    elif args.subcheck == "bracket":
-        if chart.dim < 2:
-            u = v = chart.basis[0]
-        else:
-            u, v = chart.basis[0], chart.basis[1]
-        report = numeric.bracket_closure(chart, u, v, samples, seed, **kw)
-    elif args.subcheck == "mult-function":
-        ncoords = chart.coords(chart.basepoint).shape[0]
-        f = (PolynomialField((((0, 0), 1.0),)) if args.square
-             else PolynomialField.linear([1.0] * ncoords))
-        triples = numeric.sample_triples(chart, samples, seed)
-        report = numeric.multiplicative_function_check(chart, f, triples, seed=seed, **kw)
-    elif args.subcheck == "mult-field":
-        rng = np.random.default_rng(seed)
-        triples = [tuple(rng.uniform(-0.8, 0.8, size=1) for _ in range(3)) for _ in range(samples)]
-        report = numeric.multiplicative_vector_field_check(lambda y: y, triples, seed=seed, **kw)
-    elif args.subcheck == "tangent":
-        report = numeric.tangent_semiheap_check(chart, samples, seed,
-                                                h=args.h, **kw)
-    elif args.subcheck == "coassoc":
-        report = numeric.coassociativity_check(chart, samples, seed, **kw)
-    elif args.subcheck == "euclidean":
-        report = numeric.euclidean_semiheap_check(3, samples, seed, **kw)
-    elif args.subcheck == "exp-hom":
-        report = numeric.exp_hom_check(samples, seed, **kw)
-    else:
-        raise AssertionError(args.subcheck)
+    kw = {} if args.tol is None else {"tol": args.tol}
+    u, v = chart.basis[0], chart.basis[min(1, chart.dim - 1)]     # u = v on a one-dimensional chart
+    checks = {
+        "para-assoc": lambda: numeric.check_para_associative_numeric(chart, samples, seed, **kw),
+        "left-invariant": lambda: numeric.left_invariant_field_check(chart, u, samples, seed, h=args.h, **kw),
+        "group-vs-heap": lambda: numeric.compare_group_vs_heap_invariance(chart, u, samples, seed, **kw),
+        "bracket": lambda: numeric.bracket_closure(chart, u, v, samples, seed, **kw),
+        "mult-function": lambda: numeric.multiplicative_function_check(
+            chart, _coordinate_function(chart, args.square), numeric.sample_triples(chart, samples, seed),
+            seed=seed, **kw),
+        "mult-field": lambda: numeric.multiplicative_vector_field_check(
+            lambda y: y, _line_triples(samples, seed), seed=seed, **kw),
+        "tangent": lambda: numeric.tangent_semiheap_check(chart, samples, seed, h=args.h, **kw),
+        "coassoc": lambda: numeric.coassociativity_check(chart, samples, seed, **kw),
+        "euclidean": lambda: numeric.euclidean_semiheap_check(3, samples, seed, **kw),
+        "exp-hom": lambda: numeric.exp_hom_check(samples, seed, **kw),
+    }
+    report = checks[args.subcheck]()
     out.write(report.line() + "\n")
     return EXIT_OK if report.passed else EXIT_FAIL
+
+
+def _coordinate_function(chart, square):
+    """The mult-function test function: coordinate 0 squared, or the sum of all coordinates."""
+    if square:
+        return PolynomialField((((0, 0), 1.0),))
+    return PolynomialField.linear([1.0] * chart.coords(chart.basepoint).shape[0])
+
+
+def _line_triples(samples, seed):
+    """Seeded triples of points of the real line for the mult-field check."""
+    rng = np.random.default_rng(seed)
+    return [tuple(rng.uniform(-0.8, 0.8, size=1) for _ in range(3)) for _ in range(samples)]
 
 
 if __name__ == "__main__":

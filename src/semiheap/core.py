@@ -219,9 +219,14 @@ def is_biunitary(s, x):
     return bool(np.array_equal(t[:, x, x], ar) and np.array_equal(t[x, x, :], ar))
 
 
+def _first_non_biunitary(s):
+    """The least element that is not biunitary, or None when s is a heap."""
+    return next((x for x in range(s.n) if not is_biunitary(s, x)), None)
+
+
 def is_heap(s):
     """True iff every element of the semiheap is biunitary."""
-    return all(is_biunitary(s, x) for x in range(s.n))
+    return _first_non_biunitary(s) is None
 
 
 def is_abelian(s):
@@ -237,9 +242,8 @@ class FiniteHeap:
     semiheap: FiniteSemiheap
 
     def __post_init__(self):
-        for x in range(self.semiheap.n):
-            if not is_biunitary(self.semiheap, x):
-                raise LawError(f"element {x} is not biunitary", x)
+        if (bad := _first_non_biunitary(self.semiheap)) is not None:
+            raise LawError(f"element {bad} is not biunitary", bad)
 
     @property
     def n(self):

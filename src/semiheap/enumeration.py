@@ -38,9 +38,11 @@ def enumerate_semiheaps(n, up_to_iso=False, method="backtrack", budget=None, job
 
     method "filter" scans every n^(n^3) table through the verifier;
     "backtrack" fills the cube cell by cell, pruning inconsistent prefixes.
-    With up_to_iso only canonical representatives are kept.  budget is a
-    wall-clock limit in seconds; when it runs out the result is returned
-    as found so far, flagged incomplete.
+    With up_to_iso only canonical representatives are kept: the filter's
+    tables go through iso_classes, while the backtracking search emits only
+    tables that no relabeling precedes, so even a partial run's tables are
+    distinct classes.  budget is a wall-clock limit in seconds; when it
+    runs out the result is returned as found so far, flagged incomplete.
     """
     if method not in ("filter", "backtrack"):
         raise ValueError(f"unknown method {method!r}")
@@ -49,11 +51,11 @@ def enumerate_semiheaps(n, up_to_iso=False, method="backtrack", budget=None, job
         tables, complete = [TernaryTable(np.zeros((0, 0, 0), dtype=np.int64))], True
     elif method == "filter":
         tables, complete = _filter_pipeline(n, deadline)
+        if up_to_iso:
+            classes = iso_classes(tables, deadline)
+            return EnumerationResult(classes, complete and classes.complete)
     else:
         tables, complete = _backtrack_pipeline(n, deadline, symmetry_break=up_to_iso, jobs=jobs)
-    if up_to_iso:
-        classes = iso_classes(tables, deadline)
-        return EnumerationResult(classes, complete and classes.complete)
     return EnumerationResult([FiniteSemiheap(t, _certified=True) for t in tables], complete)
 
 

@@ -177,14 +177,17 @@ def parse_act1(text, semiheap):
     return action
 
 
-def _parse_act1_body(toks, semiheap):
+def _parse_act1_body(toks, semiheap, bundle_size=None):
+    """An ACT1 block; in a bundle, bundle_size fixes m and verify_bundle checks the action."""
     toks.take_keyword("action")
     m = toks.take_field("m", low=0)
     n = toks.take_field("n", low=0)
+    if bundle_size is not None and (m, n) != (bundle_size, semiheap.n):
+        raise FormatError(f"action header ({m},{n}) does not match bundle ({bundle_size},{semiheap.n})")
     if n != semiheap.n:
         raise FormatError(f"action declares n={n} but the semiheap has {semiheap.n} elements")
     table = _take_ints(toks, m * n * n, "action entry", m).reshape(m, n, n)
-    return FiniteAction(semiheap, table)
+    return FiniteAction(semiheap, table, verify=bundle_size is None)
 
 
 def write_act1(action):
@@ -216,13 +219,7 @@ def parse_bnd1(text):
     s = _parse_shf1_body(toks)
     if isinstance(s, PointedSemiheap):
         s = s.semiheap
-    toks.take_keyword("action")
-    m = toks.take_field("m", low=0)
-    n = toks.take_field("n", low=0)
-    if m != total or n != s.n:
-        raise FormatError(f"action header ({m},{n}) does not match bundle ({total},{s.n})")
-    table = _take_ints(toks, m * n * n, "action entry", m).reshape(m, n, n)
-    action = FiniteAction(s, table, verify=False)
+    action = _parse_act1_body(toks, s, bundle_size=total)
     toks.take_keyword("cover")
     k = toks.take_field("k", low=0)
     cover, charts = [], []

@@ -17,8 +17,8 @@ from .core import (
     PointedSemiheap,
     TernaryTable,
     _first_disagreement,
+    _first_non_biunitary,
     _product_slabs,
-    is_biunitary,
     is_heap,
     is_homomorphism,
 )
@@ -61,8 +61,7 @@ def groupify(h, require_heap=True):
     With require_heap (the default) the input must be a heap; the output
     always passes full group validation.
     """
-    if require_heap and not is_heap(h.semiheap):
-        bad = next(x for x in range(h.n) if not is_biunitary(h.semiheap, x))
+    if require_heap and (bad := _first_non_biunitary(h.semiheap)) is not None:
         raise LawError(f"groupify requires a heap; element {bad} is not biunitary", bad)
     mul, inv = _groupify_tables(h)
     return FiniteGroup(mul, h.basepoint, inv)

@@ -4,11 +4,13 @@ Analytic pushforward formulas are the primary route everywhere; central
 finite differences along structure-exact tangent curves are the
 independent oracle.  Every stochastic check takes a seed and echoes it in
 its report, and flow integration is fixed-step classical RK4 so residuals
-are reproducible to the bit.
+are reproducible to the bit.  A NaN residual fails its report, and a
+failing report names its first failing sample.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -35,18 +37,68 @@ class CheckReport:
                 f"seed={seed} pass={str(self.passed).lower()}")
 
 
-def _report(check, residual, tol, seed=None, witness=None, **extra):
-    return CheckReport(check, float(residual), tol, bool(residual < tol),
-                       seed=seed, witness=witness, extra=dict(extra))
+def _worse(worst, r):
+    """max(worst, r), except that a NaN, once seen, stays the worst."""
+    return r if r > worst or r != r else worst
+
+
+class _Fold:
+    """The running worst residual of a sampled check, in constant memory.
+
+    Python's max drops a NaN that is not its first argument, which would
+    pass a check whose residual is undefined.  Here a NaN is the worst
+    residual and fails the report, and witness names the first sample, in
+    draw order, with a residual that is NaN or at least tol: by whatever
+    add was given for it, an index or the failing inputs.  Residuals added
+    under a part name are also kept apart, for the report's extras.
+    """
+
+    def __init__(self, tol=math.inf, *parts):
+        self.tol, self.worst, self.witness = tol, 0.0, None
+        self.parts = dict.fromkeys(parts, 0.0)
+
+    def add(self, sample, *residuals, part=None):
+        for r in map(float, residuals):
+            if self.witness is None and not r < self.tol:
+                self.witness = sample
+            self.worst = _worse(self.worst, r)
+            if part is not None:
+                self.parts[part] = _worse(self.parts[part], r)
+
+    def report(self, check, seed, **extra):
+        return CheckReport(check, self.worst, self.tol, bool(self.worst < self.tol),
+                           seed=seed, witness=self.witness, extra=extra)
+
+
+def _rel(a, b, *more):
+    """|a - b| relative to max(1, |a|, |b|, |more|...), for scalars."""
+    return abs(a - b) / max(1.0, abs(a), abs(b), *map(abs, more))
+
+
+def _central(curve, h):
+    return (curve(h) - curve(-h)) / (2.0 * h)
+
+
+def _pushforward_fd(chart, x, y, z, v, h):
+    """L_{xy} pushed along the tangent curve z exp(t z^-1 v), by central difference."""
+    a = chart.project_algebra(solve(z, v))
+    return _central(lambda t: x @ solve(y, z @ chart.exp_tangent(t * a)), h)
+
+
+def _para_forms(op, g):
+    """[[g0,g1,g2],g3,g4], [g0,[g3,g2,g1],g4] and [g0,g1,[g2,g3,g4]]."""
+    return (op(op(g[0], g[1], g[2]), g[3], g[4]),
+            op(g[0], op(g[3], g[2], g[1]), g[4]),
+            op(g[0], g[1], op(g[2], g[3], g[4])))
 
 
 def mu(chart, g1, g2, g3, membership_tol=1e-12):
     """g1 * g2^-1 * g3 via linear solve; the output must stay on the group."""
     for g in (g1, g2, g3):
-        if chart.membership_residual(g) > membership_tol:
+        if not chart.membership_residual(g) <= membership_tol:
             raise ValueError(f"input leaves the {chart.name} chart")
     out = g1 @ solve(g2, g3)
-    if chart.membership_residual(out) > membership_tol:
+    if not chart.membership_residual(out) <= membership_tol:
         raise ValueError(f"ternary product left the {chart.name} chart")
     return out
 
@@ -55,18 +107,12 @@ def check_para_associative_numeric(chart, samples, seed, tol=None):
     """Max pairwise residual of the three association orders on sampled quintuples."""
     tol = chart.tol if tol is None else tol
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    membership_worst = 0.0
-    for _ in range(samples):
-        g = [chart.sample(rng) for _ in range(5)]
-        outer = mu(chart, mu(chart, g[0], g[1], g[2]), g[3], g[4])
-        middle = mu(chart, g[0], mu(chart, g[3], g[2], g[1]), g[4])
-        inner = mu(chart, g[0], g[1], mu(chart, g[2], g[3], g[4]))
-        worst = max(worst,
-                    rel_norm(outer - middle, outer),
-                    rel_norm(outer - inner, outer))
-        membership_worst = max(membership_worst, chart.membership_residual(outer))
-    return _report("para-assoc", worst, tol, seed=seed, membership=membership_worst)
+    fold, membership = _Fold(tol), _Fold()
+    for i in range(samples):
+        outer, middle, inner = _para_forms(partial(mu, chart), [chart.sample(rng) for _ in range(5)])
+        fold.add(i, rel_norm(outer - middle, outer), rel_norm(outer - inner, outer))
+        membership.add(i, chart.membership_residual(outer))
+    return fold.report("para-assoc", seed, membership=membership.worst)
 
 
 def dL(chart, x, y, z, v, h=None, tangent_tol=1e-9):
@@ -77,16 +123,10 @@ def dL(chart, x, y, z, v, h=None, tangent_tol=1e-9):
     linearized membership constraint at z.
     """
     h = chart.h if h is None else h
-    if chart.tangent_residual(z, v) > tangent_tol:
+    if not chart.tangent_residual(z, v) <= tangent_tol:
         raise ValueError(f"vector is not tangent to the {chart.name} chart at the base point")
     analytic = x @ solve(y, v)
-    a = chart.project_algebra(solve(z, v))
-
-    def curve(t):
-        return x @ solve(y, z @ chart.exp_tangent(t * a))
-
-    fd = (curve(h) - curve(-h)) / (2.0 * h)
-    return analytic, rel_norm(analytic - fd, analytic)
+    return analytic, rel_norm(analytic - _pushforward_fd(chart, x, y, z, v, h), analytic)
 
 
 def pushforward_convergence(chart, samples, seed, h=1e-3):
@@ -97,14 +137,14 @@ def pushforward_convergence(chart, samples, seed, h=1e-3):
     noise of the central difference takes over.
     """
     rng = np.random.default_rng(seed)
-    res_h = res_half = 0.0
-    for _ in range(samples):
+    res_h, res_half = _Fold(), _Fold()
+    for i in range(samples):
         x, y, z = (chart.sample(rng) for _ in range(3))
         v = chart.random_tangent(z, rng)
-        res_h = max(res_h, dL(chart, x, y, z, v, h=h)[1])
-        res_half = max(res_half, dL(chart, x, y, z, v, h=h / 2.0)[1])
-    ratio = res_h / res_half if res_half > 0 else float("inf")
-    return res_h, res_half, ratio
+        res_h.add(i, dL(chart, x, y, z, v, h=h)[1])
+        res_half.add(i, dL(chart, x, y, z, v, h=h / 2.0)[1])
+    ratio = res_h.worst / res_half.worst if res_half.worst > 0 else float("inf")
+    return res_h.worst, res_half.worst, ratio
 
 
 def left_invariant_field(chart, v):
@@ -129,19 +169,12 @@ def left_invariant_field_check(chart, v, samples, seed, tol=1e-6, h=None):
     fieldrule = left_invariant_field(chart, v)
     if not np.array_equal(fieldrule(chart.basepoint), v):
         raise AssertionError("field must reproduce its generator at the basepoint")
-    worst = 0.0
-    for _ in range(samples):
+    fold = _Fold(tol)
+    for i in range(samples):
         x, y, z = (chart.sample(rng) for _ in range(3))
-        vz = fieldrule(z)
-        a = chart.project_algebra(solve(z, vz))
-
-        def curve(t):
-            return x @ solve(y, z @ chart.exp_tangent(t * a))
-
-        fd = (curve(h) - curve(-h)) / (2.0 * h)
         target = fieldrule(mu(chart, x, y, z))
-        worst = max(worst, rel_norm(fd - target, target))
-    return _report("left-invariant", worst, tol, seed=seed)
+        fold.add(i, rel_norm(_pushforward_fd(chart, x, y, z, fieldrule(z), h) - target, target))
+    return fold.report("left-invariant", seed)
 
 
 def compare_group_vs_heap_invariance(chart, v, samples, seed, tol=1e-6):
@@ -149,29 +182,20 @@ def compare_group_vs_heap_invariance(chart, v, samples, seed, tol=1e-6):
 
     With basepoint the identity these are the same analytic expression;
     equality is checked entrywise-exactly, not just in norm.  The sampled
-    heap-invariance condition at y = x0 must also reduce to group
+    heap-invariance condition at y = z = x0 must also reduce to group
     invariance within tol (finite differences).
     """
     rng = np.random.default_rng(seed)
     x0 = chart.basepoint
+    a = chart.project_algebra(solve(x0, v))
     exact = True
-    worst = 0.0
-    for _ in range(samples):
+    fold = _Fold(tol)
+    for i in range(samples):
         x = chart.sample(rng)
-        heap_form = x @ solve(x0, v)
-        group_form = x @ v
-        exact = exact and bool(np.array_equal(heap_form, group_form))
-        a = chart.project_algebra(solve(chart.basepoint, v))
-
-        def curve(t):
-            # heap invariance specialized to y = x0: L_{x x0}(gamma(t))
-            return x @ solve(x0, chart.exp_tangent(t * a))
-
-        fd = (curve(chart.h) - curve(-chart.h)) / (2.0 * chart.h)
-        group_target = x @ a
-        worst = max(worst, rel_norm(fd - group_target, group_target))
-    report = _report("group-vs-heap", worst, tol, seed=seed, exact=exact)
-    return report
+        exact = exact and bool(np.array_equal(x @ solve(x0, v), x @ v))
+        target = x @ a
+        fold.add(i, rel_norm(_pushforward_fd(chart, x, x0, x0, v, chart.h) - target, target))
+    return fold.report("group-vs-heap", seed, exact=exact)
 
 
 def _rk4(fieldrule, y0, t, step=RK4_STEP):
@@ -206,20 +230,19 @@ def bracket_closure(chart, u, v, samples, seed, tol=BRACKET_TOL, t=1e-3):
     w = au @ av - av @ au
     flow_u = lambda y: y @ au
     field_v = lambda y: y @ av
-    worst = 0.0
+    fold = _Fold(tol)
     rank_ok = True
-    for _ in range(samples):
+    for i in range(samples):
         x = chart.sample(rng)
 
         def conjugated(s):
             moved = _rk4(flow_u, x, s)
             return _rk4(flow_u, field_v(moved), -s)
 
-        bracket_fd = (conjugated(t) - conjugated(-t)) / (2.0 * t)
-        worst = max(worst, rel_norm(bracket_fd - x @ w, x @ w))
+        fold.add(i, rel_norm(_central(conjugated, t) - x @ w, x @ w))
         frame = np.stack([(x @ e).reshape(-1) for e in chart.basis])
         rank_ok = rank_ok and (np.linalg.matrix_rank(frame) == chart.dim)
-    return _report("bracket", worst, tol, seed=seed, rank_ok=rank_ok, commutator=w)
+    return fold.report("bracket", seed, rank_ok=rank_ok, commutator=w)
 
 
 def multiplicative_function_check(chart, f, triples, tol=1e-12, seed=None, pointed=True):
@@ -228,22 +251,17 @@ def multiplicative_function_check(chart, f, triples, tol=1e-12, seed=None, point
     Returns the first failing triple as the witness.  Pointed charts also
     require f(basepoint) = 0.
     """
+    fold = _Fold(tol)
     if pointed:
         base_val = float(f(chart.coords(chart.basepoint)))
-        if abs(base_val) > tol:
-            return _report("mult-function", abs(base_val), tol, seed=seed,
-                           witness=("basepoint", base_val))
-    worst = 0.0
-    witness = None
+        if not abs(base_val) <= tol:
+            fold.add(("basepoint", base_val), abs(base_val))
+            return fold.report("mult-function", seed)
     for x, y, z in triples:
         lhs = float(f(chart.coords(mu(chart, x, y, z))))
         rhs = float(f(chart.coords(x))) - float(f(chart.coords(y))) + float(f(chart.coords(z)))
-        r = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
-        if r > worst:
-            worst = r
-            if r >= tol and witness is None:
-                witness = (x, y, z, lhs, rhs)
-    return _report("mult-function", worst, tol, seed=seed, witness=witness)
+        fold.add((x, y, z, lhs, rhs), _rel(lhs, rhs))
+    return fold.report("mult-function", seed)
 
 
 def sample_triples(chart, samples, seed):
@@ -259,19 +277,14 @@ def multiplicative_vector_field_check(fieldrule, triples, t_grid=(-0.5, -0.1, 0.
     Phi_t(x - y + z) = Phi_t(x) - Phi_t(y) + Phi_t(z) on every triple and
     every t in the grid.  Returns the first failing (t, triple) witness.
     """
-    worst = 0.0
-    witness = None
+    fold = _Fold(tol)
     for x, y, z in triples:
         x, y, z = (np.asarray(p, dtype=float) for p in (x, y, z))
         for t in t_grid:
             lhs = _rk4(fieldrule, x - y + z, t, step)
             rhs = _rk4(fieldrule, x, t, step) - _rk4(fieldrule, y, t, step) + _rk4(fieldrule, z, t, step)
-            r = rel_norm(lhs - rhs, lhs, rhs)
-            if r > worst:
-                worst = r
-                if r >= tol and witness is None:
-                    witness = (t, (x, y, z), lhs, rhs)
-    return _report("mult-field", worst, tol, seed=seed, witness=witness)
+            fold.add((t, (x, y, z), lhs, rhs), rel_norm(lhs - rhs, lhs, rhs))
+    return fold.report("mult-field", seed)
 
 
 def d_mu(chart, g, vs):
@@ -296,39 +309,27 @@ def tangent_semiheap_check(chart, samples, seed, tol=1e-6, h=None):
     """
     h = chart.h if h is None else h
     rng = np.random.default_rng(seed)
-    worst_fd = 0.0
-    worst_para = 0.0
-    for _ in range(samples):
+    fold = _Fold(tol, "fd_residual", "para_residual")
+
+    def t_mu(*triple):
+        gs = [p[0] for p in triple]
+        return (mu(chart, *gs), d_mu(chart, gs, [p[1] for p in triple]))
+
+    for i in range(samples):
         pts = [chart.sample(rng) for _ in range(5)]
         vecs = [chart.random_tangent(g, rng) for g in pts]
-
-        base = mu(chart, *pts[:3])
         lifted = d_mu(chart, pts[:3], vecs[:3])
         algs = [chart.project_algebra(solve(g, v)) for g, v in zip(pts[:3], vecs[:3])]
 
         def curve_mu(t):
-            moved = [g @ chart.exp_tangent(t * a) for g, a in zip(pts[:3], algs)]
-            return mu(chart, *moved)
+            return mu(chart, *(g @ chart.exp_tangent(t * a) for g, a in zip(pts[:3], algs)))
 
-        fd = (curve_mu(h) - curve_mu(-h)) / (2.0 * h)
-        worst_fd = max(worst_fd, rel_norm(lifted - fd, lifted))
-
-        def t_mu(triple):
-            gs = [p[0] for p in triple]
-            ws = [p[1] for p in triple]
-            return (mu(chart, *gs), d_mu(chart, gs, ws))
-
-        tp = list(zip(pts, vecs))
-        outer = t_mu([t_mu(tp[:3]), tp[3], tp[4]])
-        middle = t_mu([tp[0], t_mu([tp[3], tp[2], tp[1]]), tp[4]])
-        inner = t_mu([tp[0], tp[1], t_mu(tp[2:5])])
-        for a, b in ((outer, middle), (outer, inner)):
-            worst_para = max(worst_para,
-                             rel_norm(a[0] - b[0], a[0]),
-                             rel_norm(a[1] - b[1], a[1], b[1]))
-    worst = max(worst_fd, worst_para)
-    return _report("tangent-lift", worst, tol, seed=seed,
-                   fd_residual=worst_fd, para_residual=worst_para)
+        fold.add(i, rel_norm(lifted - _central(curve_mu, h), lifted), part="fd_residual")
+        outer, middle, inner = _para_forms(t_mu, list(zip(pts, vecs)))
+        for b in (middle, inner):
+            fold.add(i, rel_norm(outer[0] - b[0], outer[0]),
+                     rel_norm(outer[1] - b[1], outer[1], b[1]), part="para_residual")
+    return fold.report("tangent-lift", seed, **fold.parts)
 
 
 # --- polynomial scalar fields over chart coordinates ---------------------
@@ -349,20 +350,12 @@ class PolynomialField:
         return total
 
     def __add__(self, other):
-        merged = {}
-        for exps, coeff in list(self.terms) + list(other.terms):
-            merged[exps] = merged.get(exps, 0.0) + coeff
-        return PolynomialField(tuple(sorted(merged.items())))
+        return _merged((*self.terms, *other.terms))
 
     def __mul__(self, other):
         if np.isscalar(other):
             return PolynomialField(tuple((e, c * other) for e, c in self.terms))
-        merged = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                key = tuple(sorted(e1 + e2))
-                merged[key] = merged.get(key, 0.0) + c1 * c2
-        return PolynomialField(tuple(sorted(merged.items())))
+        return _merged((tuple(sorted(e1 + e2)), c1 * c2) for e1, c1 in self.terms for e2, c2 in other.terms)
 
     __rmul__ = __mul__
 
@@ -385,10 +378,15 @@ class PolynomialField:
             d = int(rng.integers(0, degree + 1))
             exps = tuple(sorted(int(rng.integers(0, n_coords)) for _ in range(d)))
             terms.append((exps, float(rng.normal())))
-        merged = {}
-        for e, c in terms:
-            merged[e] = merged.get(e, 0.0) + c
-        return cls(tuple(sorted(merged.items())))
+        return _merged(terms)
+
+
+def _merged(terms):
+    """The field of (exponents, coefficient) terms, like terms summed in order."""
+    merged = {}
+    for exps, coeff in terms:
+        merged[exps] = merged.get(exps, 0.0) + coeff
+    return PolynomialField(tuple(sorted(merged.items())))
 
 
 def coassociativity_check(chart, samples, seed, tol=1e-10, degree=3, fields=None):
@@ -408,28 +406,16 @@ def coassociativity_check(chart, samples, seed, tol=1e-10, degree=3, fields=None
     else:
         f1, f2 = fields
     a, b = float(rng.normal()), float(rng.normal())
-    worst = {"linear": 0.0, "multiplicative": 0.0, "unit": 0.0, "para-coassoc": 0.0}
-    for _ in range(samples):
+    fold = _Fold(tol, "linear", "multiplicative", "unit", "para-coassoc")
+    for i in range(samples):
         g = [chart.sample(rng) for _ in range(5)]
-        m = mu(chart, *g[:3])
-        cm = chart.coords(m)
-        lin_lhs = (a * f1 + b * f2)(cm)
-        lin_rhs = a * f1(cm) + b * f2(cm)
-        worst["linear"] = max(worst["linear"],
-                              abs(lin_lhs - lin_rhs) / max(1.0, abs(lin_lhs), abs(lin_rhs)))
-        mult_lhs = (f1 * f2)(cm)
-        mult_rhs = f1(cm) * f2(cm)
-        worst["multiplicative"] = max(worst["multiplicative"],
-                                      abs(mult_lhs - mult_rhs) / max(1.0, abs(mult_lhs), abs(mult_rhs)))
-        worst["unit"] = max(worst["unit"], abs(PolynomialField.constant(1.0)(cm) - 1.0))
-        outer = f1(chart.coords(mu(chart, mu(chart, g[0], g[1], g[2]), g[3], g[4])))
-        middle = f1(chart.coords(mu(chart, g[0], mu(chart, g[3], g[2], g[1]), g[4])))
-        inner = f1(chart.coords(mu(chart, g[0], g[1], mu(chart, g[2], g[3], g[4]))))
-        scale = max(1.0, abs(outer), abs(middle), abs(inner))
-        worst["para-coassoc"] = max(worst["para-coassoc"],
-                                    abs(outer - middle) / scale, abs(outer - inner) / scale)
-    total = max(worst.values())
-    return _report("coassociativity", total, tol, seed=seed, **worst)
+        cm = chart.coords(mu(chart, *g[:3]))
+        fold.add(i, _rel((a * f1 + b * f2)(cm), a * f1(cm) + b * f2(cm)), part="linear")
+        fold.add(i, _rel((f1 * f2)(cm), f1(cm) * f2(cm)), part="multiplicative")
+        fold.add(i, abs(PolynomialField.constant(1.0)(cm) - 1.0), part="unit")
+        outer, middle, inner = (f1(chart.coords(m)) for m in _para_forms(partial(mu, chart), g))
+        fold.add(i, _rel(outer, middle, inner), _rel(outer, inner, middle), part="para-coassoc")
+    return fold.report("coassociativity", seed, **fold.parts)
 
 
 def euclidean_semiheap_check(n, samples, seed, tol=1e-12):
@@ -440,31 +426,22 @@ def euclidean_semiheap_check(n, samples, seed, tol=1e-12):
     v d(x1,x2) d(x3,x4) = v d(x1, x2 d(x3,x4)).
     """
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
+    g = np.dot
+    fold = _Fold(tol)
+    for i in range(samples):
         w, x, y, z, q = (rng.normal(size=n) for _ in range(5))
-        g = np.dot
         s1 = g(w, x) * g(y, z)
         s2 = g(w, x * g(y, z))
         s3 = g(y, g(x, w) * z)
         scale = max(1.0, abs(s1))
-        worst = max(worst, abs(s1 - s2) / scale, abs(s1 - s3) / scale)
-
-        def tern(a, b, c):
-            return a * g(b, c)
-
-        outer = tern(tern(w, x, y), z, q)
-        middle = tern(w, tern(z, y, x), q)
-        inner = tern(w, x, tern(y, z, q))
-        worst = max(worst,
-                    rel_norm(outer - middle, outer),
-                    rel_norm(outer - inner, outer))
-
+        fold.add(i, abs(s1 - s2) / scale, abs(s1 - s3) / scale)
+        outer, middle, inner = _para_forms(lambda a, b, c: a * g(b, c), [w, x, y, z, q])
+        fold.add(i, rel_norm(outer - middle, outer), rel_norm(outer - inner, outer))
         v = rng.normal(size=n)
         lhs = v * g(w, x) * g(y, z)
         rhs = v * g(w, x * g(y, z))
-        worst = max(worst, rel_norm(lhs - rhs, lhs))
-    return _report("euclidean", worst, tol, seed=seed)
+        fold.add(i, rel_norm(lhs - rhs, lhs))
+    return fold.report("euclidean", seed)
 
 
 def exp_hom_check(samples, seed, tol=1e-12, span=3.0):
@@ -474,11 +451,10 @@ def exp_hom_check(samples, seed, tol=1e-12, span=3.0):
     pointed-heap homomorphism.
     """
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
+    fold = _Fold(tol)
+    for i in range(samples):
         x, y, z = rng.uniform(-span, span, size=3)
         lhs = math.exp(x - y + z)
         rhs = math.exp(x) * (1.0 / math.exp(y)) * math.exp(z)
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
-    basepoint_ok = math.exp(0.0) == 1.0
-    return _report("exp-hom", worst, tol, seed=seed, basepoint_ok=basepoint_ok)
+        fold.add(i, abs(lhs - rhs) / max(1.0, abs(lhs)))
+    return fold.report("exp-hom", seed, basepoint_ok=math.exp(0.0) == 1.0)

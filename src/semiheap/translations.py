@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _first_disagreement
+from .core import _first_disagreement, is_biunitary
 
 
 @dataclass(frozen=True)
@@ -119,10 +119,7 @@ def centric_nonclosure_witness(semiheaps, max_results=1):
 
 def is_biunital(ps):
     """True iff the basepoint is biunitary against all elements."""
-    t = ps.table.entries
-    x0 = ps.basepoint
-    ar = np.arange(ps.n)
-    return bool(np.array_equal(t[:, x0, x0], ar) and np.array_equal(t[x0, x0, :], ar))
+    return is_biunitary(ps.semiheap, ps.basepoint)
 
 
 def left_monoid_check(ps):

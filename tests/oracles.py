@@ -1,10 +1,17 @@
 """Independent brute-force oracles for the test suite.
 
 Everything here is deliberately written with plain nested loops over
-tuples, sharing no code path with the library's vectorized checkers.
+tuples, sharing no code path with the library's vectorized checkers.  The
+numeric oracles reuse the library's ternary product and norms, but not its
+residual fold or its finite-difference and para-associativity helpers.
 """
 
 from itertools import permutations, product as iproduct
+
+import numpy as np
+
+from semiheap.charts import rel_norm, solve
+from semiheap.numeric import PolynomialField, d_mu, mu
 
 
 def first_para_failure(flat, n):
@@ -239,3 +246,62 @@ def centric_nonclosure_loops(flat, n, max_results):
             if len(found) >= max_results:
                 break
     return found
+
+
+def tangent_residuals_loops(chart, samples, seed):
+    """(fd, para) worst residuals of the tangent-lift check, with plain max folds.
+
+    The loop the numeric layer ran before its residual fold and shared
+    helpers; on finite residuals the two must agree to the bit.
+    """
+    h = chart.h
+    rng = np.random.default_rng(seed)
+    worst_fd = worst_para = 0.0
+    for _ in range(samples):
+        pts = [chart.sample(rng) for _ in range(5)]
+        vecs = [chart.random_tangent(g, rng) for g in pts]
+        lifted = d_mu(chart, pts[:3], vecs[:3])
+        algs = [chart.project_algebra(solve(g, v)) for g, v in zip(pts[:3], vecs[:3])]
+
+        def curve_mu(t):
+            return mu(chart, *[g @ chart.exp_tangent(t * a) for g, a in zip(pts[:3], algs)])
+
+        fd = (curve_mu(h) - curve_mu(-h)) / (2.0 * h)
+        worst_fd = max(worst_fd, rel_norm(lifted - fd, lifted))
+
+        def t_mu(triple):
+            gs = [p[0] for p in triple]
+            return (mu(chart, *gs), d_mu(chart, gs, [p[1] for p in triple]))
+
+        tp = list(zip(pts, vecs))
+        outer = t_mu([t_mu(tp[:3]), tp[3], tp[4]])
+        middle = t_mu([tp[0], t_mu([tp[3], tp[2], tp[1]]), tp[4]])
+        inner = t_mu([tp[0], tp[1], t_mu(tp[2:5])])
+        for a, b in ((outer, middle), (outer, inner)):
+            worst_para = max(worst_para, rel_norm(a[0] - b[0], a[0]), rel_norm(a[1] - b[1], a[1], b[1]))
+    return worst_fd, worst_para
+
+
+def coassociativity_residuals_loops(chart, samples, seed, degree=3):
+    """The four worst residuals of the coassociativity check, with plain max folds."""
+    rng = np.random.default_rng(seed)
+    ncoords = chart.coords(chart.basepoint).shape[0]
+    f1 = PolynomialField.random(ncoords, degree, rng)
+    f2 = PolynomialField.random(ncoords, degree, rng)
+    a, b = float(rng.normal()), float(rng.normal())
+    worst = {"linear": 0.0, "multiplicative": 0.0, "unit": 0.0, "para-coassoc": 0.0}
+    for _ in range(samples):
+        g = [chart.sample(rng) for _ in range(5)]
+        cm = chart.coords(mu(chart, *g[:3]))
+        lin_lhs, lin_rhs = (a * f1 + b * f2)(cm), a * f1(cm) + b * f2(cm)
+        worst["linear"] = max(worst["linear"], abs(lin_lhs - lin_rhs) / max(1.0, abs(lin_lhs), abs(lin_rhs)))
+        mult_lhs, mult_rhs = (f1 * f2)(cm), f1(cm) * f2(cm)
+        worst["multiplicative"] = max(worst["multiplicative"],
+                                      abs(mult_lhs - mult_rhs) / max(1.0, abs(mult_lhs), abs(mult_rhs)))
+        worst["unit"] = max(worst["unit"], abs(PolynomialField.constant(1.0)(cm) - 1.0))
+        outer = f1(chart.coords(mu(chart, mu(chart, g[0], g[1], g[2]), g[3], g[4])))
+        middle = f1(chart.coords(mu(chart, g[0], mu(chart, g[3], g[2], g[1]), g[4])))
+        inner = f1(chart.coords(mu(chart, g[0], g[1], mu(chart, g[2], g[3], g[4]))))
+        scale = max(1.0, abs(outer), abs(middle), abs(inner))
+        worst["para-coassoc"] = max(worst["para-coassoc"], abs(outer - middle) / scale, abs(outer - inner) / scale)
+    return worst

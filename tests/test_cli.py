@@ -133,6 +133,13 @@ def test_enumerate_counts_classes_within_the_budget(capsys):
     assert elapsed < 2.5
 
 
+def test_enumerate_up_to_iso_counts_the_classes_found(capsys):
+    assert main(["enumerate", "--n", "4", "--up-to-iso", "--budget", "1", "--no-tables"]) == 0
+    fields = dict(kv.split("=") for kv in capsys.readouterr().out.split())
+    assert fields["complete"] == "false" and int(fields["count"]) > 0
+    assert fields["iso_count"] == fields["count"]
+
+
 def test_enumerate_streams_parseable_tables():
     code, out, _ = run_cli(["enumerate", "--n", "2"])
     assert code == 0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semiheap import functors, groups
+from semiheap import functors, groups, translations
 from semiheap.core import (
     FiniteHeap,
     FiniteSemiheap,
@@ -102,6 +102,20 @@ def test_biunitary_fails_on_constant_table():
     assert not is_biunitary(s, 0)
     with pytest.raises(IndexError):
         is_biunitary(s, 5)
+
+
+def test_heap_checks_name_the_first_non_biunitary_element(order2_semiheaps, pointed_heaps_upto3):
+    # [x,0,0] = x = [0,0,x] for x in {0, 1}, while [1,1,0] = 1 != 0.
+    s = FiniteSemiheap.from_flat(2, [0, 1, 1, 1, 1, 1, 1, 1])
+    assert is_biunitary(s, 0) and not is_biunitary(s, 1) and not is_heap(s)
+    with pytest.raises(LawError, match="^element 1 is not biunitary$"):
+        FiniteHeap(s)
+    with pytest.raises(LawError, match="^groupify requires a heap; element 1 is not biunitary$"):
+        functors.groupify(PointedSemiheap(s, 0))
+    for t in list(order2_semiheaps) + [ps.semiheap for ps in pointed_heaps_upto3]:
+        assert is_heap(t) == all(is_biunitary(t, x) for x in range(t.n))
+        for x in range(t.n):
+            assert translations.is_biunital(PointedSemiheap(t, x)) == is_biunitary(t, x)
 
 
 def test_all_heapified_group_elements_biunitary(corpus):

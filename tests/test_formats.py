@@ -97,6 +97,18 @@ def test_bnd1_rejects_mismatched_action_header():
         parse_bnd1(text)
 
 
+def test_bnd1_action_header_and_deferred_verification():
+    b = trivial_bundle(2, functors.heapify(groups.cyclic(2)).semiheap)
+    text = write_bnd1(b)
+    with pytest.raises(FormatError, match=r"^action header \(4,3\) does not match bundle \(4,2\)$"):
+        parse_bnd1(text.replace("action m=4 n=2", "action m=4 n=3"))
+    # The embedded action is checked by verify_bundle, not by the parser.
+    head, body = text.split("action m=4 n=2\n")
+    first, rest = body.split(" ", 1)
+    bad = parse_bnd1(f"{head}action m=4 n=2\n{(int(first) + 1) % 4} {rest}")
+    assert verify_bundle(bad).axiom == "action-compatibility"
+
+
 def test_bnd1_trailing_garbage():
     b = trivial_bundle(1, functors.heapify(groups.cyclic(2)).semiheap)
     with pytest.raises(FormatError, match="trailing garbage"):

@@ -24,6 +24,8 @@ from semiheap.numeric import (
     tangent_semiheap_check,
 )
 
+from oracles import coassociativity_residuals_loops, tangent_residuals_loops
+
 CHARTS = bundled_charts()
 
 
@@ -313,3 +315,120 @@ def test_report_line_format():
     line = r.line()
     assert line.startswith("check=exp-hom max_residual=")
     assert "seed=7" in line and "pass=true" in line
+
+
+def test_mu_rejects_non_finite_input():
+    chart = CHARTS["so3"]
+    for bad in (np.full((3, 3), np.nan), np.full((3, 3), np.inf)):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="input leaves the so3 chart"):
+            mu(chart, bad, np.eye(3), np.eye(3))
+
+
+def test_solve_rejects_non_finite_matrix():
+    for bad in (np.full((3, 3), np.nan), np.diag([1.0, np.inf, 1.0])):
+        with pytest.raises(ValueError, match="condition number"):
+            solve(bad, np.eye(3))
+
+
+def test_dL_rejects_nan_vector():
+    chart = CHARTS["so3"]
+    with pytest.raises(ValueError, match="not tangent"):
+        dL(chart, chart.basepoint, chart.basepoint, chart.basepoint, np.full((3, 3), np.nan))
+
+
+def test_nan_field_fails_with_witness():
+    triple = (np.array([0.5]), np.array([0.1]), np.array([0.2]))
+    with np.errstate(invalid="ignore"):
+        r = multiplicative_vector_field_check(lambda y: np.sqrt(y - 1.0), [triple])
+    assert not r.passed and math.isnan(r.max_residual)
+    t, (x, y, z), lhs, rhs = r.witness
+    assert t == -0.5 and (x, y, z) == triple
+
+
+def test_nan_function_fails_with_witness():
+    chart = CHARTS["r1"]
+    triples = sample_triples(chart, 5, 6)
+    r = multiplicative_function_check(chart, lambda c: math.nan, triples)
+    assert not r.passed and math.isnan(r.max_residual)
+    assert r.witness[0] == "basepoint" and math.isnan(r.witness[1])
+    r = multiplicative_function_check(chart, lambda c: math.nan, triples, pointed=False)
+    assert not r.passed and math.isnan(r.max_residual)
+    assert r.witness[0] is triples[0][0] and math.isnan(r.witness[3])
+
+
+def test_nan_residual_stays_the_worst_and_names_its_sample():
+    # Nearly linear below 2.5 and NaN from there on: residuals before the
+    # first NaN are positive and under tol, and finite residuals after it
+    # must not replace it.
+    chart = CHARTS["r1"]
+    triples = sample_triples(chart, 40, 1)
+
+    def f(c):
+        return float(c[0]) + 1e-9 * float(c[0]) ** 2 if c[0] < 2.5 else math.nan
+
+    def has_nan(x, y, z):
+        return any(math.isnan(f(chart.coords(g))) for g in (x, y, z, mu(chart, x, y, z)))
+
+    first = next(k for k, t in enumerate(triples) if has_nan(*t))
+    assert 0 < first < len(triples) - 1 and not has_nan(*triples[-1])
+    r = multiplicative_function_check(chart, f, triples, tol=1e-3, pointed=False)
+    assert not r.passed and math.isnan(r.max_residual)
+    assert r.witness[0] is triples[first][0]
+
+
+def test_witness_is_the_first_failing_sample_not_the_worst():
+    seed, samples = 21, 60
+    rng = np.random.default_rng(seed)
+    residuals = []
+    for _ in range(samples):
+        x, y, z = rng.uniform(-3.0, 3.0, size=3)
+        lhs, rhs = math.exp(x - y + z), math.exp(x) * (1.0 / math.exp(y)) * math.exp(z)
+        residuals.append(abs(lhs - rhs) / max(1.0, abs(lhs)))
+    tol = sorted(r for r in residuals if r > 0)[-3]
+    first = next(k for k, r in enumerate(residuals) if r >= tol)
+    assert first != residuals.index(max(residuals))
+    r = exp_hom_check(samples, seed, tol=tol)
+    assert not r.passed and r.witness == first and r.max_residual == max(residuals)
+
+
+ZERO_TOL_CHECKS = {
+    "para-assoc": lambda c: check_para_associative_numeric(c, 3, 1, tol=0.0),
+    "left-invariant": lambda c: left_invariant_field_check(c, c.basis[0], 3, 1, tol=0.0),
+    "group-vs-heap": lambda c: compare_group_vs_heap_invariance(c, c.basis[0], 3, 1, tol=0.0),
+    "bracket": lambda c: bracket_closure(c, c.basis[0], c.basis[1], 3, 1, tol=0.0),
+    "tangent": lambda c: tangent_semiheap_check(c, 3, 1, tol=0.0),
+    "coassoc": lambda c: coassociativity_check(c, 3, 1, tol=0.0),
+    "euclidean": lambda c: euclidean_semiheap_check(3, 3, 1, tol=0.0),
+    "exp-hom": lambda c: exp_hom_check(3, 1, tol=0.0),
+}
+
+
+@pytest.mark.parametrize("check", sorted(ZERO_TOL_CHECKS))
+def test_zero_tolerance_fails_at_the_first_sample(check):
+    r = ZERO_TOL_CHECKS[check](CHARTS["so3"])
+    assert not r.passed and r.witness == 0
+
+
+def test_zero_tolerance_function_and_field_witness_the_first_triple():
+    chart = CHARTS["r2"]
+    triples = sample_triples(chart, 3, 2)
+    r = multiplicative_function_check(chart, PolynomialField.linear([1.0, 1.0]), triples, tol=0.0)
+    assert not r.passed
+    x, y, z, lhs, rhs = r.witness
+    assert (x, y, z) == triples[0] and lhs == rhs
+    points = [tuple(np.array([v]) for v in t) for t in ((0.1, 0.2, 0.3), (0.4, 0.5, 0.6))]
+    r = multiplicative_vector_field_check(lambda y: y, points, tol=0.0)
+    assert not r.passed
+    t, (x, y, z), lhs, rhs = r.witness
+    assert t == -0.5 and [x, y, z] == list(points[0])
+
+
+@pytest.mark.parametrize("name", ["so3", "ut2", "r2"])
+def test_tangent_and_coassoc_extras_match_plain_loops(name):
+    chart = CHARTS[name]
+    r = tangent_semiheap_check(chart, 20, 5)
+    assert (r.extra["fd_residual"], r.extra["para_residual"]) == tangent_residuals_loops(chart, 20, 5)
+    assert r.max_residual == max(r.extra.values())
+    r = coassociativity_check(chart, 20, 5)
+    assert r.extra == coassociativity_residuals_loops(chart, 20, 5)
+    assert r.max_residual == max(r.extra.values())

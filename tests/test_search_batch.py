@@ -205,6 +205,17 @@ def test_iso_classes_are_first_seen_canonical_forms(n, enumerate_fn):
     assert all(canonical_form(s.table).flat() == s.table.flat() for s in enumerate_fn(n, up_to_iso=True))
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_budgeted_up_to_iso_search_keeps_its_classes(jobs):
+    # The lex-leader test at the last cell makes every table the search
+    # emits canonical, so a run cut by its budget still returns classes.
+    found = enumerate_semiheaps(4, up_to_iso=True, budget=0.5, jobs=jobs)
+    flats = [s.table.flat() for s in found]
+    assert not found.complete and len(flats) > 0
+    assert flats == sorted(set(flats))
+    assert all(canonical_form(s.table).flat() == s.table.flat() for s in found)
+
+
 def test_centric_witnesses_match_loops(corpus, order2_semiheaps):
     pool = [heapify(g).semiheap for g in corpus if g.n <= 6] + list(order2_semiheaps)
     pool += list(enumerate_semiheaps(3))[::9]
