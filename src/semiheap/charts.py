@@ -6,16 +6,22 @@ for its own Lie algebra.  The exponentials are closed-form per chart
 (Rodrigues for rotations, a divided-difference formula for triangular
 matrices, I + A for nilpotent translation generators), so no general
 matrix-function routine is needed and tangent curves stay on the group to
-machine precision.
+machine precision.  Every function also takes stacks of matrices (leading
+axes index samples) and gives each matrix the bits it gets on its own:
+closed-form scalars come from the math module, element by element.  A
+chart draws seeded samples in slabs of at most SLAB, and polynomial
+scalar fields are evaluated on stacks of chart coordinates.
 """
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable
 
 import numpy as np
 
 COND_LIMIT = 1e10
+SLAB = 256          # samples per stack, so memory stays bounded for any sample count
 
 
 def solve(a, b):
@@ -24,16 +30,49 @@ def solve(a, b):
     The 2-norm condition number is the ratio of the extreme singular
     values; a matrix with a NaN or infinite entry has none.
     """
-    s = np.linalg.svd(a, compute_uv=False) if np.isfinite(a).all() else None
-    if s is None or not (s[-1] > 0 and s[0] / s[-1] <= COND_LIMIT):
-        raise ValueError(f"matrix condition number exceeds {COND_LIMIT:g}")
-    return np.linalg.solve(a, b)
+    if np.isfinite(a).all():
+        s = np.linalg.svd(a, compute_uv=False)
+        if (s[..., -1] > 0).all() and (s[..., 0] / s[..., -1] <= COND_LIMIT).all():
+            return np.linalg.solve(a, b)
+    raise ValueError(f"matrix condition number exceeds {COND_LIMIT:g}")
+
+
+def _norm(x):
+    """Frobenius norm of each matrix of a stack (or of a vector), by np.linalg.norm's dot kernel."""
+    f = x.reshape(*x.shape[:-2], 1, -1) if x.ndim >= 2 else x.reshape(1, -1)
+    return np.sqrt(f @ f.swapaxes(-1, -2))[..., 0, 0]
 
 
 def rel_norm(delta, *refs):
-    """Frobenius norm of delta relative to max(1, norms of the references)."""
-    scale = max([1.0] + [float(np.linalg.norm(r)) for r in refs])
-    return float(np.linalg.norm(delta)) / scale
+    """Frobenius norm of delta relative to max(1, norms of the references), per matrix."""
+    scale = 1.0
+    for r in refs:
+        scale = np.fmax(scale, _norm(r))           # like max(), a NaN norm is skipped
+    return (_norm(delta) / scale)[()]
+
+
+def slabs(items):
+    """(start, list of up to SLAB items) for consecutive slabs of an iterable."""
+    it, start = iter(items), 0
+    while slab := list(islice(it, SLAB)):
+        yield start, slab
+        start += len(slab)
+
+
+def _elementwise(fn, *xs):
+    """fn on Python floats at every position of the arrays xs, as one array per output."""
+    out = np.array([fn(*v) for v in zip(*(x.ravel().tolist() for x in xs))], dtype=float)
+    return tuple(col.reshape(xs[0].shape) for col in out.reshape(xs[0].size, -1).T)
+
+
+def _combine(coeff, basis):
+    """The matrices with coefficients coeff[..., i] on the basis."""
+    return sum(coeff[..., i, None, None] * e for i, e in enumerate(basis))
+
+
+def _matrices(rows):
+    """Stack a nested list of equally shaped arrays (or scalars) into (..., k, k)."""
+    return np.stack([np.stack(np.broadcast_arrays(*row), axis=-1) for row in rows], axis=-2)
 
 
 @dataclass(frozen=True)
@@ -42,7 +81,8 @@ class MatrixHeapChart:
     dim_matrix: int
     basis: tuple                                # tangent basis at the identity
     membership_residual: Callable
-    sample: Callable                            # rng -> group element
+    draw: Callable                              # rng -> raw numbers of one element, in draw order
+    build: Callable                             # (..., r) raw numbers -> (..., k, k) elements
     exp_tangent: Callable                       # Lie algebra element -> group element
     coords: Callable                            # group element -> 1d coordinate array
     project_algebra: Callable                   # matrix -> its part in the Lie algebra
@@ -57,114 +97,108 @@ class MatrixHeapChart:
     def basepoint(self):
         return np.eye(self.dim_matrix)
 
+    def sample(self, rng):
+        return self.build(np.asarray(self.draw(rng), dtype=float))
+
+    def sample_slabs(self, rng, samples, elements, tangents=0):
+        """Slabs of samples drawn in order, each `elements` group elements, then
+        `tangents` algebra elements: (start, g, a), g[i] and a[i] stacks of every
+        sample's i-th group and algebra element."""
+        for start, slab in slabs(range(samples)):
+            raw, coeff = zip(*(([self.draw(rng) for _ in range(elements)],
+                                [rng.normal(size=self.dim) for _ in range(tangents)]) for _ in slab))
+            coeff = np.array(coeff, dtype=float).reshape(len(slab), tangents, self.dim).swapaxes(0, 1)
+            yield start, self.build(np.array(raw, dtype=float).swapaxes(0, 1)), _combine(coeff, self.basis)
+
     def tangent_residual(self, g, v):
         """Residual of the linearized membership constraint for v at g."""
         a = solve(g, v)
-        return self.algebra_residual(a)
-
-    def algebra_residual(self, a):
-        """Distance of a from the span pattern of the Lie algebra."""
-        proj = self.project_algebra(a)
-        return rel_norm(a - proj, a)
-
-    def random_algebra(self, rng, scale=1.0):
-        coeff = rng.normal(scale=scale, size=self.dim)
-        return sum(c * e for c, e in zip(coeff, self.basis))
+        return rel_norm(a - self.project_algebra(a), a)
 
     def random_tangent(self, g, rng, scale=1.0):
         """A tangent vector at g: g times a random algebra element."""
-        return g @ self.random_algebra(rng, scale)
+        return g @ _combine(rng.normal(scale=scale, size=self.dim), self.basis)
 
 
-def _skew_basis_3():
-    lx = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
-    ly = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
-    lz = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    return lx, ly, lz
+def _flat_coords(g):
+    return g.reshape(*g.shape[:-2], -1)
 
 
 def _rodrigues(a):
-    """exp of a 3x3 skew matrix."""
-    w = np.array([a[2, 1], a[0, 2], a[1, 0]])
-    theta = float(np.linalg.norm(w))
-    if theta < 1e-12:
-        return np.eye(3) + a + 0.5 * (a @ a)
-    return np.eye(3) + (math.sin(theta) / theta) * a + ((1.0 - math.cos(theta)) / theta ** 2) * (a @ a)
+    """exp of a 3x3 skew matrix: I + (sin t / t) a + ((1 - cos t) / t^2) a^2, t = |a|."""
+    theta = _norm(np.stack([a[..., 2, 1], a[..., 0, 2], a[..., 1, 0]], axis=-1)[..., None, :])
+    s, c = _elementwise(lambda t: (1.0, 0.5) if t < 1e-12 else
+                        (math.sin(t) / t, (1.0 - math.cos(t)) / t ** 2), theta)
+    return np.eye(3) + s[..., None, None] * a + c[..., None, None] * (a @ a)
 
 
 def _orthogonal_residual(g):
-    d = g.shape[0]
-    return rel_norm(g.T @ g - np.eye(d)) + abs(float(np.linalg.det(g)) - 1.0)
+    return (rel_norm(g.swapaxes(-1, -2) @ g - np.eye(g.shape[-1])) + abs(np.linalg.det(g) - 1.0))[()]
 
 
 def _skew_part(a):
-    return 0.5 * (a - a.T)
+    return 0.5 * (a - a.swapaxes(-1, -2))
 
 
 def so3():
-    basis = _skew_basis_3()
-
-    def sample(rng):
-        return _rodrigues(sum(c * e for c, e in zip(rng.normal(size=3), basis)))
-
+    basis = (np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]]),     # Lx, Ly, Lz
+             np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]),
+             np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
     return MatrixHeapChart(
         name="so3", dim_matrix=3, basis=basis,
         membership_residual=_orthogonal_residual,
-        sample=sample, exp_tangent=_rodrigues,
-        coords=lambda g: g.reshape(-1),
+        draw=lambda rng: rng.normal(size=3),
+        build=lambda raw: _rodrigues(_combine(raw, basis)),
+        exp_tangent=_rodrigues,
+        coords=_flat_coords,
         project_algebra=_skew_part,
     )
+
+
+def _rot(theta):
+    c, s = _elementwise(lambda t: (math.cos(t), math.sin(t)), theta)
+    return _matrices([[c, -s], [s, c]])
 
 
 def so2():
-    gen = np.array([[0.0, -1.0], [1.0, 0.0]])
-
-    def rot(theta):
-        c, s = math.cos(theta), math.sin(theta)
-        return np.array([[c, -s], [s, c]])
-
     return MatrixHeapChart(
-        name="so2", dim_matrix=2, basis=(gen,),
+        name="so2", dim_matrix=2, basis=(np.array([[0.0, -1.0], [1.0, 0.0]]),),
         membership_residual=_orthogonal_residual,
-        sample=lambda rng: rot(float(rng.uniform(-math.pi, math.pi))),
-        exp_tangent=lambda a: rot(float(a[1, 0])),
-        coords=lambda g: g.reshape(-1),
+        draw=lambda rng: (float(rng.uniform(-math.pi, math.pi)),),
+        build=lambda raw: _rot(raw[..., 0]),
+        exp_tangent=lambda a: _rot(a[..., 1, 0]),
+        coords=_flat_coords,
         project_algebra=_skew_part,
     )
 
 
-def _exp_upper_2(a):
-    """exp of an upper-triangular 2x2 matrix, stable near equal diagonals."""
-    p, q = float(a[0, 0]), float(a[1, 1])
-    b = float(a[0, 1])
+def _exp_upper_2_entries(p, q, b):
     ep, eq = math.exp(p), math.exp(q)
     if abs(p - q) < 1e-8:
         # divided difference (e^p - e^q)/(p - q) via its series around p = q
         dd = ep * (1.0 + (q - p) / 2.0 + (q - p) ** 2 / 6.0)
     else:
         dd = eq * math.expm1(p - q) / (p - q)
-    return np.array([[ep, b * dd], [0.0, eq]])
+    return ep, b * dd, eq
+
+
+def _exp_upper_2(a):
+    """exp of an upper-triangular 2x2 matrix, stable near equal diagonals."""
+    ep, top, eq = _elementwise(_exp_upper_2_entries, a[..., 0, 0], a[..., 1, 1], a[..., 0, 1])
+    return _matrices([[ep, top], [0.0, eq]])
 
 
 def upper_triangular2():
-    basis = (
-        np.array([[1.0, 0.0], [0.0, 0.0]]),
-        np.array([[0.0, 1.0], [0.0, 0.0]]),
-        np.array([[0.0, 0.0], [0.0, 1.0]]),
-    )
-
-    def sample(rng):
-        # identity component: positive diagonal bounded away from zero
-        return np.array([
-            [float(rng.uniform(0.5, 2.0)), float(rng.uniform(-1.0, 1.0))],
-            [0.0, float(rng.uniform(0.5, 2.0))],
-        ])
-
+    basis = tuple(np.array(e) for e in ([[1.0, 0.0], [0.0, 0.0]],      # E11, E12, E22
+                                        [[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]))
     return MatrixHeapChart(
         name="ut2", dim_matrix=2, basis=basis,
         membership_residual=lambda g: rel_norm(np.tril(g, -1), g),
-        sample=sample, exp_tangent=_exp_upper_2,
-        coords=lambda g: g.reshape(-1),
+        # identity component: positive diagonal bounded away from zero
+        draw=lambda rng: (float(rng.uniform(0.5, 2.0)), float(rng.uniform(-1.0, 1.0)), float(rng.uniform(0.5, 2.0))),
+        build=lambda raw: _matrices([[raw[..., 0], raw[..., 1]], [0.0, raw[..., 2]]]),
+        exp_tangent=_exp_upper_2,
+        coords=_flat_coords,
         project_algebra=np.triu,
     )
 
@@ -172,33 +206,27 @@ def upper_triangular2():
 def translations(n):
     """(R^n, +) embedded as (n+1)x(n+1) translation matrices."""
     d = n + 1
-    basis = []
-    for i in range(n):
-        e = np.zeros((d, d))
+    basis = tuple(np.zeros((d, d)) for _ in range(n))
+    for i, e in enumerate(basis):
         e[i, n] = 1.0
-        basis.append(e)
 
-    def membership(g):
-        expected = np.eye(d)
-        expected[:n, n] = g[:n, n]
-        return rel_norm(g - expected, g)
-
-    def sample(rng):
-        g = np.eye(d)
-        g[:n, n] = rng.uniform(-2.0, 2.0, size=n)
-        return g
+    def with_column(column):
+        out = np.zeros(column.shape[:-1] + (d, d)) + np.eye(d)
+        out[..., :n, n] = column
+        return out
 
     def project_algebra(a):
         out = np.zeros_like(a)
-        out[:n, n] = a[:n, n]
+        out[..., :n, n] = a[..., :n, n]
         return out
 
     return MatrixHeapChart(
-        name=f"r{n}", dim_matrix=d, basis=tuple(basis),
-        membership_residual=membership,
-        sample=sample,
+        name=f"r{n}", dim_matrix=d, basis=basis,
+        membership_residual=lambda g: rel_norm(g - with_column(g[..., :n, n]), g),
+        draw=lambda rng: rng.uniform(-2.0, 2.0, size=n),
+        build=with_column,
         exp_tangent=lambda a: np.eye(d) + a,   # translation generators square to zero
-        coords=lambda g: g[:n, n].copy(),
+        coords=lambda g: g[..., :n, n].copy(),
         project_algebra=project_algebra,
     )
 
@@ -206,10 +234,11 @@ def translations(n):
 def nonzero_reals():
     return MatrixHeapChart(
         name="rx", dim_matrix=1, basis=(np.array([[1.0]]),),
-        membership_residual=lambda g: 0.0 if abs(float(g[0, 0])) > 1e-300 else 1.0,
-        sample=lambda rng: np.array([[float(rng.uniform(0.5, 3.0) * rng.choice([-1.0, 1.0]))]]),
-        exp_tangent=lambda a: np.array([[math.exp(float(a[0, 0]))]]),
-        coords=lambda g: g.reshape(-1),
+        membership_residual=lambda g: np.where(np.abs(g[..., 0, 0]) > 1e-300, 0.0, 1.0)[()],
+        draw=lambda rng: (float(rng.uniform(0.5, 3.0) * rng.choice([-1.0, 1.0])),),
+        build=lambda raw: raw[..., None],
+        exp_tangent=lambda a: _elementwise(math.exp, a)[0],
+        coords=_flat_coords,
         project_algebra=lambda a: a,
     )
 
@@ -219,3 +248,61 @@ def bundled_charts():
     charts = [so2(), so3(), upper_triangular2(), translations(1),
               translations(2), translations(3), nonzero_reals()]
     return {c.name: c for c in charts}
+
+
+# --- polynomial scalar fields over chart coordinates ---------------------
+
+@dataclass(frozen=True)
+class PolynomialField:
+    """Sum of monomials over chart coordinates: {exponent tuple: coefficient}."""
+
+    terms: tuple   # ((exponents, coeff), ...) with exponents a tuple of coord indices
+
+    def __call__(self, coords):           # coords[..., i]: one value per leading position
+        coords = np.asarray(coords)
+        total = np.zeros(coords.shape[:-1])
+        for exps, coeff in self.terms:
+            m = coeff
+            for i in exps:
+                m *= coords[..., i]
+            total += m
+        return total[()]
+
+    def __add__(self, other):
+        return _merged((*self.terms, *other.terms))
+
+    def __mul__(self, other):
+        if np.isscalar(other):
+            return PolynomialField(tuple((e, c * other) for e, c in self.terms))
+        return _merged((tuple(sorted(e1 + e2)), c1 * c2) for e1, c1 in self.terms for e2, c2 in other.terms)
+
+    __rmul__ = __mul__
+
+    @classmethod
+    def constant(cls, c):
+        return cls((((), float(c)),))
+
+    @classmethod
+    def coordinate(cls, i):
+        return cls((((i,), 1.0),))
+
+    @classmethod
+    def linear(cls, coeffs):
+        return cls(tuple(((i,), float(c)) for i, c in enumerate(coeffs)))
+
+    @classmethod
+    def random(cls, n_coords, degree, rng, n_terms=6):
+        terms = []
+        for _ in range(n_terms):
+            d = int(rng.integers(0, degree + 1))
+            exps = tuple(sorted(int(rng.integers(0, n_coords)) for _ in range(d)))
+            terms.append((exps, float(rng.normal())))
+        return _merged(terms)
+
+
+def _merged(terms):
+    """The field of (exponents, coefficient) terms, like terms summed in order."""
+    merged = {}
+    for exps, coeff in terms:
+        merged[exps] = merged.get(exps, 0.0) + coeff
+    return PolynomialField(tuple(sorted(merged.items())))

@@ -4,8 +4,10 @@ Analytic pushforward formulas are the primary route everywhere; central
 finite differences along structure-exact tangent curves are the
 independent oracle.  Every stochastic check takes a seed and echoes it in
 its report, and flow integration is fixed-step classical RK4 so residuals
-are reproducible to the bit.  A NaN residual fails its report, and a
-failing report names its first failing sample.
+are reproducible to the bit.  A sampled check draws its samples in a
+fixed per-sample order, then computes on stacks of at most charts.SLAB samples
+with each sample's bits unchanged.  A NaN residual fails its report, and
+a failing report names its first failing sample.
 """
 
 import math
@@ -14,7 +16,7 @@ from functools import partial
 
 import numpy as np
 
-from .charts import rel_norm, solve
+from .charts import PolynomialField, rel_norm, slabs, solve
 
 RK4_STEP = 1e-3
 FLOW_TOL = 1e-6
@@ -37,42 +39,48 @@ class CheckReport:
                 f"seed={seed} pass={str(self.passed).lower()}")
 
 
-def _worse(worst, r):
-    """max(worst, r), except that a NaN, once seen, stays the worst."""
-    return r if r > worst or r != r else worst
-
-
 class _Fold:
     """The running worst residual of a sampled check, in constant memory.
 
-    Python's max drops a NaN that is not its first argument, which would
-    pass a check whose residual is undefined.  Here a NaN is the worst
-    residual and fails the report, and witness names the first sample, in
-    draw order, with a residual that is NaN or at least tol: by whatever
-    add was given for it, an index or the failing inputs.  Residuals added
-    under a part name are also kept apart, for the report's extras.
+    Residuals come as arrays, a slab at a time; flat position i (C order)
+    is sample start + i.  A NaN is the worst residual (Python's max would
+    drop it) and fails the report.  witness names the first sample, in
+    draw order, whose residual is NaN or at least tol or that fails a
+    requirement: by its number, or by the witness function given for it.
+    Residuals added under a part name are also kept for the extras.
     """
 
     def __init__(self, tol=math.inf, *parts):
-        self.tol, self.worst, self.witness = tol, 0.0, None
+        self.tol, self.worst, self.failed, self.first, self.witness = tol, 0.0, False, None, None
         self.parts = dict.fromkeys(parts, 0.0)
 
-    def add(self, sample, *residuals, part=None):
-        for r in map(float, residuals):
-            if self.witness is None and not r < self.tol:
-                self.witness = sample
-            self.worst = _worse(self.worst, r)
+    def add(self, start, *residuals, part=None, witness=None):
+        for r in map(np.ravel, residuals):
+            self._first_of(start, ~(r < self.tol), witness)
+            self.worst = float(np.maximum(self.worst, r.max(initial=0.0)))     # a NaN stays
             if part is not None:
-                self.parts[part] = _worse(self.parts[part], r)
+                self.parts[part] = float(np.maximum(self.parts[part], r.max(initial=0.0)))
+
+    def require(self, start, ok, witness=None):
+        """Fail the samples where ok is false, whatever their residuals."""
+        ok = np.ravel(ok)
+        self.failed = self.failed or not ok.all()
+        self._first_of(start, ~ok, witness)
+
+    def _first_of(self, start, bad, witness):
+        bad = np.flatnonzero(bad)
+        if bad.size and (self.first is None or start + bad[0] < self.first):
+            self.first = start + int(bad[0])
+            self.witness = self.first if witness is None else witness(int(bad[0]))
 
     def report(self, check, seed, **extra):
-        return CheckReport(check, self.worst, self.tol, bool(self.worst < self.tol),
-                           seed=seed, witness=self.witness, extra=extra)
+        passed = bool(self.worst < self.tol) and not self.failed
+        return CheckReport(check, self.worst, self.tol, passed, seed=seed, witness=self.witness, extra=extra)
 
 
 def _rel(a, b, *more):
-    """|a - b| relative to max(1, |a|, |b|, |more|...), for scalars."""
-    return abs(a - b) / max(1.0, abs(a), abs(b), *map(abs, more))
+    """|a - b| relative to max(1, |a|, |b|, |more|...) elementwise; like max(), fmax skips a NaN."""
+    return np.abs(a - b) / np.fmax.reduce([np.ones_like(a), *map(np.abs, (a, b, *more))])
 
 
 def _central(curve, h):
@@ -93,25 +101,22 @@ def _para_forms(op, g):
 
 
 def mu(chart, g1, g2, g3, membership_tol=1e-12):
-    """g1 * g2^-1 * g3 via linear solve; the output must stay on the group."""
-    for g in (g1, g2, g3):
-        if not chart.membership_residual(g) <= membership_tol:
-            raise ValueError(f"input leaves the {chart.name} chart")
+    """g1 * g2^-1 * g3 via linear solve, per matrix on stacks; the output must stay on the group."""
+    if not np.all(chart.membership_residual(np.stack(np.broadcast_arrays(g1, g2, g3))) <= membership_tol):
+        raise ValueError(f"input leaves the {chart.name} chart")
     out = g1 @ solve(g2, g3)
-    if not chart.membership_residual(out) <= membership_tol:
+    if not np.all(chart.membership_residual(out) <= membership_tol):
         raise ValueError(f"ternary product left the {chart.name} chart")
     return out
 
 
 def check_para_associative_numeric(chart, samples, seed, tol=None):
     """Max pairwise residual of the three association orders on sampled quintuples."""
-    tol = chart.tol if tol is None else tol
-    rng = np.random.default_rng(seed)
-    fold, membership = _Fold(tol), _Fold()
-    for i in range(samples):
-        outer, middle, inner = _para_forms(partial(mu, chart), [chart.sample(rng) for _ in range(5)])
-        fold.add(i, rel_norm(outer - middle, outer), rel_norm(outer - inner, outer))
-        membership.add(i, chart.membership_residual(outer))
+    fold, membership = _Fold(chart.tol if tol is None else tol), _Fold()
+    for start, g, _ in chart.sample_slabs(np.random.default_rng(seed), samples, 5):
+        outer, middle, inner = _para_forms(partial(mu, chart), g)
+        fold.add(start, rel_norm(outer - middle, outer), rel_norm(outer - inner, outer))
+        membership.add(start, chart.membership_residual(outer))
     return fold.report("para-assoc", seed, membership=membership.worst)
 
 
@@ -119,11 +124,11 @@ def dL(chart, x, y, z, v, h=None, tangent_tol=1e-9):
     """Pushforward of the tangent vector v at z under L_{xy}.
 
     Returns (analytic value, residual against the central finite
-    difference along the curve z exp(t z^-1 v)).  v must satisfy the
-    linearized membership constraint at z.
+    difference along the curve z exp(t z^-1 v)), per sample on stacks.
+    v must satisfy the linearized membership constraint at z.
     """
     h = chart.h if h is None else h
-    if not chart.tangent_residual(z, v) <= tangent_tol:
+    if not np.all(chart.tangent_residual(z, v) <= tangent_tol):
         raise ValueError(f"vector is not tangent to the {chart.name} chart at the base point")
     analytic = x @ solve(y, v)
     return analytic, rel_norm(analytic - _pushforward_fd(chart, x, y, z, v, h), analytic)
@@ -136,13 +141,10 @@ def pushforward_convergence(chart, samples, seed, h=1e-3):
     second-order ratio is measurable; at much smaller h the subtraction
     noise of the central difference takes over.
     """
-    rng = np.random.default_rng(seed)
     res_h, res_half = _Fold(), _Fold()
-    for i in range(samples):
-        x, y, z = (chart.sample(rng) for _ in range(3))
-        v = chart.random_tangent(z, rng)
-        res_h.add(i, dL(chart, x, y, z, v, h=h)[1])
-        res_half.add(i, dL(chart, x, y, z, v, h=h / 2.0)[1])
+    for start, (x, y, z), (a,) in chart.sample_slabs(np.random.default_rng(seed), samples, 3, tangents=1):
+        res_h.add(start, dL(chart, x, y, z, z @ a, h=h)[1])
+        res_half.add(start, dL(chart, x, y, z, z @ a, h=h / 2.0)[1])
     ratio = res_h.worst / res_half.worst if res_half.worst > 0 else float("inf")
     return res_h.worst, res_half.worst, ratio
 
@@ -165,15 +167,13 @@ def left_invariant_field_check(chart, v, samples, seed, tol=1e-6, h=None):
     value at the basepoint must reproduce v exactly.
     """
     h = chart.h if h is None else h
-    rng = np.random.default_rng(seed)
     fieldrule = left_invariant_field(chart, v)
     if not np.array_equal(fieldrule(chart.basepoint), v):
         raise AssertionError("field must reproduce its generator at the basepoint")
     fold = _Fold(tol)
-    for i in range(samples):
-        x, y, z = (chart.sample(rng) for _ in range(3))
+    for start, (x, y, z), _ in chart.sample_slabs(np.random.default_rng(seed), samples, 3):
         target = fieldrule(mu(chart, x, y, z))
-        fold.add(i, rel_norm(_pushforward_fd(chart, x, y, z, fieldrule(z), h) - target, target))
+        fold.add(start, rel_norm(_pushforward_fd(chart, x, y, z, fieldrule(z), h) - target, target))
     return fold.report("left-invariant", seed)
 
 
@@ -181,25 +181,22 @@ def compare_group_vs_heap_invariance(chart, v, samples, seed, tol=1e-6):
     """The heap-sense rule x * x0^-1 * v and the group-sense rule x * v.
 
     With basepoint the identity these are the same analytic expression;
-    equality is checked entrywise-exactly, not just in norm.  The sampled
-    heap-invariance condition at y = z = x0 must also reduce to group
-    invariance within tol (finite differences).
+    equality is checked entrywise-exactly per sample, not just in norm.
+    The sampled heap-invariance condition at y = z = x0 must also reduce
+    to group invariance within tol (finite differences).
     """
-    rng = np.random.default_rng(seed)
     x0 = chart.basepoint
     a = chart.project_algebra(solve(x0, v))
-    exact = True
     fold = _Fold(tol)
-    for i in range(samples):
-        x = chart.sample(rng)
-        exact = exact and bool(np.array_equal(x @ solve(x0, v), x @ v))
+    for start, (x,), _ in chart.sample_slabs(np.random.default_rng(seed), samples, 1):
+        fold.require(start, (x @ solve(x0, v) == x @ v).all(axis=(-2, -1)))
         target = x @ a
-        fold.add(i, rel_norm(_pushforward_fd(chart, x, x0, x0, v, chart.h) - target, target))
-    return fold.report("group-vs-heap", seed, exact=exact)
+        fold.add(start, rel_norm(_pushforward_fd(chart, x, x0, x0, v, chart.h) - target, target))
+    return fold.report("group-vs-heap", seed, exact=not fold.failed)
 
 
 def _rk4(fieldrule, y0, t, step=RK4_STEP):
-    """Classical fixed-step RK4 from y0 over signed duration t."""
+    """Classical fixed-step RK4 from y0, any stack of points, over signed duration t."""
     if t == 0.0:
         return np.array(y0, dtype=float, copy=True)
     nsteps = max(1, int(math.ceil(abs(t) / step)))
@@ -222,51 +219,44 @@ def bracket_closure(chart, u, v, samples, seed, tol=BRACKET_TOL, t=1e-3):
     field is itself linear, so it doubles as its own pushforward.  The
     result must match the invariant field of the matrix commutator
     [u, v] = uv - vu, and the frame of basis fields must have full rank at
-    every sampled point.
+    every sampled point: a sample where it does not fails the report.
     """
-    rng = np.random.default_rng(seed)
-    au = chart.project_algebra(u)
-    av = chart.project_algebra(v)
+    au, av = chart.project_algebra(u), chart.project_algebra(v)
     w = au @ av - av @ au
     flow_u = lambda y: y @ au
-    field_v = lambda y: y @ av
     fold = _Fold(tol)
-    rank_ok = True
-    for i in range(samples):
-        x = chart.sample(rng)
-
-        def conjugated(s):
-            moved = _rk4(flow_u, x, s)
-            return _rk4(flow_u, field_v(moved), -s)
-
-        fold.add(i, rel_norm(_central(conjugated, t) - x @ w, x @ w))
-        frame = np.stack([(x @ e).reshape(-1) for e in chart.basis])
-        rank_ok = rank_ok and (np.linalg.matrix_rank(frame) == chart.dim)
-    return fold.report("bracket", seed, rank_ok=rank_ok, commutator=w)
+    for start, (x,), _ in chart.sample_slabs(np.random.default_rng(seed), samples, 1):
+        conjugated = lambda s: _rk4(flow_u, _rk4(flow_u, x, s) @ av, -s)
+        fold.add(start, rel_norm(_central(conjugated, t) - x @ w, x @ w))
+        frame = np.stack([(x @ e).reshape(len(x), -1) for e in chart.basis], axis=-2)
+        fold.require(start, np.linalg.matrix_rank(frame) == chart.dim)
+    return fold.report("bracket", seed, rank_ok=not fold.failed, commutator=w)
 
 
 def multiplicative_function_check(chart, f, triples, tol=1e-12, seed=None, pointed=True):
     """Check f([x,y,z]) = f(x) - f(y) + f(z) on the given triples.
 
-    Returns the first failing triple as the witness.  Pointed charts also
-    require f(basepoint) = 0.
+    Products and coordinates are computed on stacks of triples; f gets the
+    coordinates of one point at a time.  Returns the first failing triple
+    as the witness.  Pointed charts also require f(basepoint) = 0.
     """
     fold = _Fold(tol)
     if pointed:
         base_val = float(f(chart.coords(chart.basepoint)))
         if not abs(base_val) <= tol:
-            fold.add(("basepoint", base_val), abs(base_val))
+            fold.add(0, abs(base_val), witness=lambda _: ("basepoint", base_val))
             return fold.report("mult-function", seed)
-    for x, y, z in triples:
-        lhs = float(f(chart.coords(mu(chart, x, y, z))))
-        rhs = float(f(chart.coords(x))) - float(f(chart.coords(y))) + float(f(chart.coords(z)))
-        fold.add((x, y, z, lhs, rhs), _rel(lhs, rhs))
+    for start, slab in slabs(triples):
+        x, y, z = (np.array([triple[i] for triple in slab]) for i in range(3))
+        cm, cx, cy, cz = (chart.coords(g) for g in (mu(chart, x, y, z), x, y, z))
+        lhs = np.array([float(f(c)) for c in cm])
+        rhs = np.array([float(f(a)) - float(f(b)) + float(f(c)) for a, b, c in zip(cx, cy, cz)])
+        fold.add(start, _rel(lhs, rhs), witness=lambda i: (*slab[i], float(lhs[i]), float(rhs[i])))
     return fold.report("mult-function", seed)
 
 
 def sample_triples(chart, samples, seed):
-    rng = np.random.default_rng(seed)
-    return [tuple(chart.sample(rng) for _ in range(3)) for _ in range(samples)]
+    return [triple for _, g, _ in chart.sample_slabs(np.random.default_rng(seed), samples, 3) for triple in zip(*g)]
 
 
 def multiplicative_vector_field_check(fieldrule, triples, t_grid=(-0.5, -0.1, 0.1, 0.5),
@@ -275,15 +265,34 @@ def multiplicative_vector_field_check(fieldrule, triples, t_grid=(-0.5, -0.1, 0.
 
     Integrates the flow of the field with fixed-step RK4 and checks
     Phi_t(x - y + z) = Phi_t(x) - Phi_t(y) + Phi_t(z) on every triple and
-    every t in the grid.  Returns the first failing (t, triple) witness.
+    every t in the grid.  Returns the first failing (t, triple) witness,
+    in triple-major order.
+
+    The points of a slab of triples flow together, so fieldrule gets a
+    (k, m) stack of points, one per column, and must return the field at
+    each column from that column alone: y, y * y, np.full_like(y, c),
+    np.sqrt(y - 1), A @ y and y[0] all do.  Its first values are checked
+    against single points, and a rule that breaks the contract raises
+    ValueError.
     """
-    fold = _Fold(tol)
-    for x, y, z in triples:
-        x, y, z = (np.asarray(p, dtype=float) for p in (x, y, z))
-        for t in t_grid:
-            lhs = _rk4(fieldrule, x - y + z, t, step)
-            rhs = _rk4(fieldrule, x, t, step) - _rk4(fieldrule, y, t, step) + _rk4(fieldrule, z, t, step)
-            fold.add((t, (x, y, z), lhs, rhs), rel_norm(lhs - rhs, lhs, rhs))
+    t_grid, fold = tuple(t_grid), _Fold(tol)
+    for start, slab in slabs(triples):
+        slab = [tuple(np.asarray(p, dtype=float) for p in triple) for triple in slab]
+        x, y, z = (np.stack([triple[i] for triple in slab], axis=-1) for i in range(3))
+        points, m, nt = np.concatenate([x - y + z, x, y, z], axis=-1), len(slab), len(t_grid)
+        try:
+            ok = np.allclose(np.broadcast_to(fieldrule(points), points.shape), np.transpose(
+                [np.broadcast_to(fieldrule(p), p.shape) for p in points.T]), rtol=1e-12, atol=1e-12, equal_nan=True)
+        except ValueError:
+            ok = False
+        if not ok:
+            raise ValueError("a field rule maps a (k, m) stack of points, one point per column, "
+                             "to the field at each column, computed from that column alone")
+        flows = [_rk4(fieldrule, points, t, step) for t in t_grid]
+        sides = [(f[:, :m], f[:, m:2 * m] - f[:, 2 * m:3 * m] + f[:, 3 * m:]) for f in flows]
+        res = [rel_norm(*(a.T[:, None, :] for a in (lhs - rhs, lhs, rhs))) for lhs, rhs in sides]
+        fold.add(start * nt, np.array(res).T, witness=lambda q: (
+            t_grid[q % nt], slab[q // nt], *(side[:, q // nt].copy() for side in sides[q % nt])))
     return fold.report("mult-field", seed)
 
 
@@ -294,8 +303,8 @@ def d_mu(chart, g, vs):
     """
     g1, g2, g3 = g
     v1, v2, v3 = vs
-    s23 = solve(g2, g3)
-    return v1 @ s23 - g1 @ solve(g2, v2) @ s23 + g1 @ solve(g2, v3)
+    s23, s2v2, s2v3 = solve(g2, np.stack(np.broadcast_arrays(g3, v2, v3)))
+    return v1 @ s23 - g1 @ s2v2 @ s23 + g1 @ s2v3
 
 
 def tangent_semiheap_check(chart, samples, seed, tol=1e-6, h=None):
@@ -308,85 +317,19 @@ def tangent_semiheap_check(chart, samples, seed, tol=1e-6, h=None):
     both components.
     """
     h = chart.h if h is None else h
-    rng = np.random.default_rng(seed)
     fold = _Fold(tol, "fd_residual", "para_residual")
-
-    def t_mu(*triple):
-        gs = [p[0] for p in triple]
-        return (mu(chart, *gs), d_mu(chart, gs, [p[1] for p in triple]))
-
-    for i in range(samples):
-        pts = [chart.sample(rng) for _ in range(5)]
-        vecs = [chart.random_tangent(g, rng) for g in pts]
+    t_mu = lambda *pairs: (mu(chart, *[p[0] for p in pairs]), d_mu(chart, *zip(*pairs)))
+    for start, pts, algebra in chart.sample_slabs(np.random.default_rng(seed), samples, 5, tangents=5):
+        vecs = pts @ algebra
         lifted = d_mu(chart, pts[:3], vecs[:3])
-        algs = [chart.project_algebra(solve(g, v)) for g, v in zip(pts[:3], vecs[:3])]
-
-        def curve_mu(t):
-            return mu(chart, *(g @ chart.exp_tangent(t * a) for g, a in zip(pts[:3], algs)))
-
-        fold.add(i, rel_norm(lifted - _central(curve_mu, h), lifted), part="fd_residual")
+        algs = chart.project_algebra(solve(pts[:3], vecs[:3]))
+        curve_mu = lambda t: mu(chart, *(pts[:3] @ chart.exp_tangent(t * algs)))
+        fold.add(start, rel_norm(lifted - _central(curve_mu, h), lifted), part="fd_residual")
         outer, middle, inner = _para_forms(t_mu, list(zip(pts, vecs)))
         for b in (middle, inner):
-            fold.add(i, rel_norm(outer[0] - b[0], outer[0]),
+            fold.add(start, rel_norm(outer[0] - b[0], outer[0]),
                      rel_norm(outer[1] - b[1], outer[1], b[1]), part="para_residual")
     return fold.report("tangent-lift", seed, **fold.parts)
-
-
-# --- polynomial scalar fields over chart coordinates ---------------------
-
-@dataclass(frozen=True)
-class PolynomialField:
-    """Sum of monomials over chart coordinates: {exponent tuple: coefficient}."""
-
-    terms: tuple   # ((exponents, coeff), ...) with exponents a tuple of coord indices
-
-    def __call__(self, coords):
-        total = 0.0
-        for exps, coeff in self.terms:
-            m = coeff
-            for i in exps:
-                m *= coords[i]
-            total += m
-        return total
-
-    def __add__(self, other):
-        return _merged((*self.terms, *other.terms))
-
-    def __mul__(self, other):
-        if np.isscalar(other):
-            return PolynomialField(tuple((e, c * other) for e, c in self.terms))
-        return _merged((tuple(sorted(e1 + e2)), c1 * c2) for e1, c1 in self.terms for e2, c2 in other.terms)
-
-    __rmul__ = __mul__
-
-    @classmethod
-    def constant(cls, c):
-        return cls((((), float(c)),))
-
-    @classmethod
-    def coordinate(cls, i):
-        return cls((((i,), 1.0),))
-
-    @classmethod
-    def linear(cls, coeffs):
-        return cls(tuple(((i,), float(c)) for i, c in enumerate(coeffs)))
-
-    @classmethod
-    def random(cls, n_coords, degree, rng, n_terms=6):
-        terms = []
-        for _ in range(n_terms):
-            d = int(rng.integers(0, degree + 1))
-            exps = tuple(sorted(int(rng.integers(0, n_coords)) for _ in range(d)))
-            terms.append((exps, float(rng.normal())))
-        return _merged(terms)
-
-
-def _merged(terms):
-    """The field of (exponents, coefficient) terms, like terms summed in order."""
-    merged = {}
-    for exps, coeff in terms:
-        merged[exps] = merged.get(exps, 0.0) + coeff
-    return PolynomialField(tuple(sorted(merged.items())))
 
 
 def coassociativity_check(chart, samples, seed, tol=1e-10, degree=3, fields=None):
@@ -407,14 +350,13 @@ def coassociativity_check(chart, samples, seed, tol=1e-10, degree=3, fields=None
         f1, f2 = fields
     a, b = float(rng.normal()), float(rng.normal())
     fold = _Fold(tol, "linear", "multiplicative", "unit", "para-coassoc")
-    for i in range(samples):
-        g = [chart.sample(rng) for _ in range(5)]
+    for start, g, _ in chart.sample_slabs(rng, samples, 5):
         cm = chart.coords(mu(chart, *g[:3]))
-        fold.add(i, _rel((a * f1 + b * f2)(cm), a * f1(cm) + b * f2(cm)), part="linear")
-        fold.add(i, _rel((f1 * f2)(cm), f1(cm) * f2(cm)), part="multiplicative")
-        fold.add(i, abs(PolynomialField.constant(1.0)(cm) - 1.0), part="unit")
+        fold.add(start, _rel((a * f1 + b * f2)(cm), a * f1(cm) + b * f2(cm)), part="linear")
+        fold.add(start, _rel((f1 * f2)(cm), f1(cm) * f2(cm)), part="multiplicative")
+        fold.add(start, abs(PolynomialField.constant(1.0)(cm) - 1.0), part="unit")
         outer, middle, inner = (f1(chart.coords(m)) for m in _para_forms(partial(mu, chart), g))
-        fold.add(i, _rel(outer, middle, inner), _rel(outer, inner, middle), part="para-coassoc")
+        fold.add(start, _rel(outer, middle, inner), _rel(outer, inner, middle), part="para-coassoc")
     return fold.report("coassociativity", seed, **fold.parts)
 
 
@@ -448,13 +390,14 @@ def exp_hom_check(samples, seed, tol=1e-12, span=3.0):
     """e^(x - y + z) = e^x (e^y)^-1 e^z on sampled real triples.
 
     The additive heap maps to the multiplicative heap with 0 -> 1, as a
-    pointed-heap homomorphism.
+    pointed-heap homomorphism; a basepoint not sent to 1 fails the report.
     """
     rng = np.random.default_rng(seed)
     fold = _Fold(tol)
+    fold.require(0, math.exp(0.0) == 1.0, witness=lambda _: "basepoint")
     for i in range(samples):
         x, y, z = rng.uniform(-span, span, size=3)
         lhs = math.exp(x - y + z)
         rhs = math.exp(x) * (1.0 / math.exp(y)) * math.exp(z)
         fold.add(i, abs(lhs - rhs) / max(1.0, abs(lhs)))
-    return fold.report("exp-hom", seed, basepoint_ok=math.exp(0.0) == 1.0)
+    return fold.report("exp-hom", seed, basepoint_ok=not fold.failed)

@@ -2,16 +2,19 @@
 
 Everything here is deliberately written with plain nested loops over
 tuples, sharing no code path with the library's vectorized checkers.  The
-numeric oracles reuse the library's ternary product and norms, but not its
-residual fold or its finite-difference and para-associativity helpers.
+numeric oracles are the per-sample loops the numeric layer ran before it
+computed on stacks of samples.  They carry their own scalar chart
+functions, ternary product, solve and norms, taking only the charts'
+data (names, bases, step sizes) from the library.
 """
 
+import math
 from itertools import permutations, product as iproduct
+from types import SimpleNamespace
 
 import numpy as np
 
-from semiheap.charts import rel_norm, solve
-from semiheap.numeric import PolynomialField, d_mu, mu
+from semiheap.numeric import PolynomialField
 
 
 def first_para_failure(flat, n):
@@ -248,60 +251,402 @@ def centric_nonclosure_loops(flat, n, max_results):
     return found
 
 
+# --- numeric: one sample at a time, with scalar chart functions --------------
+
+def scalar_solve(a, b):
+    s = np.linalg.svd(a, compute_uv=False) if np.isfinite(a).all() else None
+    if s is None or not (s[-1] > 0 and s[0] / s[-1] <= 1e10):
+        raise ValueError("matrix condition number exceeds 1e+10")
+    return np.linalg.solve(a, b)
+
+
+def scalar_rel_norm(delta, *refs):
+    scale = max([1.0] + [float(np.linalg.norm(r)) for r in refs])
+    return float(np.linalg.norm(delta)) / scale
+
+
+def _rel(a, b, *more):
+    return abs(a - b) / max(1.0, abs(a), abs(b), *map(abs, more))
+
+
+def _rodrigues(a):
+    w = np.array([a[2, 1], a[0, 2], a[1, 0]])
+    theta = float(np.linalg.norm(w))
+    if theta < 1e-12:
+        return np.eye(3) + a + 0.5 * (a @ a)
+    return np.eye(3) + (math.sin(theta) / theta) * a + ((1.0 - math.cos(theta)) / theta ** 2) * (a @ a)
+
+
+def _rot(theta):
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, -s], [s, c]])
+
+
+def _exp_upper_2(a):
+    p, q, b = float(a[0, 0]), float(a[1, 1]), float(a[0, 1])
+    ep, eq = math.exp(p), math.exp(q)
+    if abs(p - q) < 1e-8:
+        dd = ep * (1.0 + (q - p) / 2.0 + (q - p) ** 2 / 6.0)
+    else:
+        dd = eq * math.expm1(p - q) / (p - q)
+    return np.array([[ep, b * dd], [0.0, eq]])
+
+
+def scalar_chart(chart):
+    """The chart's functions on one matrix at a time, as the per-sample loops had them."""
+    name, d, basis = chart.name, chart.dim_matrix, chart.basis
+    n = d - 1
+
+    def orthogonal(g):
+        return scalar_rel_norm(g.T @ g - np.eye(d)) + abs(float(np.linalg.det(g)) - 1.0)
+
+    def translation(column):
+        g = np.eye(d)
+        g[:n, n] = column
+        return g
+
+    def project_translation(a):
+        out = np.zeros_like(a)
+        out[:n, n] = a[:n, n]
+        return out
+
+    def combination(coeff):
+        return sum(c * e for c, e in zip(coeff, basis))
+
+    def flat(g):
+        return g.reshape(-1)
+
+    skew = (lambda a: 0.5 * (a - a.T))
+    funcs = {
+        "so3": (orthogonal, lambda rng: _rodrigues(combination(rng.normal(size=3))), _rodrigues, flat, skew),
+        "so2": (orthogonal, lambda rng: _rot(float(rng.uniform(-math.pi, math.pi))),
+                lambda a: _rot(float(a[1, 0])), flat, skew),
+        "ut2": (lambda g: scalar_rel_norm(np.tril(g, -1), g),
+                lambda rng: np.array([[float(rng.uniform(0.5, 2.0)), float(rng.uniform(-1.0, 1.0))],
+                                      [0.0, float(rng.uniform(0.5, 2.0))]]),
+                _exp_upper_2, flat, np.triu),
+        "rx": (lambda g: 0.0 if abs(float(g[0, 0])) > 1e-300 else 1.0,
+               lambda rng: np.array([[float(rng.uniform(0.5, 3.0) * rng.choice([-1.0, 1.0]))]]),
+               lambda a: np.array([[math.exp(float(a[0, 0]))]]), flat, lambda a: a),
+    }
+    membership, sample, exp, coords, project = funcs.get(name, (
+        lambda g: scalar_rel_norm(g - translation(g[:n, n]), g),
+        lambda rng: translation(rng.uniform(-2.0, 2.0, size=n)),
+        lambda a: np.eye(d) + a, lambda g: g[:n, n].copy(), project_translation))
+    return SimpleNamespace(
+        name=name, basis=basis, dim=len(basis), basepoint=np.eye(d), h=chart.h, tol=chart.tol,
+        membership=membership, sample=sample, exp=exp, coords=coords, project=project,
+        random_tangent=lambda g, rng: g @ combination(rng.normal(scale=1.0, size=len(basis))))
+
+
+def scalar_mu(sc, g1, g2, g3):
+    for g in (g1, g2, g3):
+        if not sc.membership(g) <= 1e-12:
+            raise ValueError(f"input leaves the {sc.name} chart")
+    out = g1 @ scalar_solve(g2, g3)
+    if not sc.membership(out) <= 1e-12:
+        raise ValueError(f"ternary product left the {sc.name} chart")
+    return out
+
+
+def scalar_d_mu(g, vs):
+    g1, g2, g3 = g
+    v1, v2, v3 = vs
+    s23 = scalar_solve(g2, g3)
+    return v1 @ s23 - g1 @ scalar_solve(g2, v2) @ s23 + g1 @ scalar_solve(g2, v3)
+
+
+def _poly(f, coords):
+    total = 0.0
+    for exps, coeff in f.terms:
+        m = coeff
+        for i in exps:
+            m *= coords[i]
+        total += m
+    return total
+
+
+class _Worst:
+    """Worst residual (a NaN is the worst) and the first failing sample, one residual at a time."""
+
+    def __init__(self, tol=math.inf):
+        self.tol, self.worst, self.witness, self.failed = tol, 0.0, None, False
+
+    def add(self, sample, r):
+        r = float(r)
+        if self.witness is None and not r < self.tol:
+            self.witness = sample
+        self.worst = r if r > self.worst or r != r else self.worst
+        return r
+
+    def require(self, sample, ok):
+        if not ok:
+            self.failed = True
+            if self.witness is None:
+                self.witness = sample
+
+    def report(self, **extra):
+        return self.worst, bool(self.worst < self.tol) and not self.failed, self.witness, extra
+
+
+def _pushforward_fd(sc, x, y, z, v, h):
+    a = sc.project(scalar_solve(z, v))
+    curve = lambda t: x @ scalar_solve(y, z @ sc.exp(t * a))
+    return (curve(h) - curve(-h)) / (2.0 * h)
+
+
+def _para(op, g):
+    return (op(op(g[0], g[1], g[2]), g[3], g[4]),
+            op(g[0], op(g[3], g[2], g[1]), g[4]),
+            op(g[0], g[1], op(g[2], g[3], g[4])))
+
+
+def para_assoc_loops(chart, samples, seed, tol=None):
+    """(max_residual, passed, witness, extra) of check_para_associative_numeric."""
+    sc = scalar_chart(chart)
+    rng = np.random.default_rng(seed)
+    fold, membership = _Worst(chart.tol if tol is None else tol), _Worst()
+    for i in range(samples):
+        outer, middle, inner = _para(lambda a, b, c: scalar_mu(sc, a, b, c), [sc.sample(rng) for _ in range(5)])
+        fold.add(i, scalar_rel_norm(outer - middle, outer))
+        fold.add(i, scalar_rel_norm(outer - inner, outer))
+        membership.add(i, sc.membership(outer))
+    return fold.report(membership=membership.worst)
+
+
+def _dL_residual(sc, x, y, z, v, h):
+    a = scalar_solve(z, v)
+    if not scalar_rel_norm(a - sc.project(a), a) <= 1e-9:
+        raise ValueError("not tangent")
+    analytic = x @ scalar_solve(y, v)
+    return scalar_rel_norm(analytic - _pushforward_fd(sc, x, y, z, v, h), analytic)
+
+
+def pushforward_loops(chart, samples, seed, h=1e-3):
+    """(res_h, res_half, ratio) of pushforward_convergence."""
+    sc = scalar_chart(chart)
+    rng = np.random.default_rng(seed)
+    res_h, res_half = _Worst(), _Worst()
+    for i in range(samples):
+        x, y, z = (sc.sample(rng) for _ in range(3))
+        v = sc.random_tangent(z, rng)
+        res_h.add(i, _dL_residual(sc, x, y, z, v, h))
+        res_half.add(i, _dL_residual(sc, x, y, z, v, h / 2.0))
+    ratio = res_h.worst / res_half.worst if res_half.worst > 0 else float("inf")
+    return res_h.worst, res_half.worst, ratio
+
+
+def left_invariant_loops(chart, v, samples, seed, tol=1e-6):
+    sc = scalar_chart(chart)
+    rng = np.random.default_rng(seed)
+    fold = _Worst(tol)
+    for i in range(samples):
+        x, y, z = (sc.sample(rng) for _ in range(3))
+        target = scalar_mu(sc, x, y, z) @ v
+        fold.add(i, scalar_rel_norm(_pushforward_fd(sc, x, y, z, z @ v, sc.h) - target, target))
+    return fold.report()
+
+
+def group_vs_heap_loops(chart, v, samples, seed, tol=1e-6):
+    sc = scalar_chart(chart)
+    rng = np.random.default_rng(seed)
+    x0 = sc.basepoint
+    a = sc.project(scalar_solve(x0, v))
+    fold = _Worst(tol)
+    for i in range(samples):
+        x = sc.sample(rng)
+        fold.require(i, np.array_equal(x @ scalar_solve(x0, v), x @ v))
+        target = x @ a
+        fold.add(i, scalar_rel_norm(_pushforward_fd(sc, x, x0, x0, v, sc.h) - target, target))
+    return fold.report(exact=not fold.failed)
+
+
+def _rk4_loop(fieldrule, y0, t, step=1e-3):
+    y = np.array(y0, dtype=float, copy=True)
+    if t == 0.0:
+        return y
+    nsteps = max(1, int(math.ceil(abs(t) / step)))
+    h = t / nsteps
+    for _ in range(nsteps):
+        k1 = fieldrule(y)
+        k2 = fieldrule(y + 0.5 * h * k1)
+        k3 = fieldrule(y + 0.5 * h * k2)
+        k4 = fieldrule(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y
+
+
+def bracket_loops(chart, u, v, samples, seed, tol=1e-4, t=1e-3):
+    sc = scalar_chart(chart)
+    rng = np.random.default_rng(seed)
+    au, av = sc.project(u), sc.project(v)
+    w = au @ av - av @ au
+    flow_u = lambda y: y @ au
+    fold = _Worst(tol)
+    for i in range(samples):
+        x = sc.sample(rng)
+        conj = lambda s: _rk4_loop(flow_u, _rk4_loop(flow_u, x, s) @ av, -s)
+        fold.add(i, scalar_rel_norm((conj(t) - conj(-t)) / (2.0 * t) - x @ w, x @ w))
+        frame = np.stack([(x @ e).reshape(-1) for e in sc.basis])
+        fold.require(i, np.linalg.matrix_rank(frame) == sc.dim)
+    return fold.report(rank_ok=not fold.failed, commutator=w)
+
+
+def _tangent_sample(sc, rng, h):
+    """One sample of the tangent-lift check: its fd residual and its four para residuals."""
+    pts = [sc.sample(rng) for _ in range(5)]
+    vecs = [sc.random_tangent(g, rng) for g in pts]
+    lifted = scalar_d_mu(pts[:3], vecs[:3])
+    algs = [sc.project(scalar_solve(g, v)) for g, v in zip(pts[:3], vecs[:3])]
+
+    def curve_mu(t):
+        return scalar_mu(sc, *[g @ sc.exp(t * a) for g, a in zip(pts[:3], algs)])
+
+    fd = (curve_mu(h) - curve_mu(-h)) / (2.0 * h)
+
+    def t_mu(triple):
+        gs = [p[0] for p in triple]
+        return (scalar_mu(sc, *gs), scalar_d_mu(gs, [p[1] for p in triple]))
+
+    tp = list(zip(pts, vecs))
+    outer = t_mu([t_mu(tp[:3]), tp[3], tp[4]])
+    middle = t_mu([tp[0], t_mu([tp[3], tp[2], tp[1]]), tp[4]])
+    inner = t_mu([tp[0], tp[1], t_mu(tp[2:5])])
+    para = [r for b in (middle, inner)
+            for r in (scalar_rel_norm(outer[0] - b[0], outer[0]), scalar_rel_norm(outer[1] - b[1], outer[1], b[1]))]
+    return scalar_rel_norm(lifted - fd, lifted), para
+
+
+def tangent_loops(chart, samples, seed, tol=1e-6):
+    sc = scalar_chart(chart)
+    rng = np.random.default_rng(seed)
+    fold, fd, para = _Worst(tol), _Worst(), _Worst()
+    for i in range(samples):
+        r_fd, r_para = _tangent_sample(sc, rng, sc.h)
+        fold.add(i, fd.add(i, r_fd))
+        for r in r_para:
+            fold.add(i, para.add(i, r))
+    return fold.report(fd_residual=fd.worst, para_residual=para.worst)
+
+
 def tangent_residuals_loops(chart, samples, seed):
     """(fd, para) worst residuals of the tangent-lift check, with plain max folds.
 
-    The loop the numeric layer ran before its residual fold and shared
-    helpers; on finite residuals the two must agree to the bit.
+    On finite residuals these must agree with the check's extras to the bit.
     """
-    h = chart.h
+    sc = scalar_chart(chart)
     rng = np.random.default_rng(seed)
     worst_fd = worst_para = 0.0
     for _ in range(samples):
-        pts = [chart.sample(rng) for _ in range(5)]
-        vecs = [chart.random_tangent(g, rng) for g in pts]
-        lifted = d_mu(chart, pts[:3], vecs[:3])
-        algs = [chart.project_algebra(solve(g, v)) for g, v in zip(pts[:3], vecs[:3])]
-
-        def curve_mu(t):
-            return mu(chart, *[g @ chart.exp_tangent(t * a) for g, a in zip(pts[:3], algs)])
-
-        fd = (curve_mu(h) - curve_mu(-h)) / (2.0 * h)
-        worst_fd = max(worst_fd, rel_norm(lifted - fd, lifted))
-
-        def t_mu(triple):
-            gs = [p[0] for p in triple]
-            return (mu(chart, *gs), d_mu(chart, gs, [p[1] for p in triple]))
-
-        tp = list(zip(pts, vecs))
-        outer = t_mu([t_mu(tp[:3]), tp[3], tp[4]])
-        middle = t_mu([tp[0], t_mu([tp[3], tp[2], tp[1]]), tp[4]])
-        inner = t_mu([tp[0], tp[1], t_mu(tp[2:5])])
-        for a, b in ((outer, middle), (outer, inner)):
-            worst_para = max(worst_para, rel_norm(a[0] - b[0], a[0]), rel_norm(a[1] - b[1], a[1], b[1]))
+        r_fd, r_para = _tangent_sample(sc, rng, sc.h)
+        worst_fd, worst_para = max(worst_fd, r_fd), max(worst_para, *r_para)
     return worst_fd, worst_para
+
+
+def _coassoc_sample(sc, rng, f1, f2, a, b):
+    """The linear, multiplicative, unit and two para-coassoc residuals of one sample."""
+    g = [sc.sample(rng) for _ in range(5)]
+    cm = sc.coords(scalar_mu(sc, *g[:3]))
+    mu3 = lambda a_, b_, c_: scalar_mu(sc, a_, b_, c_)
+    outer, middle, inner = (_poly(f1, sc.coords(m)) for m in _para(mu3, g))
+    return (_rel(_poly(a * f1 + b * f2, cm), a * _poly(f1, cm) + b * _poly(f2, cm)),
+            _rel(_poly(f1 * f2, cm), _poly(f1, cm) * _poly(f2, cm)),
+            abs(_poly(PolynomialField.constant(1.0), cm) - 1.0),
+            (_rel(outer, middle, inner), _rel(outer, inner, middle)))
+
+
+def _coassoc_setup(sc, seed, degree, fields):
+    rng = np.random.default_rng(seed)
+    ncoords = sc.coords(sc.basepoint).shape[0]
+    if fields is None:
+        fields = (PolynomialField.random(ncoords, degree, rng), PolynomialField.random(ncoords, degree, rng))
+    return rng, fields, float(rng.normal()), float(rng.normal())
+
+
+def coassoc_loops(chart, samples, seed, tol=1e-10, degree=3, fields=None):
+    sc = scalar_chart(chart)
+    rng, (f1, f2), a, b = _coassoc_setup(sc, seed, degree, fields)
+    fold = _Worst(tol)
+    parts = {k: _Worst() for k in ("linear", "multiplicative", "unit", "para-coassoc")}
+    for i in range(samples):
+        lin, mult, unit, para = _coassoc_sample(sc, rng, f1, f2, a, b)
+        for part, rs in (("linear", (lin,)), ("multiplicative", (mult,)), ("unit", (unit,)), ("para-coassoc", para)):
+            for r in rs:
+                fold.add(i, parts[part].add(i, r))
+    return fold.report(**{k: w.worst for k, w in parts.items()})
 
 
 def coassociativity_residuals_loops(chart, samples, seed, degree=3):
     """The four worst residuals of the coassociativity check, with plain max folds."""
-    rng = np.random.default_rng(seed)
-    ncoords = chart.coords(chart.basepoint).shape[0]
-    f1 = PolynomialField.random(ncoords, degree, rng)
-    f2 = PolynomialField.random(ncoords, degree, rng)
-    a, b = float(rng.normal()), float(rng.normal())
+    sc = scalar_chart(chart)
+    rng, (f1, f2), a, b = _coassoc_setup(sc, seed, degree, None)
     worst = {"linear": 0.0, "multiplicative": 0.0, "unit": 0.0, "para-coassoc": 0.0}
     for _ in range(samples):
-        g = [chart.sample(rng) for _ in range(5)]
-        cm = chart.coords(mu(chart, *g[:3]))
-        lin_lhs, lin_rhs = (a * f1 + b * f2)(cm), a * f1(cm) + b * f2(cm)
-        worst["linear"] = max(worst["linear"], abs(lin_lhs - lin_rhs) / max(1.0, abs(lin_lhs), abs(lin_rhs)))
-        mult_lhs, mult_rhs = (f1 * f2)(cm), f1(cm) * f2(cm)
-        worst["multiplicative"] = max(worst["multiplicative"],
-                                      abs(mult_lhs - mult_rhs) / max(1.0, abs(mult_lhs), abs(mult_rhs)))
-        worst["unit"] = max(worst["unit"], abs(PolynomialField.constant(1.0)(cm) - 1.0))
-        outer = f1(chart.coords(mu(chart, mu(chart, g[0], g[1], g[2]), g[3], g[4])))
-        middle = f1(chart.coords(mu(chart, g[0], mu(chart, g[3], g[2], g[1]), g[4])))
-        inner = f1(chart.coords(mu(chart, g[0], g[1], mu(chart, g[2], g[3], g[4]))))
-        scale = max(1.0, abs(outer), abs(middle), abs(inner))
-        worst["para-coassoc"] = max(worst["para-coassoc"], abs(outer - middle) / scale, abs(outer - inner) / scale)
+        lin, mult, unit, para = _coassoc_sample(sc, rng, f1, f2, a, b)
+        worst["linear"] = max(worst["linear"], lin)
+        worst["multiplicative"] = max(worst["multiplicative"], mult)
+        worst["unit"] = max(worst["unit"], unit)
+        worst["para-coassoc"] = max(worst["para-coassoc"], *para)
     return worst
+
+
+def sample_triples_loops(chart, samples, seed):
+    sc = scalar_chart(chart)
+    rng = np.random.default_rng(seed)
+    return [tuple(sc.sample(rng) for _ in range(3)) for _ in range(samples)]
+
+
+def mult_function_loops(chart, f, triples, tol=1e-12, pointed=True):
+    sc = scalar_chart(chart)
+    value = (lambda c: _poly(f, c)) if isinstance(f, PolynomialField) else f
+    fold = _Worst(tol)
+    if pointed:
+        base_val = float(value(sc.coords(sc.basepoint)))
+        if not abs(base_val) <= tol:
+            fold.add(("basepoint", base_val), abs(base_val))
+            return fold.report()
+    for x, y, z in triples:
+        lhs = float(value(sc.coords(scalar_mu(sc, x, y, z))))
+        rhs = float(value(sc.coords(x))) - float(value(sc.coords(y))) + float(value(sc.coords(z)))
+        fold.add((x, y, z, lhs, rhs), _rel(lhs, rhs))
+    return fold.report()
+
+
+def mult_field_loops(fieldrule, triples, t_grid=(-0.5, -0.1, 0.1, 0.5), tol=1e-6):
+    fold = _Worst(tol)
+    for x, y, z in triples:
+        x, y, z = (np.asarray(p, dtype=float) for p in (x, y, z))
+        for t in t_grid:
+            lhs = _rk4_loop(fieldrule, x - y + z, t)
+            rhs = _rk4_loop(fieldrule, x, t) - _rk4_loop(fieldrule, y, t) + _rk4_loop(fieldrule, z, t)
+            fold.add((t, (x, y, z), lhs, rhs), scalar_rel_norm(lhs - rhs, lhs, rhs))
+    return fold.report()
+
+
+def euclidean_loops(n, samples, seed, tol=1e-12):
+    rng = np.random.default_rng(seed)
+    g = np.dot
+    fold = _Worst(tol)
+    for i in range(samples):
+        w, x, y, z, q = (rng.normal(size=n) for _ in range(5))
+        s1, s2, s3 = g(w, x) * g(y, z), g(w, x * g(y, z)), g(y, g(x, w) * z)
+        fold.add(i, abs(s1 - s2) / max(1.0, abs(s1)))
+        fold.add(i, abs(s1 - s3) / max(1.0, abs(s1)))
+        outer, middle, inner = _para(lambda a, b, c: a * g(b, c), [w, x, y, z, q])
+        fold.add(i, scalar_rel_norm(outer - middle, outer))
+        fold.add(i, scalar_rel_norm(outer - inner, outer))
+        v = rng.normal(size=n)
+        lhs, rhs = v * g(w, x) * g(y, z), v * g(w, x * g(y, z))
+        fold.add(i, scalar_rel_norm(lhs - rhs, lhs))
+    return fold.report()
+
+
+def exp_hom_loops(samples, seed, tol=1e-12, span=3.0):
+    rng = np.random.default_rng(seed)
+    fold = _Worst(tol)
+    for i in range(samples):
+        x, y, z = rng.uniform(-span, span, size=3)
+        lhs = math.exp(x - y + z)
+        rhs = math.exp(x) * (1.0 / math.exp(y)) * math.exp(z)
+        fold.add(i, abs(lhs - rhs) / max(1.0, abs(lhs)))
+    return fold.report(basepoint_ok=math.exp(0.0) == 1.0)

@@ -1,8 +1,11 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from semiheap import charts
 from semiheap.charts import bundled_charts, rel_norm, solve
 from semiheap.numeric import (
     PolynomialField,
@@ -24,6 +27,7 @@ from semiheap.numeric import (
     tangent_semiheap_check,
 )
 
+import oracles
 from oracles import coassociativity_residuals_loops, tangent_residuals_loops
 
 CHARTS = bundled_charts()
@@ -432,3 +436,167 @@ def test_tangent_and_coassoc_extras_match_plain_loops(name):
     r = coassociativity_check(chart, 20, 5)
     assert r.extra == coassociativity_residuals_loops(chart, 20, 5)
     assert r.max_residual == max(r.extra.values())
+
+
+# --- stacked checks against the per-sample loops ---------------------------
+
+ORACLE_SAMPLES = 8
+
+
+def _same(a, b):
+    """Equal to the bit: arrays by shape and entries (NaN equal to NaN), floats by value or both NaN."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.shape(a) == np.shape(b) and np.array_equal(a, b, equal_nan=True)
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, float) and math.isnan(a):
+        return isinstance(b, float) and math.isnan(b)
+    return a == b
+
+
+def _line_triples(seed, k=2):
+    rng = np.random.default_rng(seed)
+    return [tuple(rng.uniform(-0.8, 0.8, size=k) for _ in range(3)) for _ in range(ORACLE_SAMPLES)]
+
+
+def _coordinate_sum(chart):
+    return PolynomialField.linear([1.0] * chart.coords(chart.basepoint).shape[0])
+
+
+CHART_CHECKS = {
+    "para-assoc": (lambda c, s, **kw: check_para_associative_numeric(c, ORACLE_SAMPLES, s, **kw),
+                   lambda c, s, **kw: oracles.para_assoc_loops(c, ORACLE_SAMPLES, s, **kw)),
+    "left-invariant": (lambda c, s, **kw: left_invariant_field_check(c, c.basis[0], ORACLE_SAMPLES, s, **kw),
+                       lambda c, s, **kw: oracles.left_invariant_loops(c, c.basis[0], ORACLE_SAMPLES, s, **kw)),
+    "group-vs-heap": (lambda c, s, **kw: compare_group_vs_heap_invariance(c, c.basis[0], ORACLE_SAMPLES, s, **kw),
+                      lambda c, s, **kw: oracles.group_vs_heap_loops(c, c.basis[0], ORACLE_SAMPLES, s, **kw)),
+    "bracket": (lambda c, s, **kw: bracket_closure(c, c.basis[0], c.basis[-1], ORACLE_SAMPLES, s, **kw),
+                lambda c, s, **kw: oracles.bracket_loops(c, c.basis[0], c.basis[-1], ORACLE_SAMPLES, s, **kw)),
+    "tangent": (lambda c, s, **kw: tangent_semiheap_check(c, ORACLE_SAMPLES, s, **kw),
+                lambda c, s, **kw: oracles.tangent_loops(c, ORACLE_SAMPLES, s, **kw)),
+    "coassoc": (lambda c, s, **kw: coassociativity_check(c, ORACLE_SAMPLES, s, **kw),
+                lambda c, s, **kw: oracles.coassoc_loops(c, ORACLE_SAMPLES, s, **kw)),
+    "mult-function": (lambda c, s, **kw: multiplicative_function_check(
+                          c, _coordinate_sum(c), sample_triples(c, ORACLE_SAMPLES, s), **kw),
+                      lambda c, s, **kw: oracles.mult_function_loops(
+                          c, _coordinate_sum(c), oracles.sample_triples_loops(c, ORACLE_SAMPLES, s), **kw)),
+    "mult-function-square": (lambda c, s, **kw: multiplicative_function_check(
+                                 c, PolynomialField((((0, 0), 1.0),)), sample_triples(c, ORACLE_SAMPLES, s), **kw),
+                             lambda c, s, **kw: oracles.mult_function_loops(
+                                 c, PolynomialField((((0, 0), 1.0),)),
+                                 oracles.sample_triples_loops(c, ORACLE_SAMPLES, s), **kw)),
+}
+FREE_CHECKS = {
+    "mult-field": (lambda s, **kw: multiplicative_vector_field_check(lambda y: y * y, _line_triples(s), **kw),
+                   lambda s, **kw: oracles.mult_field_loops(lambda y: y * y, _line_triples(s), **kw)),
+    "euclidean": (lambda s, **kw: euclidean_semiheap_check(4, ORACLE_SAMPLES, s, **kw),
+                  lambda s, **kw: oracles.euclidean_loops(4, ORACLE_SAMPLES, s, **kw)),
+    "exp-hom": (lambda s, **kw: exp_hom_check(ORACLE_SAMPLES, s, **kw),
+                lambda s, **kw: oracles.exp_hom_loops(ORACLE_SAMPLES, s, **kw)),
+}
+
+
+def _assert_matches(report, loops):
+    max_residual, passed, witness, extra = loops
+    assert _same(report.max_residual, max_residual)
+    assert report.passed == passed
+    assert _same(report.witness, witness)
+    assert _same(report.extra, extra)
+
+
+@pytest.mark.parametrize("name", sorted(CHARTS))
+def test_chart_functions_on_stacks_match_scalar_oracles(name):
+    chart, sc = CHARTS[name], oracles.scalar_chart(CHARTS[name])
+    rng = np.random.default_rng(23)
+    g = np.array([[sc.sample(rng) for _ in range(32)] for _ in range(3)])
+    scales = np.repeat([1e-13, 1e-5, 0.5, 2.0], 8)[:, None, None]
+    a = np.array([sc.project(m) for m in rng.normal(size=(32,) + g.shape[2:])]) * scales
+    v = g[[1, 2, 0]] @ a
+    pairs = [
+        (chart.membership_residual(g[0]), [sc.membership(x) for x in g[0]]),
+        (chart.exp_tangent(a), [sc.exp(x) for x in a]),
+        (chart.coords(g[1]), [sc.coords(x) for x in g[1]]),
+        (chart.project_algebra(g[2]), [sc.project(x) for x in g[2]]),
+        (solve(g[0], g[1]), [oracles.scalar_solve(x, y) for x, y in zip(g[0], g[1])]),
+        (rel_norm(g[0] - g[1], g[2], v[0]), [oracles.scalar_rel_norm(x - y, z, w) for x, y, z, w in zip(*g, v[0])]),
+        (mu(chart, *g), [oracles.scalar_mu(sc, *t) for t in zip(*g)]),
+        (d_mu(chart, g, v), [oracles.scalar_d_mu(t, w) for t, w in zip(zip(*g), zip(*v))]),
+    ]
+    for stacked, each in pairs:
+        assert _same(stacked, np.array(each))
+
+
+@pytest.fixture
+def small_slabs(monkeypatch):
+    """Slabs of three samples, so a few samples already cross slab boundaries."""
+    monkeypatch.setattr(charts, "SLAB", 3)
+
+
+@pytest.mark.parametrize("tol", [None, 0.0])
+@pytest.mark.parametrize("seed", [3, 11])
+@pytest.mark.parametrize("check", sorted(CHART_CHECKS))
+@pytest.mark.parametrize("name", sorted(CHARTS))
+def test_stacked_checks_match_per_sample_loops(small_slabs, name, check, seed, tol):
+    kw = {} if tol is None else {"tol": tol}
+    stacked, loops = CHART_CHECKS[check]
+    _assert_matches(stacked(CHARTS[name], seed, **kw), loops(CHARTS[name], seed, **kw))
+
+
+@pytest.mark.parametrize("tol", [None, 0.0])
+@pytest.mark.parametrize("seed", [3, 11])
+@pytest.mark.parametrize("check", sorted(FREE_CHECKS))
+def test_stacked_chart_free_checks_match_per_sample_loops(small_slabs, check, seed, tol):
+    kw = {} if tol is None else {"tol": tol}
+    stacked, loops = FREE_CHECKS[check]
+    _assert_matches(stacked(seed, **kw), loops(seed, **kw))
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+@pytest.mark.parametrize("name", sorted(CHARTS))
+def test_stacked_samples_and_pushforward_match_per_sample_loops(small_slabs, name, seed):
+    chart, k = CHARTS[name], ORACLE_SAMPLES
+    assert _same(sample_triples(chart, k, seed), oracles.sample_triples_loops(chart, k, seed))
+    assert pushforward_convergence(chart, k, seed) == oracles.pushforward_loops(chart, k, seed)
+
+
+def test_rank_deficient_frame_fails_the_bracket():
+    so3 = CHARTS["so3"]
+    lx, _, lz = so3.basis
+    r = bracket_closure(dataclasses.replace(so3, basis=(lx, lx, lz)), lx, lz, 5, 1)
+    assert not r.passed and not r.extra["rank_ok"] and r.witness == 0
+    assert r.max_residual < r.tol
+
+
+@pytest.mark.parametrize("rule", [
+    lambda y: y, lambda y: y * y, lambda y: np.full_like(y, 0.7), lambda y: np.sqrt(y - 1.0),
+    lambda y: np.array([[0.5, -1.0], [2.0, 0.25]]) @ y, lambda y: y[0],
+])
+def test_field_rules_keeping_the_contract_match_single_point_flows(rule):
+    triples = _line_triples(5)
+    with np.errstate(invalid="ignore"):
+        r = multiplicative_vector_field_check(rule, triples, tol=0.5)
+        max_residual, passed, witness, _ = oracles.mult_field_loops(rule, triples, tol=0.5)
+    assert r.passed == passed and (r.witness is None) == (witness is None)
+    assert r.max_residual == pytest.approx(max_residual, rel=1e-9, abs=1e-15, nan_ok=True)
+
+
+@pytest.mark.parametrize("rule", [lambda y: y / np.linalg.norm(y), lambda y: y @ np.eye(2), lambda y: y.sum()])
+def test_field_rule_mixing_columns_is_refused(rule):
+    with pytest.raises(ValueError, match="one point per column"):
+        multiplicative_vector_field_check(rule, _line_triples(5))
+
+
+def test_para_assoc_memory_is_held_by_slabs():
+    chart = CHARTS["so3"]
+
+    def peak(samples):
+        tracemalloc.start()
+        try:
+            check_para_associative_numeric(chart, samples, 1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(20_000) <= 2 * peak(2_000)
