@@ -2,23 +2,50 @@
 
 Two independent pipelines produce semiheaps on a small carrier: a plain
 filter over every table, and a cell-by-cell backtracking search that
-prunes on the first violated para-associativity instance.  Their outputs
-must agree as sets; the test suite holds them to that.
+propagates the values its assigned cells force and prunes on the first
+contradiction.  Their outputs must agree as sets; the test suite holds
+them to that, and holds the search to a plain non-propagating
+backtracker for n <= 3.
 
-Heap enumeration is dual-routed as well: direct search against the set of
-heapifications of every group table on the carrier.  No count is
-hardcoded anywhere — every number in the tests was produced by one of
-these oracle routes and pinned as a regression value.
+Heap enumeration is dual-routed as well: direct search against the
+relabelings of the heapification of every group of the order in the
+bundled corpus.  No count is hardcoded anywhere — every number in the
+tests was produced by one of these oracle routes and pinned as a
+regression value.
 """
 
 import time
+from dataclasses import dataclass, fields
 from itertools import islice, permutations, product as iproduct
 
 import numpy as np
 
-from .core import _SLAB, FiniteSemiheap, TernaryTable, _product_slabs, verify_para_associative
+from .core import _SLAB, FiniteSemiheap, TernaryTable, verify_para_associative
 from .functors import BudgetExceeded, heapify
-from .groups import FiniteGroup, LawError
+from .groups import corpus
+
+# groups.corpus() holds every group up to this order; order 8 lacks Z4xZ2 and Z2^3.
+_CORPUS_COMPLETE_UP_TO = 7
+
+
+@dataclass
+class SearchStats:
+    """What a backtracking search did.
+
+    nodes counts the values tried at branch cells, rounds the propagation
+    passes over every para-associativity instance, forced the cells those
+    passes set, conflicts the propagations that met a contradiction, and
+    symmetry_prunes the nodes cut because a relabeling precedes them.
+    """
+
+    nodes: int = 0
+    rounds: int = 0
+    forced: int = 0
+    conflicts: int = 0
+    symmetry_prunes: int = 0
+
+    def __add__(self, other):
+        return SearchStats(*(getattr(self, f.name) + getattr(other, f.name) for f in fields(self)))
 
 
 class EnumerationResult(list):
@@ -26,27 +53,33 @@ class EnumerationResult(list):
 
     A partial result (budget ran out) is explicit: it still carries
     everything found, but `complete` is False and no count claim is made.
+    stats is the SearchStats of the backtracking search behind the result,
+    or None where no search ran.
     """
 
-    def __init__(self, items, complete):
+    def __init__(self, items, complete, stats=None):
         super().__init__(items)
         self.complete = complete
+        self.stats = stats
 
 
 def enumerate_semiheaps(n, up_to_iso=False, method="backtrack", budget=None, jobs=1):
     """All semiheap tables on {0..n-1}, in lexicographic table order.
 
     method "filter" scans every n^(n^3) table through the verifier;
-    "backtrack" fills the cube cell by cell, pruning inconsistent prefixes.
+    "backtrack" fills the cube cell by cell, propagating forced values and
+    pruning contradicted prefixes.
     With up_to_iso only canonical representatives are kept: the filter's
     tables go through iso_classes, while the backtracking search emits only
     tables that no relabeling precedes, so even a partial run's tables are
     distinct classes.  budget is a wall-clock limit in seconds; when it
     runs out the result is returned as found so far, flagged incomplete.
+    A backtracking result carries the search's stats.
     """
     if method not in ("filter", "backtrack"):
         raise ValueError(f"unknown method {method!r}")
     deadline = _deadline(budget)
+    stats = None
     if n == 0:                                  # complete even at budget 0
         tables, complete = [TernaryTable(np.zeros((0, 0, 0), dtype=np.int64))], True
     elif method == "filter":
@@ -55,8 +88,8 @@ def enumerate_semiheaps(n, up_to_iso=False, method="backtrack", budget=None, job
             classes = iso_classes(tables, deadline)
             return EnumerationResult(classes, complete and classes.complete)
     else:
-        tables, complete = _backtrack_pipeline(n, deadline, symmetry_break=up_to_iso, jobs=jobs)
-    return EnumerationResult([FiniteSemiheap(t, _certified=True) for t in tables], complete)
+        tables, complete, stats = _backtrack_pipeline(n, deadline, symmetry_break=up_to_iso, jobs=jobs)
+    return EnumerationResult([FiniteSemiheap(t, _certified=True) for t in tables], complete, stats)
 
 
 def iso_classes(tables, deadline=None):
@@ -112,8 +145,8 @@ def _backtrack_parallel(n, deadline, symmetry_break, jobs):
 
     with Pool(min(jobs, n)) as pool:
         blocks = pool.map(_backtrack_block, [(n, v, deadline, symmetry_break) for v in range(n)])
-    out = [t for block, _ in blocks for t in block]
-    return out, all(c for _, c in blocks)
+    out = [t for block, _, _ in blocks for t in block]
+    return out, all(c for _, c, _ in blocks), sum((st for _, _, st in blocks), SearchStats())
 
 
 def _backtrack_block(arg):
@@ -126,36 +159,45 @@ def _backtrack_block(arg):
 def _search(cube, deadline, symmetry_break=False):
     """Every para-associative completion of cube, in lexicographic order.
 
-    The unassigned (-1) cells are filled depth first in flat order; the
-    assigned ones are forced and must be consistent among themselves.  A
-    value stays while the cube is consistent and, with symmetry_break, no
-    relabeling of the prefix up to it is smaller; neither test can start
-    passing as cells fill, so the root needs neither.  Returns (tables,
-    complete), complete False once the _deadline has passed.
+    The assigned cells of cube are forced at the root.  Each node
+    propagates the values its assigned cells force (_propagate), then
+    branches on the first unassigned cell in flat order, values
+    ascending, so tables come out in lexicographic order.  With
+    symmetry_break a node is cut when a relabeling precedes its assigned
+    prefix; forced cells can lie past the last branch, so a complete table
+    is tested whole.  Returns (tables, complete, stats), complete False
+    once the _deadline has passed.
     """
     n = cube.shape[0]
-    flat = cube.reshape(-1)
-    free = np.flatnonzero(flat < 0)
+    flat = np.append(cube.reshape(-1), -1)      # index n^3 reads as unassigned
+    cells = flat[:-1]
+    stats = SearchStats()
     out = []
 
-    def fill(depth):
+    def visit():
         if _expired(deadline):
             return False
-        if depth == len(free):
-            out.append(TernaryTable(cube.copy()))
-            return True
-        cell = free[depth]
+        consistent, forced = _propagate(flat, n, stats)
+        free = np.flatnonzero(cells < 0)
+        cell = free[0] if free.size else n ** 3   # the assigned prefix ends here
         complete = True
-        for v in range(n):
-            flat[cell] = v
-            if _partial_consistent(cube, n) and not (symmetry_break and _prefix_dominated(cube, cell + 1, n)):
-                complete = fill(depth + 1)
-                if not complete:
+        if not consistent:
+            stats.conflicts += 1
+        elif symmetry_break and cell and _prefix_dominated(cells, cell, n):
+            stats.symmetry_prunes += 1
+        elif not free.size:
+            out.append(TernaryTable(cells.reshape(n, n, n).copy()))
+        else:
+            for v in range(n):
+                stats.nodes += 1
+                flat[cell] = v
+                if not (complete := visit()):
                     break
-        flat[cell] = -1
+            flat[cell] = -1
+        flat[forced] = -1
         return complete
 
-    return out, fill(0)
+    return out, visit(), stats
 
 
 # Per carrier size: the flat cube reads of every para-associativity instance.
@@ -183,23 +225,47 @@ def _quintuple_reads(n):
     return _QUINTUPLE_READS[n]
 
 
-def _partial_consistent(cube, n):
-    """False iff two evaluable forms of some para-associativity instance disagree.
+def _propagate(flat, n, stats):
+    """Force every cell the assigned cells of a partial flat cube determine.
 
-    -1 marks an unassigned cell; a form whose inner or outer cell is
-    unassigned is not evaluable.  Such a disagreement dooms every
-    completion of the prefix.
+    flat holds the n^3 cells, -1 where unassigned, and a -1 sentinel at
+    index n^3.  In each para-associativity instance a form evaluates when
+    its inner and outer cells are assigned; a form whose inner cell is
+    assigned but whose outer cell is not must take the value of an
+    evaluated form, so that outer cell is set.  Passes repeat until one
+    sets nothing.  Returns (consistent, forced): consistent is False when
+    two evaluated forms disagree or one pass forces a cell to two values,
+    which dooms every completion; forced holds every cell set, also after
+    a contradiction, for the caller to reset to -1.
     """
     rows, inner, scale, outer, advance = _quintuple_reads(n)
-    flat = np.append(cube.reshape(-1), -1)      # index n^3 reads as unassigned
-    for start in range(0, n, rows):
-        if start:
-            inner, outer = inner + advance[0], outer + advance[1]
-        a = flat[inner]
-        v = flat[np.where(a >= 0, a * scale + outer, n ** 3)]
-        if (v.max(axis=0) > v.min(axis=0, where=v >= 0, initial=n)).any():
-            return False
-    return True
+    forced, free = [np.zeros(0, dtype=np.int64)], np.count_nonzero(flat < 0)
+    consistent = progress = True
+    while consistent and progress:
+        progress = False
+        stats.rounds += 1
+        reads, outs = inner, outer
+        for start in range(0, n, rows):
+            if start:
+                reads, outs = reads + advance[0], outs + advance[1]
+            a = flat[reads]
+            at = np.where(a >= 0, a * scale + outs, n ** 3)
+            v = flat[at]
+            value = v.max(axis=0)               # every evaluated form's value, or -1
+            if (value > v.min(axis=0, where=v >= 0, initial=n)).any():
+                consistent = False
+                break
+            form, q = np.nonzero((v < 0) & (a >= 0) & (value >= 0))
+            if q.size:
+                cells, values = at[form, q], value[q]
+                flat[cells] = values
+                forced.append(cells)
+                progress = True
+                if (flat[cells] != values).any():   # a cell forced to two values
+                    consistent = False
+                    break
+    stats.forced += int(free - np.count_nonzero(flat < 0))
+    return consistent, np.concatenate(forced)
 
 
 def _prefix_dominated(cube, assigned, n):
@@ -232,65 +298,42 @@ def _precedes(rows, ref):
     return (at >= 0) & (at < ref[first])
 
 
-def all_group_tables(n):
-    """Every Cayley table on n labeled points that satisfies the group axioms.
-
-    Candidates are scanned in slabs in lexicographic order; only Latin
-    squares, whose rows and columns are permutations, go on to the group
-    constructor, which alone decides what is a group.
-    """
-    out = []
-    if n == 0:
-        return out
-    ar = np.arange(n)
-    for flat in _product_slabs(n, n * n, n * n):
-        mul = flat.reshape(-1, n, n)
-        latin = (np.sort(mul, axis=1) == ar[:, None]).all(axis=(1, 2)) & \
-                (np.sort(mul, axis=2) == ar).all(axis=(1, 2))
-        for m in mul[latin]:
-            try:
-                out.append(FiniteGroup.from_mul(m))
-            except LawError:
-                continue
-    return out
-
-
 def enumerate_heaps(n, up_to_iso=False, budget=None):
-    """All heap tables on {0..n-1}, checked against the group oracle.
+    """All heap tables on {0..n-1}, checked against the group route.
 
-    Route one searches tables directly, backtracking with the biunitary
-    cells pre-forced.  Route two heapifies every group table on the
-    carrier and deduplicates.  For n >= 1 the two routes must agree
+    Route one searches tables directly, with the biunitary cells forced at
+    the root.  Route two relabels the heapification of every group of
+    order n in groups.corpus().  For n >= 1 the two routes must agree
     exactly; n = 0 is the lone exception, since the empty semiheap is
-    vacuously a heap but arises from no group.  A partial (budget-limited)
-    result skips the cross-route assertion.
+    vacuously a heap but arises from no group.  The corpus holds every
+    group only up to order 7, so larger n is refused.  A partial
+    (budget-limited) result skips the cross-route check.
     """
     if n == 0:
         return EnumerationResult(
             [FiniteSemiheap(TernaryTable(np.zeros((0, 0, 0), dtype=np.int64)), _certified=True)], True)
-    if n >= 4:
-        raise BudgetExceeded(f"direct heap search not implemented for n={n}")
+    if n > _CORPUS_COMPLETE_UP_TO:
+        raise BudgetExceeded(f"heap census not supported for n={n}: the group corpus is complete "
+                             f"only up to order {_CORPUS_COMPLETE_UP_TO}")
     deadline = _deadline(budget)
-    direct, complete = _heap_search(n, deadline)
+    direct, complete, stats = _heap_search(n, deadline)
     if not complete:
-        return EnumerationResult(
-            [FiniteSemiheap(t, _certified=True) for t in direct], False)
-    via_groups = {}
-    for g in all_group_tables(n):
-        t = heapify(g).semiheap.table
-        via_groups[t.flat()] = t
-    direct_keys = {t.flat() for t in direct}
-    if direct_keys != set(via_groups):
-        raise AssertionError("direct heap search and the group oracle must produce the same tables")
-    tables = [TernaryTable.from_flat(n, flat) for flat in sorted(direct_keys)]
+        return EnumerationResult([FiniteSemiheap(t, _certified=True) for t in direct], False, stats)
+    via_groups = set()
+    for g in corpus():
+        if g.n == n:
+            for rows in _relabelings(heapify(g).semiheap.table.entries.reshape(-1), n, n ** 3):
+                via_groups.update(map(tuple, rows.tolist()))
+    if {t.flat() for t in direct} != via_groups:
+        raise AssertionError("direct heap search and the group route must produce the same tables")
     if up_to_iso:
-        return iso_classes(tables, deadline)
-    return EnumerationResult([FiniteSemiheap(t, _certified=True) for t in tables], True)
+        classes = iso_classes(direct, deadline)
+        return EnumerationResult(classes, classes.complete, stats)
+    return EnumerationResult([FiniteSemiheap(t, _certified=True) for t in direct], True, stats)
 
 
 def _heap_search(n, deadline):
-    # Biunitarity forces the cells (y,x,x) = y and (x,x,y) = y; at n = 3
-    # only the 12 cells with pairwise-distinct middle patterns remain.
+    # Biunitarity forces the cells (y,x,x) = y and (x,x,y) = y.
     cube = np.full((n, n, n), -1, dtype=np.int64)
     x, y = np.indices((n, n))
     cube[y, x, x] = y

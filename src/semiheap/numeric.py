@@ -338,7 +338,8 @@ def coassociativity_check(chart, samples, seed, tol=1e-10, degree=3, fields=None
     With Delta f = f . mu: linearity, multiplicativity over products of
     functions, preservation of the unit, and agreement of the three
     para-coassociative composites on sampled quintuples.  fields may
-    supply an explicit (f1, f2) pair; by default two random polynomials
+    supply an explicit (f1, f2) pair, reading only the chart's
+    coordinates (ValueError otherwise); by default two random polynomials
     of the given degree are drawn from the seed.
     """
     rng = np.random.default_rng(seed)
@@ -348,6 +349,11 @@ def coassociativity_check(chart, samples, seed, tol=1e-10, degree=3, fields=None
         f2 = PolynomialField.random(ncoords, degree, rng)
     else:
         f1, f2 = fields
+        for k, f in enumerate(fields):
+            top = max((i for exps, _ in f.terms for i in exps), default=-1)
+            if top >= ncoords:
+                raise ValueError(f"fields[{k}] reads coordinate {top}, but chart {chart.name} "
+                                 f"has {ncoords} coordinates")
     a, b = float(rng.normal()), float(rng.normal())
     fold = _Fold(tol, "linear", "multiplicative", "unit", "para-coassoc")
     for start, g, _ in chart.sample_slabs(rng, samples, 5):

@@ -5,7 +5,9 @@ tuples, sharing no code path with the library's vectorized checkers.  The
 numeric oracles are the per-sample loops the numeric layer ran before it
 computed on stacks of samples.  They carry their own scalar chart
 functions, ternary product, solve and norms, taking only the charts'
-data (names, bases, step sizes) from the library.
+data (names, bases, step sizes) from the library.  all_group_tables, the
+group route of the heap census for n <= 3, is the exception: it scans
+candidate tables in slabs, and a test holds it to a plain loop.
 """
 
 import math
@@ -14,6 +16,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from semiheap.core import _product_slabs
+from semiheap.groups import FiniteGroup, LawError
 from semiheap.numeric import PolynomialField
 
 
@@ -201,6 +205,85 @@ def prefix_dominated_loops(flat, assigned, n):
             if perm[src] > flat[pos]:
                 break
     return False
+
+
+def propagate_loops(flat, n):
+    """The forced-value fixpoint of a partial flat table, or None on a contradiction.
+
+    -1 marks an unassigned cell.  In each quintuple a form is evaluable
+    when its inner and outer cells are assigned.  When a form evaluates to
+    e, every form whose inner cell is assigned but whose outer cell is not
+    has that outer cell set to e at once; scans repeat until one sets
+    nothing.  Two evaluable forms that disagree are a contradiction.
+    """
+    flat = list(flat)
+    changed = True
+    while changed:
+        changed = False
+        for x1, x2, x3, x4, x5 in iproduct(range(n), repeat=5):
+            forms = (((x1 * n + x2) * n + x3, lambda a: (a * n + x4) * n + x5),
+                     ((x4 * n + x3) * n + x2, lambda b: (x1 * n + b) * n + x5),
+                     ((x3 * n + x4) * n + x5, lambda c: (x1 * n + x2) * n + c))
+            outers = [outer(flat[inner]) for inner, outer in forms if flat[inner] >= 0]
+            values = {flat[c] for c in outers if flat[c] >= 0}
+            if len(values) > 1:
+                return None
+            for c in outers:
+                if values and flat[c] < 0:
+                    flat[c] = next(iter(values))
+                    changed = True
+    return tuple(flat)
+
+
+def backtrack_loops(flat, n, symmetry_break=False):
+    """Every para-associative completion of a partial flat table, in lexicographic order.
+
+    The plain search without propagation: the unassigned (-1) cells are
+    filled in flat order, values ascending, and a value stays while the
+    partial table is consistent and, with symmetry_break, no relabeling
+    precedes the prefix up to it.
+    """
+    flat = list(flat)
+    free = [i for i, v in enumerate(flat) if v < 0]
+    out = []
+
+    def fill(depth):
+        if depth == len(free):
+            out.append(tuple(flat))
+            return
+        cell = free[depth]
+        for v in range(n):
+            flat[cell] = v
+            if partial_consistent_loops(flat, n) and \
+                    not (symmetry_break and prefix_dominated_loops(flat, cell + 1, n)):
+                fill(depth + 1)
+        flat[cell] = -1
+
+    fill(0)
+    return out
+
+
+def all_group_tables(n):
+    """Every Cayley table on n labeled points that satisfies the group axioms.
+
+    Candidates are scanned in slabs in lexicographic order; only Latin
+    squares, whose rows and columns are permutations, go on to the group
+    constructor, which alone decides what is a group.
+    """
+    out = []
+    if n == 0:
+        return out
+    ar = np.arange(n)
+    for flat in _product_slabs(n, n * n, n * n):
+        mul = flat.reshape(-1, n, n)
+        latin = (np.sort(mul, axis=1) == ar[:, None]).all(axis=(1, 2)) & \
+                (np.sort(mul, axis=2) == ar).all(axis=(1, 2))
+        for m in mul[latin]:
+            try:
+                out.append(FiniteGroup.from_mul(m))
+            except LawError:
+                continue
+    return out
 
 
 def product_loops(flat, n, flat2, n2):

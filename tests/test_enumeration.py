@@ -1,4 +1,6 @@
 import time
+from itertools import permutations
+from math import factorial
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ import pytest
 from semiheap import enumeration, functors, groups
 from semiheap.core import TernaryTable, is_heap, verify_para_associative
 from semiheap.enumeration import (
-    all_group_tables,
+    SearchStats,
     are_isomorphic,
     canonical_form,
     enumerate_heaps,
@@ -15,7 +17,7 @@ from semiheap.enumeration import (
 )
 from semiheap.functors import BudgetExceeded
 
-from oracles import semiheap_tables_brute
+from oracles import all_group_tables, semiheap_tables_brute
 
 
 def test_counts_n0_n1():
@@ -70,13 +72,35 @@ def test_heap_search_matches_filtered_semiheaps(n):
     assert [s.table.flat() for s in enumerate_heaps(n)] == filtered
 
 
-@pytest.mark.parametrize("n, calls", [(1, 0), (2, 4), (3, 39)])
-def test_heap_consistency_calls_pinned(monkeypatch, n, calls):
-    seen = []
-    real = enumeration._partial_consistent
-    monkeypatch.setattr(enumeration, "_partial_consistent", lambda cube, k: seen.append(1) or real(cube, k))
-    assert len(enumerate_heaps(n)) == 1
-    assert len(seen) == calls
+# Propagation rounds of the heap search, and the whole search tree.
+HEAP_SEARCH_STATS = {
+    1: SearchStats(nodes=0, rounds=1, forced=0, conflicts=0, symmetry_prunes=0),
+    2: SearchStats(nodes=2, rounds=4, forced=1, conflicts=1, symmetry_prunes=0),
+    3: SearchStats(nodes=9, rounds=13, forced=11, conflicts=6, symmetry_prunes=0),
+}
+
+
+@pytest.mark.parametrize("n, rounds", [(n, stats.rounds) for n, stats in HEAP_SEARCH_STATS.items()])
+def test_heap_consistency_calls_pinned(n, rounds):
+    heaps = enumerate_heaps(n)
+    assert len(heaps) == 1
+    assert heaps.stats.rounds == rounds and heaps.stats == HEAP_SEARCH_STATS[n]
+
+
+def _group_automorphisms(g):
+    mul = np.asarray(g.mul)
+    return sum((np.array(p)[mul] == mul[np.ix_(p, p)]).all() for p in permutations(range(g.n)))
+
+
+@pytest.mark.parametrize("n, count", [(1, 1), (2, 1), (3, 1), (4, 4), (5, 6), (6, 80)])
+def test_heap_census_counts_heaps_by_group_automorphisms(corpus, n, count):
+    # The labeled heaps of a group G number (n-1)!/|Aut G|: its n!
+    # relabelings over the holomorph of G, of order n |Aut G|.
+    predicted = sum(factorial(n - 1) // _group_automorphisms(g) for g in corpus if g.n == n)
+    heaps = enumerate_heaps(n)
+    flats = [s.table.flat() for s in heaps]
+    assert heaps.complete and len(flats) == predicted == count
+    assert flats == sorted(set(flats)) and all(is_heap(s) for s in heaps)
 
 
 def test_up_to_iso_counts():
@@ -133,9 +157,9 @@ def test_budget_exhaustion_reports_partial():
     assert heaps.complete is False
     for found in (enumerate_semiheaps(3, budget=0.0), enumerate_heaps(3, budget=0.0)):
         assert list(found) == [] and found.complete is False
-    # n=4+ direct heap search is out of scope: explicit refusal
-    with pytest.raises(BudgetExceeded):
-        enumerate_heaps(4)
+    # The group corpus lacks Z4xZ2 and Z2^3: n=8 is refused
+    with pytest.raises(BudgetExceeded, match="not supported"):
+        enumerate_heaps(8)
 
 
 def test_parallel_blocks_share_one_deadline(monkeypatch):

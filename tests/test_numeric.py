@@ -280,6 +280,12 @@ def test_coassociativity_explicit_coordinate_fields():
     assert r.passed
 
 
+def test_coassociativity_rejects_fields_beyond_the_chart():
+    pair = (PolynomialField.coordinate(0), PolynomialField.linear([1.0, 2.0]))
+    with pytest.raises(ValueError, match=r"fields\[1\] reads coordinate 1, but chart r1 has 1 coordinates"):
+        coassociativity_check(CHARTS["r1"], 5, 1, fields=pair)
+
+
 def test_coassociativity_so3_and_r3():
     for name in ("so3", "r3"):
         r = coassociativity_check(CHARTS[name], 100, 42)

@@ -1,6 +1,6 @@
 """The slabbed search layer against loop oracles.
 
-Hom-set classification, partial-cube consistency, group-table scans and
+Hom-set classification, partial-cube propagation, group-table scans and
 the centric-closure search each classify many candidates per array
 operation; these tests hold them to plain loops, in order and type.
 """
@@ -18,20 +18,23 @@ import pytest
 
 import semiheap
 from oracles import (
+    all_group_tables,
+    backtrack_loops,
     canonical_loops,
     centric_nonclosure_loops,
     fully_faithful_loops,
     partial_consistent_loops,
     prefix_dominated_loops,
+    propagate_loops,
     relabel_loops,
 )
 from semiheap import enumeration
 from semiheap.core import _SLAB, TernaryTable, _product_slabs
 from semiheap.enumeration import (
-    _partial_consistent,
+    SearchStats,
+    _propagate,
     _relabelings,
     _prefix_dominated,
-    all_group_tables,
     canonical_form,
     enumerate_heaps,
     enumerate_semiheaps,
@@ -49,9 +52,22 @@ def test_product_slabs_follow_itertools_product():
         assert got == list(iproduct(range(base), repeat=length))
 
 
+def _propagated(cube, n):
+    """Propagate a copy of cube: (consistent, the cube reached, forced cells), checking the undo."""
+    flat = np.append(cube.reshape(-1), -1)
+    consistent, forced = _propagate(flat, n, SearchStats())
+    reached = flat[:-1].copy()
+    flat[forced] = -1
+    assert (flat[:-1] == cube.reshape(-1)).all() and flat[-1] == -1
+    return consistent, reached, forced
+
+
 def test_partial_consistent_matches_loops_on_random_partial_cubes():
+    # Propagation meets a contradiction exactly when the loop oracle's
+    # fixpoint does, and otherwise reaches the same cube; a cube whose
+    # evaluable forms already disagree is always a contradiction.
     rng = np.random.default_rng(20221)
-    verdicts = set()
+    verdicts, forcing = set(), set()
     for trial in range(1200):
         n = 1 + trial % 4
         cube = rng.integers(0, n, size=(n, n, n))
@@ -59,10 +75,17 @@ def test_partial_consistent_matches_loops_on_random_partial_cubes():
         flat[int(rng.integers(0, n ** 3 + 1)):] = -1           # a backtracking prefix
         if trial % 3:
             flat[rng.random(n ** 3) < rng.random()] = -1       # and scattered holes
-        want = partial_consistent_loops(flat.tolist(), n)
-        assert _partial_consistent(cube, n) == want, (n, flat.tolist())
-        verdicts.add((n, want))
+        want = propagate_loops(flat.tolist(), n)
+        consistent, reached, forced = _propagated(cube, n)
+        assert consistent == (want is not None), (n, flat.tolist())
+        if consistent:
+            assert tuple(reached.tolist()) == want
+        if not partial_consistent_loops(flat.tolist(), n):
+            assert not consistent
+        verdicts.add((n, consistent))
+        forcing.add((n, consistent, forced.size > 0))
     assert verdicts == {(n, v) for n in (2, 3, 4) for v in (True, False)} | {(1, True)}
+    assert {(n, v, True) for n in (2, 3, 4) for v in (True, False)} <= forcing
 
 
 def test_partial_consistent_reads_every_slab():
@@ -78,8 +101,51 @@ def test_partial_consistent_reads_every_slab():
     holes = heap.copy()
     holes.reshape(-1)[np.random.default_rng(7).random(n ** 3) < 0.5] = -1
     for cube in (heap, last_row, bad_row, holes):
-        assert _partial_consistent(cube, n) == partial_consistent_loops(cube.reshape(-1).tolist(), n)
-    assert _partial_consistent(heap, n) and not _partial_consistent(bad_row, n)
+        consistent, reached, _ = _propagated(cube, n)
+        want = propagate_loops(cube.reshape(-1).tolist(), n)
+        assert consistent == (want is not None)
+        assert not consistent or tuple(reached.tolist()) == want
+    assert _propagated(heap, n)[0] and not _propagated(bad_row, n)[0]
+    assert (_propagated(holes, n)[1] == heap.reshape(-1)).all()
+
+
+def test_propagation_never_contradicts_the_table():
+    # Every value forced below a prefix of a semiheap is that semiheap's own.
+    rng = np.random.default_rng(20231)
+    forced_cells = 0
+    for s in enumerate_semiheaps(3):
+        table = s.table.entries.reshape(-1)
+        for assigned in rng.integers(0, 28, size=4):
+            cube = table.copy()
+            cube[assigned:] = -1
+            consistent, reached, forced = _propagated(cube, 3)
+            assert consistent and (reached[reached >= 0] == table[reached >= 0]).all()
+            forced_cells += forced.size
+    assert forced_cells > 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_search_matches_plain_backtracker(n):
+    # The same tables in the same order as the search without propagation.
+    for up_to_iso in (False, True):
+        want = backtrack_loops([-1] * n ** 3, n, symmetry_break=up_to_iso)
+        assert [s.table.flat() for s in enumerate_semiheaps(n, up_to_iso=up_to_iso)] == want
+    x, y = np.indices((n, n))
+    biunitary = np.full((n, n, n), -1)
+    biunitary[y, x, x] = y
+    biunitary[x, x, y] = y
+    assert [s.table.flat() for s in enumerate_heaps(n)] == backtrack_loops(biunitary.reshape(-1).tolist(), n)
+
+
+def test_n4_census_up_to_iso():
+    # 416 classes, each its own canonical form; orbit-stabilizer gives the
+    # labeled count 7,692 from their automorphism groups.
+    classes = enumerate_semiheaps(4, up_to_iso=True)
+    flats = [s.table.flat() for s in classes]
+    assert classes.complete and len(flats) == 416 and flats == sorted(set(flats))
+    assert all(canonical_form(s.table).flat() == f for s, f in zip(classes, flats))
+    autos = [sum(relabel(s.table, p).flat() == f for p in permutations(range(4))) for s, f in zip(classes, flats)]
+    assert sum(24 // a for a in autos) == 7692
 
 
 def test_canonical_form_matches_loops():
@@ -175,16 +241,14 @@ def test_all_group_tables_matches_constructor_on_every_table():
         assert [g.key() for g in all_group_tables(n)] == [g.key() for g in brute]
 
 
-def test_consistency_calls_pinned_for_n3(monkeypatch):
-    # The search tree is unchanged: only the cost of each node is.
-    calls = []
-    real = enumeration._partial_consistent
-    monkeypatch.setattr(enumeration, "_partial_consistent", lambda cube, n: calls.append(1) or real(cube, n))
-    assert len(enumerate_semiheaps(3)) == 135
-    assert len(calls) == 8532
-    calls.clear()
-    assert len(enumerate_semiheaps(3, up_to_iso=True)) == 31
-    assert len(calls) == 3453
+def test_consistency_calls_pinned_for_n3():
+    # The propagating search tree, counted by the search itself.
+    labeled = enumerate_semiheaps(3)
+    assert len(labeled) == 135
+    assert labeled.stats == SearchStats(nodes=780, rounds=1155, forced=1318, conflicts=386, symmetry_prunes=0)
+    iso = enumerate_semiheaps(3, up_to_iso=True)
+    assert len(iso) == 31
+    assert iso.stats == SearchStats(nodes=309, rounds=464, forced=592, conflicts=142, symmetry_prunes=34)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -207,9 +271,10 @@ def test_iso_classes_are_first_seen_canonical_forms(n, enumerate_fn):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_budgeted_up_to_iso_search_keeps_its_classes(jobs):
-    # The lex-leader test at the last cell makes every table the search
-    # emits canonical, so a run cut by its budget still returns classes.
-    found = enumerate_semiheaps(4, up_to_iso=True, budget=0.5, jobs=jobs)
+    # The lex-leader test on every complete table makes every table the
+    # search emits canonical, so a run cut by its budget still returns
+    # classes.  n = 5, since the n = 4 census completes in about a second.
+    found = enumerate_semiheaps(5, up_to_iso=True, budget=0.5, jobs=jobs)
     flats = [s.table.flat() for s in found]
     assert not found.complete and len(flats) > 0
     assert flats == sorted(set(flats))
@@ -250,7 +315,7 @@ cases = [
     (functors, "is_heap", lambda s: False, lambda: functors.heapify(groups.cyclic(2))),
     (functors.FullyFaithfulReport, "bijective", property(lambda r: False),
      lambda: functors.check_fully_faithful(groups.cyclic(2), groups.cyclic(2))),
-    (enumeration, "all_group_tables", lambda n: [], lambda: enumeration.enumerate_heaps(2)),
+    (enumeration, "corpus", lambda: [], lambda: enumeration.enumerate_heaps(2)),
     (bundles, "verify_bundle", lambda b: "broken", lambda: bundles.trivial_bundle(1, trivial.structure)),
     (bundles, "is_homomorphism", lambda *a: False, lambda: bundles.fiber_semiheap(two_charts, 0, 0)),
     (bundles, "verify_bundle", lambda b: "broken", lambda: bundles.heapify_principal(principal)),
@@ -278,6 +343,6 @@ def test_search_invariants_hold_under_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", INVARIANTS], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["debug False", "is_heap raised", "bijective raised",
-                                        "all_group_tables raised", "verify_bundle raised",
+                                        "corpus raised", "verify_bundle raised",
                                         "is_homomorphism raised", "verify_bundle raised",
                                         "verify_bundle_hom raised", "left_invariant_field raised"]
