@@ -115,6 +115,9 @@ def main(argv=None):
     except functors.BudgetExceeded as exc:
         print(f"error budget {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except enumeration.Unsupported as exc:
+        print(f"error unsupported {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def _read_input(args):

@@ -113,22 +113,6 @@ def _first_disagreement(rows, row_size, *forms):
     return None
 
 
-def _product_slabs(base, length, width):
-    """Every tuple of range(base)^length, in itertools.product order.
-
-    Yields (K, length) int64 arrays of _SLAB // width tuples (at least one),
-    so a check that spends width elements per tuple stays within a slab.
-    """
-    total = base ** length
-    step = max(1, _SLAB // max(width, 1))
-    for start in range(0, total, step):
-        k = np.arange(start, min(start + step, total))
-        out = np.empty((k.size, length), dtype=np.int64)
-        for j in range(length - 1, -1, -1):
-            k, out[:, j] = np.divmod(k, base)
-        yield out
-
-
 def verify_para_associative(table):
     """Check the three-way identity over all n^5 quintuples.
 

@@ -21,11 +21,15 @@ from itertools import islice, permutations, product as iproduct
 import numpy as np
 
 from .core import _SLAB, FiniteSemiheap, TernaryTable, verify_para_associative
-from .functors import BudgetExceeded, heapify
+from .functors import heapify
 from .groups import corpus
 
 # groups.corpus() holds every group up to this order; order 8 lacks Z4xZ2 and Z2^3.
 _CORPUS_COMPLETE_UP_TO = 7
+
+
+class Unsupported(ValueError):
+    """Raised for a census this program declines by design, whatever the budget."""
 
 
 @dataclass
@@ -87,25 +91,32 @@ def enumerate_semiheaps(n, up_to_iso=False, method="backtrack", budget=None, job
         if up_to_iso:
             classes = iso_classes(tables, deadline)
             return EnumerationResult(classes, complete and classes.complete)
+    elif jobs > 1:
+        tables, complete, stats = _backtrack_parallel(n, deadline, up_to_iso, jobs)
     else:
-        tables, complete, stats = _backtrack_pipeline(n, deadline, symmetry_break=up_to_iso, jobs=jobs)
+        tables, complete, stats = _search(np.full((n, n, n), -1, dtype=np.int64), deadline, up_to_iso)
     return EnumerationResult([FiniteSemiheap(t, _certified=True) for t in tables], complete, stats)
 
 
 def iso_classes(tables, deadline=None):
     """The canonical form of each isomorphism class among tables, in order of first appearance.
 
-    For tables in lexicographic order the first member seen of a complete
-    class is its canonical form.  deadline is a time.time() reading; once
-    it has passed, the classes found so far are returned, flagged incomplete.
+    A table in no orbit seen so far starts a class: canonical_form gathers
+    its orbit once, and the later tables among the orbit's rows are
+    skipped.  For tables in lexicographic order the first member seen of
+    a complete class is its canonical form.  deadline is a time.time()
+    reading; once it has passed, the classes found so far are returned,
+    flagged incomplete.
     """
-    keep, seen = [], set()
+    tables = list(tables)
+    # int8 keys of the input tables only (values < 128 wherever n! is in reach)
+    unseen, keep = {bytes(t.entries.astype(np.int8)) for t in tables}, []
     for t in tables:
-        c = canonical_form(t, deadline)
-        if c is None:
-            return EnumerationResult(keep, False)
-        if c.flat() not in seen:
-            seen.add(c.flat())
+        if (key := bytes(t.entries.astype(np.int8))) in unseen:
+            unseen.discard(key)                 # for n <= 1 the table is its orbit
+            c = canonical_form(t, deadline, lambda rows: unseen.difference_update(map(bytes, rows.astype(np.int8))))
+            if c is None:
+                return EnumerationResult(keep, False)
             keep.append(FiniteSemiheap(c, _certified=True))
     return EnumerationResult(keep, True)
 
@@ -129,12 +140,6 @@ def _filter_pipeline(n, deadline):
         if verify_para_associative(t) is None:
             out.append(t)
     return out, True
-
-
-def _backtrack_pipeline(n, deadline, symmetry_break=False, jobs=1):
-    if jobs > 1:
-        return _backtrack_parallel(n, deadline, symmetry_break, jobs)
-    return _search(np.full((n, n, n), -1, dtype=np.int64), deadline, symmetry_break)
 
 
 def _backtrack_parallel(n, deadline, symmetry_break, jobs):
@@ -306,17 +311,21 @@ def enumerate_heaps(n, up_to_iso=False, budget=None):
     order n in groups.corpus().  For n >= 1 the two routes must agree
     exactly; n = 0 is the lone exception, since the empty semiheap is
     vacuously a heap but arises from no group.  The corpus holds every
-    group only up to order 7, so larger n is refused.  A partial
+    group only up to order 7, so larger n raises Unsupported.  A partial
     (budget-limited) result skips the cross-route check.
     """
     if n == 0:
         return EnumerationResult(
             [FiniteSemiheap(TernaryTable(np.zeros((0, 0, 0), dtype=np.int64)), _certified=True)], True)
     if n > _CORPUS_COMPLETE_UP_TO:
-        raise BudgetExceeded(f"heap census not supported for n={n}: the group corpus is complete "
-                             f"only up to order {_CORPUS_COMPLETE_UP_TO}")
+        raise Unsupported(f"heap census not supported for n={n}: the group corpus is complete "
+                          f"only up to order {_CORPUS_COMPLETE_UP_TO}")
     deadline = _deadline(budget)
-    direct, complete, stats = _heap_search(n, deadline)
+    cube = np.full((n, n, n), -1, dtype=np.int64)
+    x, y = np.indices((n, n))
+    cube[y, x, x] = y                           # biunitarity: [y,x,x] = y = [x,x,y]
+    cube[x, x, y] = y
+    direct, complete, stats = _search(cube, deadline)
     if not complete:
         return EnumerationResult([FiniteSemiheap(t, _certified=True) for t in direct], False, stats)
     via_groups = set()
@@ -332,15 +341,6 @@ def enumerate_heaps(n, up_to_iso=False, budget=None):
     return EnumerationResult([FiniteSemiheap(t, _certified=True) for t in direct], True, stats)
 
 
-def _heap_search(n, deadline):
-    # Biunitarity forces the cells (y,x,x) = y and (x,x,y) = y.
-    cube = np.full((n, n, n), -1, dtype=np.int64)
-    x, y = np.indices((n, n))
-    cube[y, x, x] = y
-    cube[x, x, y] = y
-    return _search(cube, deadline)
-
-
 def relabel(table, perm):
     """Transport a table along the carrier relabeling x -> perm[x]."""
     p = np.asarray(perm, dtype=np.int64)
@@ -350,13 +350,14 @@ def relabel(table, perm):
     return TernaryTable(out) if n else table
 
 
-def canonical_form(table, deadline=None):
+def canonical_form(table, deadline=None, gathered=lambda rows: None):
     """The lexicographically least relabeling of the table.
 
     Idempotent and relabeling-invariant; two tables are isomorphic iff
     their canonical forms are equal.  All n! relabelings are compared a
-    slab at a time, so time grows as n! * n^3 and memory stays O(_SLAB).
-    Once deadline, a time.time() reading, has passed it returns None.
+    slab at a time, so time grows as n! * n^3 and memory stays O(_SLAB);
+    gathered is handed each slab first.  Once deadline, a time.time()
+    reading, has passed it returns None.
     """
     n = table.n
     if n <= 1:
@@ -365,6 +366,7 @@ def canonical_form(table, deadline=None):
     for rows in _relabelings(best, n, n ** 3):
         if _expired(deadline):
             return None
+        gathered(rows)
         # Keep only the rows below the best so far; each pass lowers best.
         while (below := _precedes(rows, best)).any():
             rows = rows[below]

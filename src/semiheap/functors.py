@@ -16,9 +16,9 @@ from .core import (
     LawError,
     PointedSemiheap,
     TernaryTable,
+    _SLAB,
     _first_disagreement,
     _first_non_biunitary,
-    _product_slabs,
     is_heap,
     is_homomorphism,
 )
@@ -117,29 +117,49 @@ class FullyFaithfulReport:
 
 
 def check_fully_faithful(g, g2, budget=1_000_000):
-    """Enumerate every map G -> G' and classify it.
+    """Classify every map G -> G' as a group hom and a pointed or unpointed heap hom.
 
     The set of group homomorphisms must equal the set of basepoint-
     preserving semiheap homomorphisms between the heapifications; a
     mismatch is an implementation bug, so it raises.  Unpointed semiheap
-    homs are reported as well: there are generally more of them.  Maps
-    are classified in slabs, each as a row of an array, in
-    itertools.product order.
+    homs are reported as well: there are generally more of them.  Each
+    hom set is built by prefix extension (_homs) in itertools.product order.
     """
     total = g2.n ** g.n
     if total > budget:
         raise BudgetExceeded(f"{total} maps exceed the budget of {budget}")
     h, h2 = heapify(g), heapify(g2)
-    t, mul2, t2 = h.semiheap.table.entries, g2.mul.reshape(-1), h2.semiheap.table.entries.reshape(-1)
-    g_homs, p_homs, u_homs = [], [], []
-    for f in _product_slabs(g2.n, g.n, g.n ** 3):
-        pair = f[:, :, None] * g2.n + f[:, None, :]      # flat index of (f x, f y)
-        group = (f[:, g.mul] == mul2[pair]).all(axis=(1, 2))
-        heap = (f[:, t] == t2[pair[..., None] * g2.n + f[:, None, None, :]]).all(axis=(1, 2, 3))
-        pointed = heap & (f[:, h.basepoint] == h2.basepoint)
-        for homs, keep in ((g_homs, group), (p_homs, pointed), (u_homs, heap)):
-            homs.extend(map(tuple, f[keep].tolist()))
-    report = FullyFaithfulReport(total, tuple(g_homs), tuple(p_homs), tuple(u_homs))
+    heap = _homs(h.semiheap.table.entries, h2.semiheap.table.entries)
+    homs = (_homs(g.mul, g2.mul), heap[heap[:, h.basepoint] == h2.basepoint], heap)
+    report = FullyFaithfulReport(total, *(tuple(map(tuple, f.tolist())) for f in homs))
     if not report.bijective:
         raise AssertionError("heapification must be fully faithful on pointed homs")
     return report
+
+
+def _completing_levels(table):
+    """An operation table's instances (arguments, output), grouped by level: their largest element."""
+    args, out = np.indices(table.shape).reshape(table.ndim, -1).T, table.reshape(-1)
+    level = np.maximum(args.max(axis=1), out)
+    return [(args[level == k], out[level == k]) for k in range(len(table))]
+
+
+def _homs(table, table2):
+    """Every map f with f[table[x, ...]] = table2[f[x], ...], as rows in itertools.product order.
+
+    Level k extends each surviving prefix f[0..k-1] by every value of f[k]
+    and keeps the rows that pass the instances level k completes, so each
+    instance is tested exactly once.  Prefixes are extended in chunks of
+    at most _SLAB gathered elements, at least one prefix.
+    """
+    n2 = len(table2)
+    prefixes = np.zeros((1, 0), dtype=np.int64)
+    for a, o in _completing_levels(table):
+        step = max(1, _SLAB // (n2 * max(a.size + o.size, 1)))
+        kept = [np.zeros((0, prefixes.shape[1] + 1), dtype=np.int64)]
+        for start in range(0, len(prefixes), step):
+            p = prefixes[start:start + step]
+            rows = np.column_stack([np.repeat(p, n2, axis=0), np.tile(np.arange(n2), len(p))])
+            kept.append(rows[(rows[:, o] == table2[tuple(rows[:, c] for c in a.T)]).all(axis=1)])
+        prefixes = np.concatenate(kept)
+    return prefixes

@@ -158,26 +158,14 @@ def left_invariant_functions(ps):
     constants.
     """
     n = ps.n
-    t = ps.table.entries
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    for a in range(n):
-        for b in range(n):
-            for x in range(n):
-                union(x, int(t[a, b, x]))
-    labels = np.array([find(x) for x in range(n)], dtype=np.int64)
-    roots = sorted(set(labels.tolist()))
-    relabel = {r: i for i, r in enumerate(roots)}
-    comps = np.array([relabel[int(v)] for v in labels], dtype=np.int64)
-    return len(roots), comps
+    x, image = np.tile(np.arange(n), n * n), ps.table.entries.reshape(-1)    # the edges x -- L_{ab}(x)
+    labels = np.arange(n)
+    while True:                                 # each pass spreads the least label one edge further
+        low = np.minimum(labels[x], labels[image])
+        spread = labels.copy()
+        np.minimum.at(spread, x, low)
+        np.minimum.at(spread, image, low)
+        if np.array_equal(spread, labels):
+            roots, comps = np.unique(labels, return_inverse=True)
+            return len(roots), comps.astype(np.int64)
+        labels = spread

@@ -6,17 +6,18 @@ numeric oracles are the per-sample loops the numeric layer ran before it
 computed on stacks of samples.  They carry their own scalar chart
 functions, ternary product, solve and norms, taking only the charts'
 data (names, bases, step sizes) from the library.  all_group_tables, the
-group route of the heap census for n <= 3, is the exception: it scans
-candidate tables in slabs, and a test holds it to a plain loop.
+group route of the heap census for n <= 3, and fully_faithful_scan, the
+map-by-map hom-set classification, are the exceptions: they scan chunks of
+itertools.product rows as arrays, and tests hold them to plain loops.
 """
 
 import math
-from itertools import permutations, product as iproduct
+from itertools import islice, permutations, product as iproduct
 from types import SimpleNamespace
 
 import numpy as np
 
-from semiheap.core import _product_slabs
+from semiheap.functors import FullyFaithfulReport, heapify
 from semiheap.groups import FiniteGroup, LawError
 from semiheap.numeric import PolynomialField
 
@@ -274,7 +275,7 @@ def all_group_tables(n):
     if n == 0:
         return out
     ar = np.arange(n)
-    for flat in _product_slabs(n, n * n, n * n):
+    for flat in _product_chunks(n, n * n, n * n):
         mul = flat.reshape(-1, n, n)
         latin = (np.sort(mul, axis=1) == ar[:, None]).all(axis=(1, 2)) & \
                 (np.sort(mul, axis=2) == ar).all(axis=(1, 2))
@@ -286,6 +287,32 @@ def all_group_tables(n):
     return out
 
 
+def _product_chunks(base, length, width):
+    """range(base)^length in itertools.product order, as int64 arrays of 2^14 // width rows (at least one)."""
+    rows = iproduct(range(base), repeat=length)
+    while len(chunk := list(islice(rows, max(1, (1 << 14) // width)))):
+        yield np.array(chunk, dtype=np.int64).reshape(len(chunk), length)
+
+
+def fully_faithful_scan(g, g2):
+    """check_fully_faithful by a full scan: every map tested on every group and heap instance.
+
+    Maps come in itertools.product order, a chunk of rows at a time; the
+    report is built without the bijection check.
+    """
+    h, h2 = heapify(g), heapify(g2)
+    t, mul2, t2 = h.semiheap.table.entries, g2.mul.reshape(-1), h2.semiheap.table.entries.reshape(-1)
+    g_homs, p_homs, u_homs = [], [], []
+    for f in _product_chunks(g2.n, g.n, g.n ** 3):
+        pair = f[:, :, None] * g2.n + f[:, None, :]      # flat index of (f x, f y)
+        group = (f[:, g.mul] == mul2[pair]).all(axis=(1, 2))
+        heap = (f[:, t] == t2[pair[..., None] * g2.n + f[:, None, None, :]]).all(axis=(1, 2, 3))
+        pointed = heap & (f[:, h.basepoint] == h2.basepoint)
+        for homs, keep in ((g_homs, group), (p_homs, pointed), (u_homs, heap)):
+            homs.extend(map(tuple, f[keep].tolist()))
+    return FullyFaithfulReport(g2.n ** g.n, tuple(g_homs), tuple(p_homs), tuple(u_homs))
+
+
 def product_loops(flat, n, flat2, n2):
     """The componentwise product table on pairs encoded as x * n2 + y."""
     m = n * n2
@@ -294,6 +321,27 @@ def product_loops(flat, n, flat2, n2):
         (x1, y1), (x2, y2), (x3, y3) = divmod(a, n2), divmod(b, n2), divmod(c, n2)
         out.append(flat[(x1 * n + x2) * n + x3] * n2 + flat2[(y1 * n2 + y2) * n2 + y3])
     return tuple(out)
+
+
+def left_invariant_components_loops(flat, n):
+    """(dimension, component of each point) of the graph x -- [a,b,x], by union-find.
+
+    Components are numbered in order of their least point.
+    """
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b, x in iproduct(range(n), repeat=3):
+        rx, ry = find(x), find(flat[(a * n + b) * n + x])
+        if rx != ry:
+            parent[max(rx, ry)] = min(rx, ry)
+    roots = sorted({find(x) for x in range(n)})
+    return len(roots), [roots.index(find(x)) for x in range(n)]
 
 
 def fully_faithful_loops(mul, e, mul2, e2):

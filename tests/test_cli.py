@@ -141,6 +141,13 @@ def test_enumerate_up_to_iso_counts_the_classes_found(capsys):
     assert fields["iso_count"] == fields["count"]
 
 
+def test_enumerate_heap_census_beyond_the_corpus_is_unsupported():
+    # A refusal by design, not a budget that ran out.
+    code, out, err = run_cli(["enumerate", "--n", "8", "--heaps", "--no-tables"])
+    assert code == 2 and out == ""
+    assert err.startswith("error unsupported heap census not supported for n=8")
+
+
 def test_enumerate_streams_parseable_tables():
     code, out, _ = run_cli(["enumerate", "--n", "2"])
     assert code == 0

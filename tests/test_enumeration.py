@@ -9,13 +9,13 @@ from semiheap import enumeration, functors, groups
 from semiheap.core import TernaryTable, is_heap, verify_para_associative
 from semiheap.enumeration import (
     SearchStats,
+    Unsupported,
     are_isomorphic,
     canonical_form,
     enumerate_heaps,
     enumerate_semiheaps,
     relabel,
 )
-from semiheap.functors import BudgetExceeded
 
 from oracles import all_group_tables, semiheap_tables_brute
 
@@ -158,7 +158,7 @@ def test_budget_exhaustion_reports_partial():
     for found in (enumerate_semiheaps(3, budget=0.0), enumerate_heaps(3, budget=0.0)):
         assert list(found) == [] and found.complete is False
     # The group corpus lacks Z4xZ2 and Z2^3: n=8 is refused
-    with pytest.raises(BudgetExceeded, match="not supported"):
+    with pytest.raises(Unsupported, match="not supported"):
         enumerate_heaps(8)
 
 

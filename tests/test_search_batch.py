@@ -23,13 +23,14 @@ from oracles import (
     canonical_loops,
     centric_nonclosure_loops,
     fully_faithful_loops,
+    fully_faithful_scan,
     partial_consistent_loops,
     prefix_dominated_loops,
     propagate_loops,
     relabel_loops,
 )
 from semiheap import enumeration
-from semiheap.core import _SLAB, TernaryTable, _product_slabs
+from semiheap.core import _SLAB, TernaryTable
 from semiheap.enumeration import (
     SearchStats,
     _propagate,
@@ -41,15 +42,42 @@ from semiheap.enumeration import (
     iso_classes,
     relabel,
 )
-from semiheap.functors import check_fully_faithful, heapify
+from semiheap.functors import _completing_levels, check_fully_faithful, heapify
 from semiheap.groups import FiniteGroup, LawError
 from semiheap.translations import centric_nonclosure_witness
 
 
-def test_product_slabs_follow_itertools_product():
-    for base, length, width in ((1, 3, 1), (2, 5, 1), (3, 4, 20000), (4, 3, 7000)):
-        got = [tuple(row) for slab in _product_slabs(base, length, width) for row in slab.tolist()]
-        assert got == list(iproduct(range(base), repeat=length))
+def _relabeled_group(g, perm):
+    """The group transported along x -> perm[x]."""
+    perm = np.asarray(perm)
+    inv = np.argsort(perm)
+    return FiniteGroup.from_mul(perm[g.mul[np.ix_(inv, inv)]], name=g.name)
+
+
+def _identity_moved(g, rng):
+    """A seeded relabeling of g whose identity is not 0, so instances naming it complete late."""
+    perm = rng.permutation(g.n)
+    while g.n > 1 and perm[g.e] == 0:
+        perm = rng.permutation(g.n)
+    return _relabeled_group(g, perm)
+
+
+def test_every_law_instance_completes_at_exactly_one_level(corpus):
+    # The group instances (x, y) -> mul[x, y] and heap instances
+    # (x, y, z) -> t[x, y, z] split into levels without loss or repeat, and
+    # level k holds those whose largest named element is k.
+    rng = np.random.default_rng(20262)
+    for g in corpus + [_identity_moved(g, rng) for g in corpus]:
+        t = heapify(g).semiheap.table.entries
+        for table in (g.mul, t):
+            instances = np.column_stack([np.indices(table.shape).reshape(table.ndim, -1).T, table.reshape(-1)])
+            levels = _completing_levels(table)
+            assert len(levels) == g.n
+            split = np.vstack([np.column_stack([a, o]) for a, o in levels])
+            assert sorted(map(tuple, split.tolist())) == sorted(map(tuple, instances.tolist()))
+            for k, (a, o) in enumerate(levels):
+                named = np.column_stack([a, o])
+                assert (named.max(axis=1) == k).all()
 
 
 def _propagated(cube, n):
@@ -228,6 +256,80 @@ def test_fully_faithful_matches_per_map_loops(corpus, pair):
     assert report.unpointed_heap_homs == tuple(unpointed)
     for homs in (report.group_homs, report.pointed_heap_homs, report.unpointed_heap_homs):
         assert all(type(f) is tuple and all(type(v) is int for v in f) for f in homs)
+
+
+def test_fully_faithful_matches_full_scan_on_corpus_pairs(corpus):
+    pairs = [(g, g2) for g in corpus for g2 in corpus if g2.n ** g.n <= 50_000]
+    assert len(pairs) > 100
+    for g, g2 in pairs:
+        assert check_fully_faithful(g, g2) == fully_faithful_scan(g, g2), (g.name, g2.name)
+
+
+def test_fully_faithful_matches_full_scan_on_relabeled_pairs(corpus):
+    # With the identities moved off 0, the instances naming them complete
+    # at late levels rather than the first.
+    rng = np.random.default_rng(20263)
+    homs = 0
+    for g in corpus:
+        for g2 in corpus:
+            if g2.n ** g.n <= 50_000:
+                a, b = _identity_moved(g, rng), _identity_moved(g2, rng)
+                report = check_fully_faithful(a, b)
+                assert report == fully_faithful_scan(a, b), (g.name, g2.name)
+                homs += len(report.group_homs) > 1
+    assert homs > 20
+
+
+def test_fully_faithful_extends_prefixes_in_chunks(corpus, monkeypatch):
+    # A slab smaller than one prefix's gather: every level is extended one
+    # prefix at a time, and the reports stay those of the full scan.
+    from semiheap import functors
+
+    monkeypatch.setattr(functors, "_SLAB", 16)
+    named = {g.name: g for g in corpus}
+    rng = np.random.default_rng(20266)
+    for a, b in (("K4", "D4"), ("Z4", "Q8"), ("S3", "Z6"), ("D4", "K4")):
+        g, g2 = _identity_moved(named[a], rng), named[b]
+        assert check_fully_faithful(g, g2) == fully_faithful_scan(g, g2), (a, b)
+
+
+def test_fully_faithful_memory_stays_bounded_at_scale(corpus):
+    # Z7 -> Z7 is 823,543 maps and Z8 -> Z5 390,625: both inside the
+    # default budget, each hom set built from a frontier of few prefixes.
+    named = {g.name: g for g in corpus}
+    z8 = _identity_moved(named["Z8"], np.random.default_rng(20264))
+    for g, g2, homs in ((named["Z7"], named["Z7"], 7), (z8, named["Z5"], 1)):
+        tracemalloc.start()
+        try:
+            report = check_fully_faithful(g, g2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+        assert report.maps_checked == g2.n ** g.n <= 1_000_000
+        assert len(report.group_homs) == homs and len(report.unpointed_heap_homs) == homs * g2.n
+        assert all(f[g.mul[x, y]] == g2.mul[f[x], f[y]] for f in report.group_homs
+                   for x in range(g.n) for y in range(g.n))
+
+
+def test_iso_classes_match_first_seen_canonical_forms_in_any_order():
+    # The orbit sweep keeps the classes and their order of first appearance
+    # also when the input is not in lexicographic order, duplicates and
+    # mixed carrier sizes included.
+    rng = np.random.default_rng(20265)
+    for n, tables in ((3, [s.table for s in enumerate_semiheaps(3)]),
+                      (5, [s.table for s in enumerate_heaps(5)]),
+                      ("0 to 2", [s.table for m in (0, 1, 2) for s in enumerate_semiheaps(m)])):
+        for order in (np.arange(len(tables)), rng.permutation(len(tables)), rng.integers(0, len(tables), 40)):
+            given = [tables[i] for i in order]
+            want, seen = [], set()
+            for t in given:
+                c = canonical_form(t).flat()
+                if c not in seen:
+                    seen.add(c)
+                    want.append(c)
+            classes = iso_classes(given)
+            assert classes.complete and [s.table.flat() for s in classes] == want, n
 
 
 def test_all_group_tables_matches_constructor_on_every_table():

@@ -1,7 +1,8 @@
 import numpy as np
 
-from semiheap import functors, groups
-from semiheap.core import FiniteSemiheap, PointedSemiheap
+from semiheap import enumeration, functors, groups
+from semiheap.core import FiniteSemiheap, PointedSemiheap, product
+from oracles import left_invariant_components_loops
 from semiheap.translations import (
     centric_endomap,
     centric_nonclosure_witness,
@@ -121,6 +122,22 @@ def test_left_invariant_functions_constants_on_z4():
     dim, comps = left_invariant_functions(PointedSemiheap(z_heap(4), 0))
     assert dim == 1
     assert set(comps.tolist()) == {0}
+
+
+def test_left_invariant_functions_match_union_find():
+    # Label propagation against a union-find over the same edges: every
+    # semiheap on 1 to 3 points, products of pairs of them (up to 9 points)
+    # and the heapified corpus.
+    small = [s for n in (1, 2, 3) for s in enumeration.enumerate_semiheaps(n)]
+    pool = small + [product(a, b) for a in small[::10] for b in small[5::10]]
+    pool += [functors.heapify(g).semiheap for g in groups.corpus()]
+    dims = set()
+    for s in pool:
+        dim, comps = left_invariant_functions(PointedSemiheap(s, 0))
+        assert (dim, comps.tolist()) == left_invariant_components_loops(s.table.flat(), s.n)
+        assert comps.dtype == np.int64
+        dims.add(dim)
+    assert {1, 2, 3, 4} <= dims
 
 
 def test_left_invariant_functions_trivial_semiheap():
