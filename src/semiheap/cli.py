@@ -45,7 +45,6 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--in", dest="infile", help="read input from a file instead of stdin")
     common.add_argument("--out", dest="outfile", help="write output to a file instead of stdout")
-    common.add_argument("--jobs", type=int, default=1, help="worker processes for enumeration")
     common.add_argument("--seed", type=int, default=0, help="seed for stochastic subcommands")
     common.add_argument("--budget", type=float, default=None, help="wall-clock budget in seconds")
 
@@ -240,16 +239,15 @@ def _cmd_translations(args, out):
 
 
 def _cmd_enumerate(args, out):
-    # Up to iso the tables found are the classes; otherwise the class count
-    # stops at the deadline of the search.
+    # Up to iso the tables found are the classes.  Labeled heaps are counted until the
+    # search's deadline; semiheaps are whole orbits, whose sweep costs what expanding them did.
     deadline = None if args.budget is None else time.time() + args.budget
     if args.heaps:
         found = enumeration.enumerate_heaps(args.n, up_to_iso=args.up_to_iso, budget=args.budget)
         kind = "heap"
     else:
-        found = enumeration.enumerate_semiheaps(args.n, up_to_iso=args.up_to_iso,
-                                                budget=args.budget, jobs=args.jobs)
-        kind = "semiheap"
+        found = enumeration.enumerate_semiheaps(args.n, up_to_iso=args.up_to_iso, budget=args.budget)
+        kind, deadline = "semiheap", None
     iso = found if args.up_to_iso else enumeration.iso_classes([s.table for s in found], deadline)
     if not args.no_tables:
         for s in found:

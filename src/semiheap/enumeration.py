@@ -3,9 +3,10 @@
 Two independent pipelines produce semiheaps on a small carrier: a plain
 filter over every table, and a cell-by-cell backtracking search that
 propagates the values its assigned cells force and prunes on the first
-contradiction.  Their outputs must agree as sets; the test suite holds
-them to that, and holds the search to a plain non-propagating
-backtracker for n <= 3.
+contradiction, finding one table per class, whose orbits are the labeled
+tables.  Their outputs must agree as sets; the tests hold them to that, and
+the labeled tables to the search without symmetry break and to a plain
+non-propagating backtracker for n <= 3.
 
 Heap enumeration is dual-routed as well: direct search against the
 relabelings of the heapification of every group of the order in the
@@ -15,7 +16,8 @@ regression value.
 """
 
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from functools import cache, partial
 from itertools import islice, permutations, product as iproduct
 
 import numpy as np
@@ -39,7 +41,8 @@ class SearchStats:
     nodes counts the values tried at branch cells, rounds the propagation
     passes over every para-associativity instance, forced the cells those
     passes set, conflicts the propagations that met a contradiction, and
-    symmetry_prunes the nodes cut because a relabeling precedes them.
+    symmetry_prunes the nodes cut because a relabeling precedes them.  A
+    labeled semiheap census reports the search for its classes.
     """
 
     nodes: int = 0
@@ -47,9 +50,6 @@ class SearchStats:
     forced: int = 0
     conflicts: int = 0
     symmetry_prunes: int = 0
-
-    def __add__(self, other):
-        return SearchStats(*(getattr(self, f.name) + getattr(other, f.name) for f in fields(self)))
 
 
 class EnumerationResult(list):
@@ -67,18 +67,18 @@ class EnumerationResult(list):
         self.stats = stats
 
 
-def enumerate_semiheaps(n, up_to_iso=False, method="backtrack", budget=None, jobs=1):
+def enumerate_semiheaps(n, up_to_iso=False, method="backtrack", budget=None):
     """All semiheap tables on {0..n-1}, in lexicographic table order.
 
     method "filter" scans every n^(n^3) table through the verifier;
     "backtrack" fills the cube cell by cell, propagating forced values and
-    pruning contradicted prefixes.
-    With up_to_iso only canonical representatives are kept: the filter's
-    tables go through iso_classes, while the backtracking search emits only
-    tables that no relabeling precedes, so even a partial run's tables are
-    distinct classes.  budget is a wall-clock limit in seconds; when it
-    runs out the result is returned as found so far, flagged incomplete.
-    A backtracking result carries the search's stats.
+    pruning contradicted prefixes and those a relabeling precedes, so it
+    finds one canonical table per isomorphism class: the result with
+    up_to_iso (the filter's tables go through iso_classes), and otherwise
+    the union of their orbits.  budget is a wall-clock limit in seconds;
+    when it runs out the result is returned as found so far (classes, or
+    whole orbits), flagged incomplete.  A backtracking result carries the
+    search's stats.
     """
     if method not in ("filter", "backtrack"):
         raise ValueError(f"unknown method {method!r}")
@@ -91,10 +91,12 @@ def enumerate_semiheaps(n, up_to_iso=False, method="backtrack", budget=None, job
         if up_to_iso:
             classes = iso_classes(tables, deadline)
             return EnumerationResult(classes, complete and classes.complete)
-    elif jobs > 1:
-        tables, complete, stats = _backtrack_parallel(n, deadline, up_to_iso, jobs)
     else:
-        tables, complete, stats = _search(np.full((n, n, n), -1, dtype=np.int64), deadline, up_to_iso)
+        # Labeled: each class's orbit is gathered as found, within the deadline; _search returns none.
+        orbits = {}
+        tables, complete, stats = _search(np.full((n, n, n), -1, dtype=np.int64), deadline, True,
+                                          None if up_to_iso else partial(_add_orbit, orbits))
+        tables = tables or [orbits[key] for key in sorted(orbits)]
     return EnumerationResult([FiniteSemiheap(t, _certified=True) for t in tables], complete, stats)
 
 
@@ -122,8 +124,7 @@ def iso_classes(tables, deadline=None):
 
 
 def _deadline(budget):
-    # time.time(), unlike perf_counter, compares across worker processes;
-    # it is not monotonic, so a clock step moves the deadline with it.
+    # time.time(), the clock of the deadlines callers pass in; a clock step moves it.
     return None if budget is None else time.time() + budget
 
 
@@ -142,26 +143,16 @@ def _filter_pipeline(n, deadline):
     return out, True
 
 
-def _backtrack_parallel(n, deadline, symmetry_break, jobs):
-    # Partition by the value of the first cell; workers stay deterministic
-    # because each prefix block is emitted in order.  All blocks share one
-    # deadline, so blocks queued behind busy workers do not extend it.
-    from multiprocessing import Pool
-
-    with Pool(min(jobs, n)) as pool:
-        blocks = pool.map(_backtrack_block, [(n, v, deadline, symmetry_break) for v in range(n)])
-    out = [t for block, _, _ in blocks for t in block]
-    return out, all(c for _, c, _ in blocks), sum((st for _, _, st in blocks), SearchStats())
+def _add_orbit(orbits, table):
+    """Key every relabeling of table by its cells as bytes, which sort as the tables do."""
+    n = table.n
+    for rows in _relabelings(table.entries.reshape(-1), n, n ** 3):
+        for row in rows.astype(np.uint8):       # values below 256
+            if (key := row.tobytes()) not in orbits:
+                orbits[key] = TernaryTable(row.reshape(n, n, n))
 
 
-def _backtrack_block(arg):
-    n, first, deadline, symmetry_break = arg
-    cube = np.full((n, n, n), -1, dtype=np.int64)
-    cube[0, 0, 0] = first
-    return _search(cube, deadline, symmetry_break)
-
-
-def _search(cube, deadline, symmetry_break=False):
+def _search(cube, deadline, symmetry_break=False, emit=None):
     """Every para-associative completion of cube, in lexicographic order.
 
     The assigned cells of cube are forced at the root.  Each node
@@ -171,13 +162,14 @@ def _search(cube, deadline, symmetry_break=False):
     symmetry_break a node is cut when a relabeling precedes its assigned
     prefix; forced cells can lie past the last branch, so a complete table
     is tested whole.  Returns (tables, complete, stats), complete False
-    once the _deadline has passed.
+    once the _deadline has passed; emit, if given, takes each table instead.
     """
     n = cube.shape[0]
     flat = np.append(cube.reshape(-1), -1)      # index n^3 reads as unassigned
     cells = flat[:-1]
     stats = SearchStats()
     out = []
+    emit = emit or out.append
 
     def visit():
         if _expired(deadline):
@@ -191,7 +183,7 @@ def _search(cube, deadline, symmetry_break=False):
         elif symmetry_break and cell and _prefix_dominated(cells, cell, n):
             stats.symmetry_prunes += 1
         elif not free.size:
-            out.append(TernaryTable(cells.reshape(n, n, n).copy()))
+            emit(TernaryTable(cells.reshape(n, n, n)))
         else:
             for v in range(n):
                 stats.nodes += 1
@@ -220,7 +212,7 @@ def _quintuple_reads(n):
     which is advance.
     """
     if n not in _QUINTUPLE_READS:
-        rows = n if n ** 5 <= _SLAB else 1
+        rows = n if 0 < n ** 5 <= _SLAB else 1
         x1, x2, x3, x4, x5 = np.indices((rows, n, n, n, n)).reshape(5, -1)
         inner = np.stack([(x1 * n + x2) * n + x3, (x4 * n + x3) * n + x2, (x3 * n + x4) * n + x5])
         outer = np.stack([x4 * n + x5, x1 * n * n + x5, (x1 * n + x2) * n])
@@ -257,7 +249,7 @@ def _propagate(flat, n, stats):
             at = np.where(a >= 0, a * scale + outs, n ** 3)
             v = flat[at]
             value = v.max(axis=0)               # every evaluated form's value, or -1
-            if (value > v.min(axis=0, where=v >= 0, initial=n)).any():
+            if ((v != value) & (v >= 0)).any():
                 consistent = False
                 break
             form, q = np.nonzero((v < 0) & (a >= 0) & (value >= 0))
@@ -285,15 +277,27 @@ def _relabelings(flat, n, width):
     Row r covers the r-th permutation perm in lexicographic order, with
     inverse inv: cell (i, j, k) holds perm[flat[(inv[i]*n + inv[j])*n + inv[k]]],
     or -1 where that source cell is -1 (unassigned).  A slab holds at most
-    _SLAB elements and at least one permutation; permutations are streamed,
-    so nothing n!-sized is built or kept.
+    _SLAB elements and at least one permutation.  The slabs' permutations
+    and cell indices are cached up to n = 6 (1.2 MiB there) and streamed
+    beyond, where nothing n!-sized is built or kept.
     """
+    for perm, cells in _cached_slabs(n) if n <= 6 else _relabeling_slabs(n):
+        src = flat[cells[:, :width]]
+        yield np.where(src < 0, -1, perm[np.arange(len(perm))[:, None], src])
+
+
+@cache
+def _cached_slabs(n):
+    return list(_relabeling_slabs(n))
+
+
+def _relabeling_slabs(n):
+    """Each slab's permutations, and the flat source cell of every relabeled cell."""
     perms = permutations(range(n))
     while len(perm := np.array(list(islice(perms, max(1, _SLAB // n ** 3))), dtype=np.int64)):
         inv = np.argsort(perm, axis=1)
         cells = (inv[:, :, None, None] * n + inv[:, None, :, None]) * n + inv[:, None, None, :]
-        src = flat[cells.reshape(len(perm), -1)[:, :width]]
-        yield np.where(src < 0, -1, perm[np.arange(len(perm))[:, None], src])
+        yield perm, cells.reshape(len(perm), -1)
 
 
 def _precedes(rows, ref):
@@ -326,19 +330,16 @@ def enumerate_heaps(n, up_to_iso=False, budget=None):
     cube[y, x, x] = y                           # biunitarity: [y,x,x] = y = [x,x,y]
     cube[x, x, y] = y
     direct, complete, stats = _search(cube, deadline)
-    if not complete:
-        return EnumerationResult([FiniteSemiheap(t, _certified=True) for t in direct], False, stats)
-    via_groups = set()
-    for g in corpus():
-        if g.n == n:
-            for rows in _relabelings(heapify(g).semiheap.table.entries.reshape(-1), n, n ** 3):
-                via_groups.update(map(tuple, rows.tolist()))
-    if {t.flat() for t in direct} != via_groups:
-        raise AssertionError("direct heap search and the group route must produce the same tables")
-    if up_to_iso:
+    if complete:
+        via_groups = {}
+        for g in [g for g in corpus() if g.n == n]:
+            _add_orbit(via_groups, heapify(g).semiheap.table)
+        if [t.flat() for t in direct] != [via_groups[key].flat() for key in sorted(via_groups)]:
+            raise AssertionError("direct heap search and the group route must produce the same tables")
+    if up_to_iso and complete:
         classes = iso_classes(direct, deadline)
         return EnumerationResult(classes, classes.complete, stats)
-    return EnumerationResult([FiniteSemiheap(t, _certified=True) for t in direct], True, stats)
+    return EnumerationResult([FiniteSemiheap(t, _certified=True) for t in direct], complete, stats)
 
 
 def relabel(table, perm):

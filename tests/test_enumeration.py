@@ -36,14 +36,22 @@ def test_both_pipelines_match_loop_oracle_at_n2():
     assert len(oracle) == 8
 
 
-def test_backtrack_parallel_matches_serial():
-    serial = [s.table.flat() for s in enumerate_semiheaps(2, method="backtrack")]
-    parallel = [s.table.flat() for s in enumerate_semiheaps(2, method="backtrack", jobs=2)]
-    assert serial == parallel
-    for up_to_iso in (False, True):
-        serial = [s.table.flat() for s in enumerate_semiheaps(3, up_to_iso=up_to_iso)]
-        parallel = [s.table.flat() for s in enumerate_semiheaps(3, up_to_iso=up_to_iso, jobs=2)]
-        assert serial == parallel
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_labeled_census_is_the_direct_search(n):
+    # The orbits of the classes, sorted, are the tables of the search that
+    # breaks no symmetry, table for table and in order.
+    direct, complete, _ = enumeration._search(np.full((n, n, n), -1, dtype=np.int64), None)
+    labeled = enumerate_semiheaps(n)
+    assert complete and labeled.complete
+    assert [s.table.flat() for s in labeled] == [t.flat() for t in direct]
+
+
+def test_labeled_census_counts_orbits_by_automorphisms():
+    # Orbit-stabilizer: each class contributes 3!/|Aut S| labeled tables.
+    classes = enumerate_semiheaps(3, up_to_iso=True)
+    autos = [sum(relabel(s.table, p).flat() == s.table.flat() for p in permutations(range(3))) for s in classes]
+    assert len(enumerate_semiheaps(3)) == sum(factorial(3) // a for a in autos) == 135
+    assert sorted(set(autos)) == [1, 2, 6]
 
 
 def test_enumeration_order_is_deterministic():
@@ -162,43 +170,25 @@ def test_budget_exhaustion_reports_partial():
         enumerate_heaps(8)
 
 
-def test_parallel_blocks_share_one_deadline(monkeypatch):
-    # Every first-cell block compares against the run's one deadline, taken
-    # before the pool starts, not a budget of its own that starts when a
-    # worker takes the block.  A serial stand-in pool records the arguments.
-    import multiprocessing
-
-    deadlines, started = [], []
-
-    class SerialPool:
-        def __init__(self, processes):
-            started.append(time.time())
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, args):
-            deadlines.extend(a[2] for a in args)
-            return [fn(a) for a in args]
-
-    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
-    before = time.time()
-    found = enumerate_semiheaps(4, budget=0.5, jobs=2)
-    assert found.complete is False and len(deadlines) == 4
-    assert len(set(deadlines)) == 1 and before + 0.5 <= deadlines[0] <= started[0] + 0.5
-
-
-def test_parallel_run_keeps_to_its_budget():
-    # Four blocks on two workers used to take two budgets back to back, so
-    # at least 2 s here; the bound leaves 0.9 s for pool start-up and tables.
+def test_budgeted_labeled_run_keeps_whole_orbits():
+    # Each class's orbit is gathered as the search emits the class, so the
+    # run keeps to its budget and what it returns is closed under relabeling.
     start = time.perf_counter()
-    found = enumerate_semiheaps(4, budget=1.0, jobs=2)
+    found = enumerate_semiheaps(5, budget=0.5)
     elapsed = time.perf_counter() - start
-    assert found.complete is False and len(found) > 0
-    assert elapsed < 1.9
+    flats = [s.table.flat() for s in found]
+    assert found.complete is False and len(flats) > 0 and elapsed < 1.0
+    assert flats == sorted(set(flats))
+    keys = set(flats)
+    for s in found[::401]:
+        for p in permutations(range(5)):
+            assert relabel(s.table, np.array(p)).flat() in keys
+
+
+def test_labeled_run_that_finds_no_class_is_empty():
+    # At n = 7 the search meets its first class only after several seconds.
+    found = enumerate_semiheaps(7, budget=0.5)
+    assert list(found) == [] and found.complete is False
 
 
 def test_complete_flag_true_on_full_runs():

@@ -200,6 +200,39 @@ def test_relabelings_follow_permutations_in_lexicographic_order():
     assert len(slabs) > 1
 
 
+def test_relabeling_cache_matches_the_streamed_slabs(monkeypatch):
+    # Up to n = 6 the permutations and cell indices are cached; the rows
+    # and their split into slabs are those of the streamed path.
+    rng = np.random.default_rng(20144)
+    for n in range(1, 7):
+        flat = rng.integers(-1, n, size=n ** 3)
+        for width in (1, n, n ** 3):
+            cached = list(_relabelings(flat, n, width))
+            with monkeypatch.context() as m:
+                m.setattr(enumeration, "_cached_slabs", enumeration._relabeling_slabs)
+                streamed = list(_relabelings(flat, n, width))
+            assert [rows.shape for rows in cached] == [rows.shape for rows in streamed]
+            assert all((a == b).all() for a, b in zip(cached, streamed))
+    assert len(streamed) > 1
+
+
+def test_relabeling_cache_stays_bounded():
+    # The cache holds n <= 6 only: 720 * 216 int64 cell indices at n = 6.
+    enumeration._cached_slabs.cache_clear()
+    tracemalloc.start()
+    try:
+        for n in range(1, 9):
+            for _ in _relabelings(np.zeros(n ** 3, dtype=np.int64), n, n):
+                pass
+            if n == 6:
+                small = tracemalloc.get_traced_memory()[0]
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert enumeration._cached_slabs.cache_info().currsize == 6
+    assert small < 2 * 2 ** 20 and kept - small < 2 ** 16
+
+
 def test_iso_classes_stop_at_the_budget():
     tables = [s.table for s in enumerate_semiheaps(3)]
     classes = iso_classes(tables)
@@ -344,13 +377,17 @@ def test_all_group_tables_matches_constructor_on_every_table():
 
 
 def test_consistency_calls_pinned_for_n3():
-    # The propagating search tree, counted by the search itself.
-    labeled = enumerate_semiheaps(3)
-    assert len(labeled) == 135
-    assert labeled.stats == SearchStats(nodes=780, rounds=1155, forced=1318, conflicts=386, symmetry_prunes=0)
+    # The propagating search tree, counted by the search itself.  The
+    # labeled census expands the classes of the symmetry-broken search, so
+    # it reports that search; the direct search is the tests' labeled oracle.
+    direct, complete, stats = enumeration._search(np.full((3, 3, 3), -1, dtype=np.int64), None)
+    assert complete and len(direct) == 135
+    assert stats == SearchStats(nodes=780, rounds=1155, forced=1318, conflicts=386, symmetry_prunes=0)
     iso = enumerate_semiheaps(3, up_to_iso=True)
     assert len(iso) == 31
     assert iso.stats == SearchStats(nodes=309, rounds=464, forced=592, conflicts=142, symmetry_prunes=34)
+    labeled = enumerate_semiheaps(3)
+    assert len(labeled) == 135 and labeled.stats == iso.stats
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -371,12 +408,11 @@ def test_iso_classes_are_first_seen_canonical_forms(n, enumerate_fn):
     assert all(canonical_form(s.table).flat() == s.table.flat() for s in enumerate_fn(n, up_to_iso=True))
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_budgeted_up_to_iso_search_keeps_its_classes(jobs):
+def test_budgeted_up_to_iso_search_keeps_its_classes():
     # The lex-leader test on every complete table makes every table the
     # search emits canonical, so a run cut by its budget still returns
     # classes.  n = 5, since the n = 4 census completes in about a second.
-    found = enumerate_semiheaps(5, up_to_iso=True, budget=0.5, jobs=jobs)
+    found = enumerate_semiheaps(5, up_to_iso=True, budget=0.5)
     flats = [s.table.flat() for s in found]
     assert not found.complete and len(flats) > 0
     assert flats == sorted(set(flats))
