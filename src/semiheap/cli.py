@@ -8,7 +8,6 @@ seeds produce byte-identical reports.  Exit codes: 0 all checks pass,
 
 import argparse
 import sys
-import time
 
 import numpy as np
 
@@ -30,12 +29,12 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-def _positive(kind):
-    """An argparse type: kind(text), rejected unless it is greater than zero."""
+def _greater_than(kind, low, what="positive"):
+    """An argparse type: kind(text), rejected as not what unless it is greater than low."""
     def parse(text):
         value = kind(text)
-        if not value > 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        if not value > low:
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
         return value
     parse.__name__ = kind.__name__    # argparse names the type in its messages
     return parse
@@ -73,7 +72,7 @@ def build_parser():
     sub.add_parser("bundle-check", parents=[common], help="verify BND1 input")
 
     p = sub.add_parser("enumerate", parents=[common], help="enumerate semiheaps or heaps")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_greater_than(int, -1, "non-negative"), required=True)
     p.add_argument("--heaps", action="store_true")
     p.add_argument("--up-to-iso", action="store_true")
     p.add_argument("--no-tables", action="store_true", help="summary line only")
@@ -84,8 +83,8 @@ def build_parser():
                                         "mult-field", "tangent", "coassoc", "euclidean",
                                         "exp-hom"])
     p.add_argument("--chart", default="so3", choices=sorted(bundled_charts()))
-    p.add_argument("--samples", type=_positive(int), default=100)
-    p.add_argument("--h", type=_positive(float), default=None)
+    p.add_argument("--samples", type=_greater_than(int, 0), default=100)
+    p.add_argument("--h", type=_greater_than(float, 0), default=None)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--square", action="store_true",
                    help="mult-function: use the quadratic test function instead of a linear one")
@@ -239,21 +238,15 @@ def _cmd_translations(args, out):
 
 
 def _cmd_enumerate(args, out):
-    # Up to iso the tables found are the classes.  Labeled heaps are counted until the
-    # search's deadline; semiheaps are whole orbits, whose sweep costs what expanding them did.
-    deadline = None if args.budget is None else time.time() + args.budget
     if args.heaps:
-        found = enumeration.enumerate_heaps(args.n, up_to_iso=args.up_to_iso, budget=args.budget)
-        kind = "heap"
+        found, kind = enumeration.enumerate_heaps(args.n, args.up_to_iso, args.budget), "heap"
     else:
-        found = enumeration.enumerate_semiheaps(args.n, up_to_iso=args.up_to_iso, budget=args.budget)
-        kind, deadline = "semiheap", None
-    iso = found if args.up_to_iso else enumeration.iso_classes([s.table for s in found], deadline)
+        found, kind = enumeration.enumerate_semiheaps(args.n, args.up_to_iso, budget=args.budget), "semiheap"
     if not args.no_tables:
         for s in found:
             out.write(formats.write_shf1(s))
-    complete = str(found.complete and iso.complete).lower()
-    out.write(f"n={args.n} kind={kind} count={len(found)} iso_count={len(iso)} complete={complete}\n")
+    out.write(f"n={args.n} kind={kind} count={len(found)} iso_count={len(found.classes)} "
+              f"complete={str(found.complete).lower()}\n")
     return EXIT_OK
 
 

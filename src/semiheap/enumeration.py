@@ -3,21 +3,21 @@
 Two independent pipelines produce semiheaps on a small carrier: a plain
 filter over every table, and a cell-by-cell backtracking search that
 propagates the values its assigned cells force and prunes on the first
-contradiction, finding one table per class, whose orbits are the labeled
-tables.  Their outputs must agree as sets; the tests hold them to that, and
-the labeled tables to the search without symmetry break and to a plain
-non-propagating backtracker for n <= 3.
+contradiction and on every prefix a relabeling precedes, finding one table
+per class, whose orbits are the labeled tables.  Their outputs must agree
+as sets; the tests hold them to that, and the labeled tables to the search
+without symmetry break and to a plain non-propagating backtracker for n <= 3.
 
-Heap enumeration is dual-routed as well: direct search against the
-relabelings of the heapification of every group of the order in the
-bundled corpus.  No count is hardcoded anywhere — every number in the
-tests was produced by one of these oracle routes and pinned as a
-regression value.
+Heaps run through the same class search, with the biunitary cells forced
+at the root, and their classes are checked against the canonical forms of
+the heapified groups of the order in the bundled corpus.  No count is
+hardcoded anywhere — every number in the tests was produced by one of
+these oracle routes and pinned as a regression value.
 """
 
 import time
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 from itertools import islice, permutations, product as iproduct
 
 import numpy as np
@@ -42,7 +42,7 @@ class SearchStats:
     passes over every para-associativity instance, forced the cells those
     passes set, conflicts the propagations that met a contradiction, and
     symmetry_prunes the nodes cut because a relabeling precedes them.  A
-    labeled semiheap census reports the search for its classes.
+    labeled census reports the search for its classes.
     """
 
     nodes: int = 0
@@ -57,47 +57,57 @@ class EnumerationResult(list):
 
     A partial result (budget ran out) is explicit: it still carries
     everything found, but `complete` is False and no count claim is made.
-    stats is the SearchStats of the backtracking search behind the result,
-    or None where no search ran.
+    stats is the SearchStats of the class search behind the result, and
+    classes the canonical table of each class it found, in order; both
+    are None where no search ran (the filter pipeline).
     """
 
-    def __init__(self, items, complete, stats=None):
+    def __init__(self, items, complete, stats=None, classes=None):
         super().__init__(items)
         self.complete = complete
         self.stats = stats
+        self.classes = classes
 
 
 def enumerate_semiheaps(n, up_to_iso=False, method="backtrack", budget=None):
     """All semiheap tables on {0..n-1}, in lexicographic table order.
 
-    method "filter" scans every n^(n^3) table through the verifier;
-    "backtrack" fills the cube cell by cell, propagating forced values and
-    pruning contradicted prefixes and those a relabeling precedes, so it
-    finds one canonical table per isomorphism class: the result with
-    up_to_iso (the filter's tables go through iso_classes), and otherwise
-    the union of their orbits.  budget is a wall-clock limit in seconds;
-    when it runs out the result is returned as found so far (classes, or
-    whole orbits), flagged incomplete.  A backtracking result carries the
-    search's stats.
+    method "filter" scans every n^(n^3) table through the verifier (its
+    tables go through iso_classes for up_to_iso); "backtrack" is the class
+    census (_census) on the empty cube.  budget is a wall-clock limit in
+    seconds; when it runs out the result is returned as found so far,
+    flagged incomplete.
     """
     if method not in ("filter", "backtrack"):
         raise ValueError(f"unknown method {method!r}")
     deadline = _deadline(budget)
-    stats = None
-    if n == 0:                                  # complete even at budget 0
-        tables, complete = [TernaryTable(np.zeros((0, 0, 0), dtype=np.int64))], True
-    elif method == "filter":
-        tables, complete = _filter_pipeline(n, deadline)
-        if up_to_iso:
-            classes = iso_classes(tables, deadline)
-            return EnumerationResult(classes, complete and classes.complete)
-    else:
-        # Labeled: each class's orbit is gathered as found, within the deadline; _search returns none.
-        orbits = {}
-        tables, complete, stats = _search(np.full((n, n, n), -1, dtype=np.int64), deadline, True,
-                                          None if up_to_iso else partial(_add_orbit, orbits))
-        tables = tables or [orbits[key] for key in sorted(orbits)]
-    return EnumerationResult([FiniteSemiheap(t, _certified=True) for t in tables], complete, stats)
+    if method == "backtrack" or n == 0:
+        return _census(np.full((n, n, n), -1, dtype=np.int64), up_to_iso, deadline)
+    tables, complete = _filter_pipeline(n, deadline)
+    if up_to_iso:
+        classes = iso_classes(tables, deadline)
+        return EnumerationResult(classes, complete and classes.complete)
+    return EnumerationResult([FiniteSemiheap(t, _certified=True) for t in tables], complete)
+
+
+def _census(root, up_to_iso, deadline):
+    """The para-associative completions of root: one canonical table per class, or their orbits.
+
+    root's constraints must be invariant under relabeling, as the lex-leader
+    break needs.  Each class's orbit is gathered as the search emits the
+    class, within its deadline, so a partial result holds whole orbits.
+    The empty carrier is complete even at budget 0.
+    """
+    classes, orbits = [], {}
+
+    def emit(table):
+        classes.append(FiniteSemiheap(table, _certified=True))
+        if not up_to_iso:
+            _add_orbit(orbits, table)
+
+    _, complete, stats = _search(root, deadline if root.size else None, True, emit)
+    items = classes if up_to_iso else [FiniteSemiheap(orbits[key], _certified=True) for key in sorted(orbits)]
+    return EnumerationResult(items, complete, stats, classes)
 
 
 def iso_classes(tables, deadline=None):
@@ -180,8 +190,9 @@ def _search(cube, deadline, symmetry_break=False, emit=None):
         complete = True
         if not consistent:
             stats.conflicts += 1
-        elif symmetry_break and cell and _prefix_dominated(cells, cell, n):
-            stats.symmetry_prunes += 1
+        elif symmetry_break and cell and (dominated := _prefix_dominated(cells, cell, n, deadline)) is not False:
+            complete = dominated is True        # None: the deadline passed mid-check
+            stats.symmetry_prunes += complete
         elif not free.size:
             emit(TernaryTable(cells.reshape(n, n, n)))
         else:
@@ -265,10 +276,16 @@ def _propagate(flat, n, stats):
     return consistent, np.concatenate(forced)
 
 
-def _prefix_dominated(cube, assigned, n):
-    """True iff some relabeling precedes the first assigned cells, hence every completion."""
+def _prefix_dominated(cube, assigned, n, deadline=None):
+    """True iff some relabeling precedes the first assigned cells, hence every completion;
+    None, neither verdict, once deadline has passed between slabs."""
     flat = cube.reshape(-1)
-    return any(_precedes(rows, flat[:assigned]).any() for rows in _relabelings(flat, n, assigned))
+    for rows in _relabelings(flat, n, assigned):
+        if _expired(deadline):
+            return None
+        if _precedes(rows, flat[:assigned]).any():
+            return True
+    return False
 
 
 def _relabelings(flat, n, width):
@@ -294,7 +311,7 @@ def _cached_slabs(n):
 def _relabeling_slabs(n):
     """Each slab's permutations, and the flat source cell of every relabeled cell."""
     perms = permutations(range(n))
-    while len(perm := np.array(list(islice(perms, max(1, _SLAB // n ** 3))), dtype=np.int64)):
+    while len(perm := np.array(list(islice(perms, max(1, _SLAB // max(1, n ** 3)))), dtype=np.int64)):
         inv = np.argsort(perm, axis=1)
         cells = (inv[:, :, None, None] * n + inv[:, None, :, None]) * n + inv[:, None, None, :]
         yield perm, cells.reshape(len(perm), -1)
@@ -308,38 +325,26 @@ def _precedes(rows, ref):
 
 
 def enumerate_heaps(n, up_to_iso=False, budget=None):
-    """All heap tables on {0..n-1}, checked against the group route.
+    """All heap tables on {0..n-1}, or one per class, checked against the group route.
 
-    Route one searches tables directly, with the biunitary cells forced at
-    the root.  Route two relabels the heapification of every group of
-    order n in groups.corpus().  For n >= 1 the two routes must agree
-    exactly; n = 0 is the lone exception, since the empty semiheap is
-    vacuously a heap but arises from no group.  The corpus holds every
-    group only up to order 7, so larger n raises Unsupported.  A partial
-    (budget-limited) result skips the cross-route check.
+    The class census (_census) runs with the biunitary cells forced.  On a
+    complete run its classes must be, in order, the canonical forms of the
+    heapified groups of order n in groups.corpus(); n = 0 is the lone
+    exception, since the empty semiheap arises from no group.  The corpus
+    holds every group only up to order 7, so larger n raises Unsupported.
     """
-    if n == 0:
-        return EnumerationResult(
-            [FiniteSemiheap(TernaryTable(np.zeros((0, 0, 0), dtype=np.int64)), _certified=True)], True)
     if n > _CORPUS_COMPLETE_UP_TO:
         raise Unsupported(f"heap census not supported for n={n}: the group corpus is complete "
                           f"only up to order {_CORPUS_COMPLETE_UP_TO}")
-    deadline = _deadline(budget)
     cube = np.full((n, n, n), -1, dtype=np.int64)
     x, y = np.indices((n, n))
     cube[y, x, x] = y                           # biunitarity: [y,x,x] = y = [x,x,y]
     cube[x, x, y] = y
-    direct, complete, stats = _search(cube, deadline)
-    if complete:
-        via_groups = {}
-        for g in [g for g in corpus() if g.n == n]:
-            _add_orbit(via_groups, heapify(g).semiheap.table)
-        if [t.flat() for t in direct] != [via_groups[key].flat() for key in sorted(via_groups)]:
-            raise AssertionError("direct heap search and the group route must produce the same tables")
-    if up_to_iso and complete:
-        classes = iso_classes(direct, deadline)
-        return EnumerationResult(classes, classes.complete, stats)
-    return EnumerationResult([FiniteSemiheap(t, _certified=True) for t in direct], complete, stats)
+    found = _census(cube, up_to_iso, _deadline(budget))
+    if found.complete and n and [s.table.flat() for s in found.classes] != sorted(
+            canonical_form(heapify(g).semiheap.table).flat() for g in corpus() if g.n == n):
+        raise AssertionError("the heap classes must be the canonical forms of the heapified corpus groups")
+    return found
 
 
 def relabel(table, perm):

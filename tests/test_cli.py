@@ -130,18 +130,23 @@ def test_enumerate_counts_classes_beyond_four_points():
 
 
 def test_enumerate_counts_classes_within_the_budget(capsys):
-    # Labeled semiheaps are whole orbits of the classes the search found, and
-    # sweeping them for the class count costs no more than expanding them; at
-    # n = 6 each orbit has up to 720 tables.  Labeled heaps are counted until
-    # the deadline of their search; at n = 7 each canonical form scans 5040
-    # relabelings.  Either run keeps near its budget.
-    for args in (["--n", "6", "--budget", "1"], ["--n", "7", "--heaps", "--budget", "0.5"]):
-        start = time.perf_counter()
-        assert main(["enumerate", *args, "--no-tables"]) == 0
-        elapsed = time.perf_counter() - start
-        fields = dict(kv.split("=") for kv in capsys.readouterr().out.split())
-        assert fields["complete"] == "false" and int(fields["count"]) > 0, args
-        assert elapsed < 2.5, args
+    # Labeled censuses are whole orbits of the classes the search found, and
+    # the class count is the search's own; at n = 6 each orbit has up to 720
+    # tables.  The n = 7 heap census takes about half a second, so it is cut
+    # at 0.05 s: all 120 heaps on 7 points form one class.  Either run keeps
+    # near its budget.
+    start = time.perf_counter()
+    assert main(["enumerate", "--n", "6", "--budget", "1", "--no-tables"]) == 0
+    elapsed = time.perf_counter() - start
+    fields = dict(kv.split("=") for kv in capsys.readouterr().out.split())
+    assert fields["complete"] == "false" and int(fields["count"]) > 0
+    assert elapsed < 2.5
+    start = time.perf_counter()
+    assert main(["enumerate", "--n", "7", "--heaps", "--budget", "0.05", "--no-tables"]) == 0
+    elapsed = time.perf_counter() - start
+    fields = dict(kv.split("=") for kv in capsys.readouterr().out.split())
+    assert fields["complete"] == "false" and int(fields["count"]) == 120 * int(fields["iso_count"])
+    assert elapsed < 2.5
 
 
 def test_enumerate_up_to_iso_counts_the_classes_found(capsys):
@@ -150,6 +155,18 @@ def test_enumerate_up_to_iso_counts_the_classes_found(capsys):
     fields = dict(kv.split("=") for kv in capsys.readouterr().out.split())
     assert fields["complete"] == "false" and int(fields["count"]) > 0
     assert fields["iso_count"] == fields["count"]
+    # A heap census cut by its budget still prints classes: at most the
+    # one class of the 7-point heaps, never its labeled tables.
+    assert main(["enumerate", "--n", "7", "--heaps", "--up-to-iso", "--budget", "0.5", "--no-tables"]) == 0
+    fields = dict(kv.split("=") for kv in capsys.readouterr().out.split())
+    assert fields["iso_count"] == fields["count"] and int(fields["count"]) <= 1
+
+
+def test_enumerate_rejects_a_negative_size(capsys):
+    for kind in ([], ["--heaps"]):
+        assert main(["enumerate", "--n", "-1", *kind, "--no-tables"]) == 2, kind
+        out, err = capsys.readouterr()
+        assert out == "" and "--n: must be non-negative, got -1" in err, kind
 
 
 def test_enumerate_heap_census_beyond_the_corpus_is_unsupported():

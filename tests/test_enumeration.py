@@ -36,14 +36,24 @@ def test_both_pipelines_match_loop_oracle_at_n2():
     assert len(oracle) == 8
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 3])
+@pytest.mark.parametrize("n", range(7))
 def test_labeled_census_is_the_direct_search(n):
     # The orbits of the classes, sorted, are the tables of the search that
-    # breaks no symmetry, table for table and in order.
-    direct, complete, _ = enumeration._search(np.full((n, n, n), -1, dtype=np.int64), None)
-    labeled = enumerate_semiheaps(n)
-    assert complete and labeled.complete
-    assert [s.table.flat() for s in labeled] == [t.flat() for t in direct]
+    # breaks no symmetry, table for table and in order: for semiheaps from
+    # the empty cube up to n = 3 (n = 4 takes ~10 s, a CI step), for heaps
+    # from the biunitary root up to n = 6 (n = 7, a CI step).
+    heap_root = np.full((n, n, n), -1, dtype=np.int64)
+    for x, y in np.ndindex(n, n):
+        heap_root[y, x, x] = heap_root[x, x, y] = y     # biunitarity: [y,x,x] = y = [x,x,y]
+    roots = [(np.full((n, n, n), -1, dtype=np.int64), enumerate_semiheaps)] if n <= 3 else []
+    for root, census in roots + [(heap_root, enumerate_heaps)]:
+        direct, complete, _ = enumeration._search(root, None)
+        labeled, iso = census(n), census(n, up_to_iso=True)
+        assert complete and labeled.complete and iso.complete
+        assert [s.table.flat() for s in labeled] == [t.flat() for t in direct]
+        assert labeled.stats == iso.stats
+        assert [s.table.flat() for s in labeled.classes] == [s.table.flat() for s in iso] == \
+               [s.table.flat() for s in iso.classes]
 
 
 def test_labeled_census_counts_orbits_by_automorphisms():
@@ -185,10 +195,24 @@ def test_budgeted_labeled_run_keeps_whole_orbits():
             assert relabel(s.table, np.array(p)).flat() in keys
 
 
+def test_budgeted_heap_census_up_to_iso_returns_classes():
+    # All 120 heaps on 7 points form one class; a run cut short returns at
+    # most that class, never labeled tables.
+    for budget in (0.05, 0.5):
+        found = enumerate_heaps(7, up_to_iso=True, budget=budget)
+        assert len(found) <= 1 and len(found.classes) == len(found)
+        assert all(canonical_form(s.table).flat() == s.table.flat() for s in found)
+
+
 def test_labeled_run_that_finds_no_class_is_empty():
     # At n = 7 the search meets its first class only after several seconds.
-    found = enumerate_semiheaps(7, budget=0.5)
-    assert list(found) == [] and found.complete is False
+    # At n = 10 one lex-leader check streams 10! relabelings; the deadline
+    # is read between their slabs, and a check cut short ends the run.
+    for n in (7, 10):
+        start = time.perf_counter()
+        found = enumerate_semiheaps(n, budget=0.5)
+        assert list(found) == [] and found.complete is False
+        assert time.perf_counter() - start < 2.0, n
 
 
 def test_complete_flag_true_on_full_runs():
