@@ -4,8 +4,8 @@ A bundle is a finite total space with a projection, a fiberwise semiheap
 action, and per-chart trivializations that are equivariant for right
 translation on the structure semiheap.  Charts are arbitrary base subsets;
 there is no topology on a finite base.  Transitivity of the fiber action
-is not part of the bundle axioms — it is required only of the principal
-bundles fed to heapify_principal.
+is not part of the bundle axioms; in the principal bundles fed to
+heapify_principal it follows from freeness and the charts.
 """
 
 import math
@@ -33,16 +33,8 @@ class BundleFailure:
     witness: tuple
 
 
-@dataclass(frozen=True)
-class DiscreteSemiheapBundle:
-    """Raw bundle data; run verify_bundle to certify it."""
-
-    base_size: int
-    projection: np.ndarray          # (P,) base index per total-space point
-    structure: FiniteSemiheap
-    action: FiniteAction            # of structure on the total space
-    cover: tuple                    # tuple of frozensets of base indices
-    charts: tuple                   # per chart, dict p -> (base index, fiber label)
+class _Trivialized:
+    """What both bundle kinds hold, frozen on construction: a projection and one chart per cover set."""
 
     def __post_init__(self):
         proj = np.asarray(self.projection, dtype=np.int64).copy()
@@ -54,6 +46,18 @@ class DiscreteSemiheapBundle:
     @property
     def total_size(self):
         return self.projection.shape[0]
+
+
+@dataclass(frozen=True)
+class DiscreteSemiheapBundle(_Trivialized):
+    """Raw bundle data; run verify_bundle to certify it."""
+
+    base_size: int
+    projection: np.ndarray          # (P,) base index per total-space point
+    structure: FiniteSemiheap
+    action: FiniteAction            # of structure on the total space
+    cover: tuple                    # tuple of frozensets of base indices
+    charts: tuple                   # per chart, dict p -> (base index, fiber label)
 
     def fiber(self, m):
         return [int(p) for p in np.nonzero(self.projection == m)[0]]
@@ -67,38 +71,44 @@ def verify_bundle(b):
     point.  Checks run in a fixed order and report the first failure.
     """
     n = b.structure.n
-    total = b.total_size
-    proj = b.projection
-    if total and (proj.min() < 0 or proj.max() >= b.base_size):
-        raise InvalidTable("projection value outside base")
-    if b.action.table.shape != (total, n, n):
-        raise InvalidTable(f"action table must be ({total}, {n}, {n})")
+    _check_layout(b)
+    if b.action.table.shape != (b.total_size, n, n):
+        raise InvalidTable(f"action table must be ({b.total_size}, {n}, {n})")
     if b.action.semiheap.key() != b.structure.key():
         raise InvalidTable("action is not an action of the structure semiheap")
-    if len(b.charts) != len(b.cover):
-        raise InvalidTable("one trivialization per cover set required")
-
     compat = action_compat_witness(b.action.table, b.structure)
     if compat is not None:
         return BundleFailure("action-compatibility", (compat.point, *compat.quadruple))
+    return _trivialization_failure(b, b.action.table, b.structure.table.entries)
 
-    hit = set(int(v) for v in proj)
-    missing = [m for m in range(b.base_size) if m not in hit]
+
+def _check_layout(b):
+    """Raise InvalidTable unless the projection lands in the base and each cover set has one chart."""
+    if b.projection.size and (b.projection.min() < 0 or b.projection.max() >= b.base_size):
+        raise InvalidTable("projection value outside base")
+    if len(b.charts) != len(b.cover):
+        raise InvalidTable("one trivialization per cover set required")
+
+
+def _trivialization_failure(b, act, mul):
+    """The first failing axiom shared by semiheap and principal bundles, or None.
+
+    act[p, *w] is the action of the structure on the total space and mul
+    the structure's table (ternary cube or Cayley table); every chart
+    must be an equivariant bijection onto its cover set times the carrier.
+    """
+    n, proj = mul.shape[0], b.projection
+    missing = sorted(set(range(b.base_size)) - set(proj.tolist()))
     if missing:
         return BundleFailure("projection-surjective", (missing[0],))
-
-    act = b.action.table
     bad = _fiber_witness(proj, act)
     if bad is not None:
         return BundleFailure("fiber-preservation", (*bad, int(act[bad])))
-
-    covered = set().union(*b.cover) if b.cover else set()
-    uncovered = [m for m in range(b.base_size) if m not in covered]
+    uncovered = sorted(set(range(b.base_size)).difference(*b.cover))
     if uncovered:
         return BundleFailure("cover", (uncovered[0],))
-
     for i, (u, chart) in enumerate(zip(b.cover, b.charts)):
-        domain = {p for p in range(total) if int(proj[p]) in u}
+        domain = {p for p in range(b.total_size) if int(proj[p]) in u}
         if set(chart) != domain:
             off = sorted(set(chart) ^ domain)[0]
             return BundleFailure("chart-domain", (i, off))
@@ -114,7 +124,7 @@ def verify_bundle(b):
             seen.add((bm, s))
         if len(seen) != len(u) * n:
             return BundleFailure("chart-bijective", (i, len(seen), len(u) * n))
-        bad = _chart_equivariance_witness(chart, act, b.structure.table.entries)
+        bad = _chart_equivariance_witness(chart, act, mul)
         if bad is not None:
             return BundleFailure("chart-equivariance", (i, *bad))
     return None
@@ -193,7 +203,7 @@ def fiber_semiheap(b, m, i):
 
 
 @dataclass(frozen=True)
-class FinitePrincipalBundle:
+class FinitePrincipalBundle(_Trivialized):
     """A finite principal bundle: free, fiber-transitive right G-action
     with G-equivariant charts."""
 
@@ -205,62 +215,29 @@ class FinitePrincipalBundle:
     charts: tuple                   # per chart, dict p -> (base index, group label)
 
     def __post_init__(self):
-        proj = np.asarray(self.projection, dtype=np.int64).copy()
+        """Check the group action, then freeness, then the shared trivialization axioms.
+
+        Injective, bijective charts give every fiber exactly |G| points,
+        so a free, fiber-preserving action is transitive on each fiber.
+        """
+        super().__post_init__()
         act = np.asarray(self.action, dtype=np.int64).copy()
-        proj.flags.writeable = False
         act.flags.writeable = False
-        object.__setattr__(self, "projection", proj)
         object.__setattr__(self, "action", act)
-        object.__setattr__(self, "cover", tuple(frozenset(u) for u in self.cover))
-        object.__setattr__(self, "charts", tuple(dict(c) for c in self.charts))
-        self._validate()
-
-    @property
-    def total_size(self):
-        return self.projection.shape[0]
-
-    def _validate(self):
         g = self.group
-        total = self.total_size
-        proj = self.projection
-        act = self.action
-        if act.shape != (total, g.n):
-            raise InvalidTable(f"action table must be ({total}, {g.n})")
+        if act.shape != (self.total_size, g.n):
+            raise InvalidTable(f"action table must be ({self.total_size}, {g.n})")
+        _check_layout(self)
         bad = group_action_witness(act, g)
         if bad is not None:
             raise LawError(f"not a right group action: {bad[0]}", bad)
-        if set(int(v) for v in proj) != set(range(self.base_size)):
-            raise LawError("projection must be surjective")
-        bad = _fiber_witness(proj, act)
-        if bad is not None:
-            raise LawError("group action must preserve fibers", bad)
-        for p in range(total):
+        for p in range(self.total_size):
             fixed = np.nonzero(act[p] == p)[0]
             if fixed.tolist() != [g.e]:
                 raise LawError(f"action is not free at point {p}", (p, fixed.tolist()))
-        for m in range(self.base_size):
-            fiber = np.nonzero(proj == m)[0]
-            for p in fiber:
-                if set(int(v) for v in act[p]) != set(int(v) for v in fiber):
-                    raise LawError(f"action is not transitive on the fiber over {m}", (m, int(p)))
-        covered = set().union(*self.cover) if self.cover else set()
-        if covered != set(range(self.base_size)):
-            raise LawError("cover must union to the base")
-        for i, (u, chart) in enumerate(zip(self.cover, self.charts)):
-            domain = {p for p in range(total) if int(proj[p]) in u}
-            if set(chart) != domain:
-                raise LawError(f"chart {i} domain mismatch")
-            images = set()
-            for p in sorted(domain):
-                bm, gp = chart[p]
-                if bm != int(proj[p]) or not 0 <= gp < g.n:
-                    raise LawError(f"chart {i} ill-formed at {p}")
-                images.add((bm, gp))
-            if len(images) != len(u) * g.n:
-                raise LawError(f"chart {i} not bijective")
-            bad = _chart_equivariance_witness(chart, act, g.mul)
-            if bad is not None:
-                raise LawError(f"chart {i} not G-equivariant at ({bad[0]},{bad[1]})")
+        failure = _trivialization_failure(self, act, g.mul)
+        if failure is not None:
+            raise LawError(f"not a principal bundle: {failure.axiom} fails at {failure.witness}", failure)
 
 
 def heapify_principal(pb):

@@ -344,17 +344,22 @@ def _check_bijection(phi, n):
     return arr
 
 
+def relabel(table, perm):
+    """Transport a table along the carrier bijection x -> perm[x]."""
+    p = _check_bijection(perm, table.n)
+    out = np.empty_like(table.entries)
+    out[np.ix_(p, p, p)] = p[table.entries]
+    return TernaryTable(out)
+
+
 def induce_via_bijection(phi, s):
     """Pull the structure of s back along a bijection phi: M -> carrier(s).
 
-    [m1,m2,m3] := phi^-1 [phi m1, phi m2, phi m3]; the result is certified,
-    since para-associativity transports along bijections.
+    [m1,m2,m3] := phi^-1 [phi m1, phi m2, phi m3], the transport along
+    phi^-1; the result is certified, since para-associativity transports
+    along bijections.
     """
-    n = s.n
-    arr = _check_bijection(phi, n)
-    inv = np.argsort(arr)
-    induced = inv[s.table.entries[np.ix_(arr, arr, arr)]] if n else np.zeros((0, 0, 0), dtype=np.int64)
-    return FiniteSemiheap(TernaryTable(induced), _certified=True)
+    return FiniteSemiheap(relabel(s.table, np.argsort(_check_bijection(phi, s.n))), _certified=True)
 
 
 def induced_pair_iso(phi, psi, s):

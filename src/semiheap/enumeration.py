@@ -347,15 +347,6 @@ def enumerate_heaps(n, up_to_iso=False, budget=None):
     return found
 
 
-def relabel(table, perm):
-    """Transport a table along the carrier relabeling x -> perm[x]."""
-    p = np.asarray(perm, dtype=np.int64)
-    n = table.n
-    out = np.empty_like(table.entries)
-    out[np.ix_(p, p, p)] = p[table.entries]
-    return TernaryTable(out) if n else table
-
-
 def canonical_form(table, deadline=None, gathered=lambda rows: None):
     """The lexicographically least relabeling of the table.
 

@@ -17,12 +17,11 @@ from .core import (
     PointedSemiheap,
     TernaryTable,
     _SLAB,
-    _first_disagreement,
     _first_non_biunitary,
     is_heap,
     is_homomorphism,
 )
-from .groups import FiniteGroup, associativity_witness, is_group_hom
+from .groups import FiniteGroup, GroupAxiomWitness, group_axiom_witness, is_group_hom  # noqa: F401 (re-export)
 
 
 class BudgetExceeded(RuntimeError):
@@ -39,14 +38,6 @@ def heapify(g):
     return PointedSemiheap(s, g.e)
 
 
-@dataclass(frozen=True)
-class GroupAxiomWitness:
-    """Diagnostic for groupify on inputs that are not heaps."""
-
-    axiom: str
-    witness: tuple
-
-
 def _groupify_tables(h):
     t = h.table.entries
     e = h.basepoint
@@ -55,13 +46,12 @@ def _groupify_tables(h):
     return mul, inv
 
 
-def groupify(h, require_heap=True):
+def groupify(h):
     """The group [x,e,y] with inverse [e,x,e] on a pointed heap.
 
-    With require_heap (the default) the input must be a heap; the output
-    always passes full group validation.
+    The input must be a heap; the output always passes full group validation.
     """
-    if require_heap and (bad := _first_non_biunitary(h.semiheap)) is not None:
+    if (bad := _first_non_biunitary(h.semiheap)) is not None:
         raise LawError(f"groupify requires a heap; element {bad} is not biunitary", bad)
     mul, inv = _groupify_tables(h)
     return FiniteGroup(mul, h.basepoint, inv)
@@ -74,19 +64,8 @@ def groupify_diagnose(h):
     group axioms, else a GroupAxiomWitness naming the first failure.
     """
     mul, inv = _groupify_tables(h)
-    n = h.n
-    e = h.basepoint
-    hit = _first_disagreement(n, 1, lambda r: np.arange(n)[r], lambda r: mul[e, r], lambda r: mul[r, e])
-    if hit is not None:
-        (x,), (_, left, right) = hit
-        return GroupAxiomWitness("identity", (e, x, left, right))
-    bad = associativity_witness(mul)
-    if bad is not None:
-        return GroupAxiomWitness("associativity", bad)
-    for x in range(n):
-        if mul[x, inv[x]] != e or mul[inv[x], x] != e:
-            return GroupAxiomWitness("inverse", (x, int(inv[x])))
-    return FiniteGroup(mul, e, inv)
+    bad = group_axiom_witness(mul, h.basepoint, inv)
+    return FiniteGroup(mul, h.basepoint, inv) if bad is None else bad
 
 
 def transport_group_hom(mapping, g, g2):

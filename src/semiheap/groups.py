@@ -36,14 +36,9 @@ class FiniteGroup:
             raise InvalidTable("inverse table malformed")
         if not 0 <= self.e < n:
             raise InvalidTable(f"identity index {self.e} outside carrier")
-        ar = np.arange(n)
-        if not (np.array_equal(mul[self.e], ar) and np.array_equal(mul[:, self.e], ar)):
-            raise LawError(f"element {self.e} is not a two-sided identity")
-        bad = associativity_witness(mul)
+        bad = group_axiom_witness(mul, self.e, inv)
         if bad is not None:
-            raise LawError(f"associativity fails at ({bad[0]},{bad[1]},{bad[2]})", bad)
-        if not (np.array_equal(mul[ar, inv], np.full(n, self.e)) and np.array_equal(mul[inv, ar], np.full(n, self.e))):
-            raise LawError("inverse table does not invert")
+            raise LawError(f"{bad.axiom} fails at {bad.witness}", bad.witness)
         mul.flags.writeable = False
         inv.flags.writeable = False
         object.__setattr__(self, "mul", mul)
@@ -76,6 +71,36 @@ class FiniteGroup:
                 raise LawError(f"element {x} lacks a unique two-sided inverse")
             inv[x] = hits[0]
         return cls(mul, e, inv, name=name)
+
+
+@dataclass(frozen=True)
+class GroupAxiomWitness:
+    """The first group axiom a (mul, e, inv) triple fails, and where."""
+
+    axiom: str
+    witness: tuple
+
+
+def group_axiom_witness(mul, e, inv):
+    """Identity, associativity, then inverse: the first failure as a GroupAxiomWitness, or None.
+
+    Witnesses: identity (e, x, e*x, x*e); associativity the triple (x, y, z);
+    inverse (x, inv[x]).
+    """
+    ar = np.arange(mul.shape[0])
+    hit = _first_disagreement(ar.size, 1, lambda r: ar[r], lambda r: mul[e, r], lambda r: mul[r, e])
+    if hit is not None:
+        (x,), (_, left, right) = hit
+        return GroupAxiomWitness("identity", (e, x, left, right))
+    bad = associativity_witness(mul)
+    if bad is not None:
+        return GroupAxiomWitness("associativity", bad)
+    hit = _first_disagreement(ar.size, 1, lambda r: mul[ar[r], inv[r]], lambda r: mul[inv[r], ar[r]],
+                              lambda r: np.asarray(e))
+    if hit is None:
+        return None
+    (x,), _ = hit
+    return GroupAxiomWitness("inverse", (x, int(inv[x])))
 
 
 def associativity_witness(mul):

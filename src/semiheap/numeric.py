@@ -20,6 +20,8 @@ from .charts import PolynomialField, rel_norm, slabs, solve
 
 RK4_STEP = 1e-3
 FLOW_TOL = 1e-6
+MEMBERSHIP_TOL = 1e-12      # how far mu's inputs and output may leave the group
+TANGENT_TOL = 1e-9          # how far dL's vector may leave the tangent space
 BRACKET_TOL = 1e-4
 
 
@@ -100,12 +102,12 @@ def _para_forms(op, g):
             op(g[0], g[1], op(g[2], g[3], g[4])))
 
 
-def mu(chart, g1, g2, g3, membership_tol=1e-12):
+def mu(chart, g1, g2, g3):
     """g1 * g2^-1 * g3 via linear solve, per matrix on stacks; the output must stay on the group."""
-    if not np.all(chart.membership_residual(np.stack(np.broadcast_arrays(g1, g2, g3))) <= membership_tol):
+    if not np.all(chart.membership_residual(np.stack(np.broadcast_arrays(g1, g2, g3))) <= MEMBERSHIP_TOL):
         raise ValueError(f"input leaves the {chart.name} chart")
     out = g1 @ solve(g2, g3)
-    if not np.all(chart.membership_residual(out) <= membership_tol):
+    if not np.all(chart.membership_residual(out) <= MEMBERSHIP_TOL):
         raise ValueError(f"ternary product left the {chart.name} chart")
     return out
 
@@ -120,7 +122,7 @@ def check_para_associative_numeric(chart, samples, seed, tol=None):
     return fold.report("para-assoc", seed, membership=membership.worst)
 
 
-def dL(chart, x, y, z, v, h=None, tangent_tol=1e-9):
+def dL(chart, x, y, z, v, h=None):
     """Pushforward of the tangent vector v at z under L_{xy}.
 
     Returns (analytic value, residual against the central finite
@@ -128,7 +130,7 @@ def dL(chart, x, y, z, v, h=None, tangent_tol=1e-9):
     v must satisfy the linearized membership constraint at z.
     """
     h = chart.h if h is None else h
-    if not np.all(chart.tangent_residual(z, v) <= tangent_tol):
+    if not np.all(chart.tangent_residual(z, v) <= TANGENT_TOL):
         raise ValueError(f"vector is not tangent to the {chart.name} chart at the base point")
     analytic = x @ solve(y, v)
     return analytic, rel_norm(analytic - _pushforward_fd(chart, x, y, z, v, h), analytic)

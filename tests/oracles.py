@@ -287,6 +287,28 @@ def all_group_tables(n):
     return out
 
 
+def first_group_axiom_failure(flat, n, e):
+    """The first group axiom that [x,e,y] with inverse [e,x,e] fails, or None.
+
+    Returns (axiom, witness): identity (e, x, e*x, x*e), then associativity
+    (x, y, z), then inverse (x, x^-1), each in loop-scan order.
+    """
+    def mul(x, y):
+        return flat[(x * n + e) * n + y]
+
+    for x in range(n):
+        if not mul(e, x) == x == mul(x, e):
+            return "identity", (e, x, mul(e, x), mul(x, e))
+    for x, y, z in iproduct(range(n), repeat=3):
+        if mul(mul(x, y), z) != mul(x, mul(y, z)):
+            return "associativity", (x, y, z)
+    for x in range(n):
+        inv = flat[(e * n + x) * n + e]
+        if not mul(x, inv) == e == mul(inv, x):
+            return "inverse", (x, inv)
+    return None
+
+
 def _product_chunks(base, length, width):
     """range(base)^length in itertools.product order, as int64 arrays of 2^14 // width rows (at least one)."""
     rows = iproduct(range(base), repeat=length)

@@ -19,7 +19,7 @@ from semiheap.bundles import (
     verify_bundle_hom,
     verify_principal_hom,
 )
-from semiheap.core import LawError, SemiheapHom, verify_para_associative
+from semiheap.core import InvalidTable, LawError, SemiheapHom, verify_para_associative
 
 
 def z_heap(n):
@@ -135,6 +135,44 @@ def test_principal_axioms_enforced():
     chart = {0: (0, 0), 1: (0, 1)}
     with pytest.raises(LawError):
         FinitePrincipalBundle(g, 1, proj, act, (frozenset({0}),), (chart,))
+
+
+def test_principal_bundle_needs_one_chart_per_cover_set():
+    g = groups.cyclic(2)
+    chart = {0: (0, 0), 1: (0, 1)}
+    with pytest.raises(InvalidTable, match="one trivialization per cover set"):
+        FinitePrincipalBundle(g, 1, [0, 0], g.mul, (frozenset({0}), frozenset({0})), (chart,))
+
+
+def test_principal_projection_outside_base_is_invalid():
+    g = groups.cyclic(2)
+    act = np.array([[0, 1], [1, 0], [2, 3], [3, 2]])
+    chart = {0: (0, 0), 1: (0, 1)}
+    with pytest.raises(InvalidTable, match="projection value outside base"):
+        FinitePrincipalBundle(g, 1, [0, 0, 1, 1], act, (frozenset({0}),), (chart,))
+
+
+def test_free_action_on_an_oversized_fiber_fails_chart_injectivity():
+    # Z2 acts freely on one 4-point fiber: two orbits, so not transitive; the
+    # chart onto {0} x Z2 cannot be injective, and that is the failure named.
+    g = groups.cyclic(2)
+    act = np.array([[0, 1], [1, 0], [2, 3], [3, 2]])
+    chart = {0: (0, 0), 1: (0, 1), 2: (0, 0), 3: (0, 1)}
+    with pytest.raises(LawError, match="chart-injective") as exc:
+        FinitePrincipalBundle(g, 1, [0, 0, 0, 0], act, (frozenset({0}),), (chart,))
+    assert (exc.value.witness.axiom, exc.value.witness.witness) == ("chart-injective", (0, 2, 0, 0))
+
+
+def test_principal_and_semiheap_bundles_share_the_chart_checks():
+    # A bad chart fails with the same axiom and witness in both bundle kinds.
+    pb = twisted_z2_bundle()
+    b = heapify_principal(pb)
+    bad_charts = ({**pb.charts[0], 3: (1, 0)}, pb.charts[1])
+    semi = DiscreteSemiheapBundle(b.base_size, b.projection, b.structure, b.action, b.cover, bad_charts)
+    with pytest.raises(LawError) as exc:
+        FinitePrincipalBundle(pb.group, 2, pb.projection, pb.action, pb.cover, bad_charts)
+    assert exc.value.witness == verify_bundle(semi)
+    assert exc.value.witness.axiom == "chart-injective"
 
 
 def test_identity_bundle_hom():

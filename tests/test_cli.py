@@ -53,6 +53,12 @@ def test_jobs_option_is_gone(capsys):
     assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
+def test_heapify_rejects_a_nonassociative_loop():
+    loop = "group n=5 e=0\n0 1 2 3 4\n1 0 3 4 2\n2 4 0 1 3\n3 2 4 0 1\n4 3 1 2 0\n"
+    code, out, err = run_cli(["heapify"], loop)
+    assert (code, out, err) == (1, "", "fail law witness=(1, 1, 2)\n")
+
+
 def test_heapify_groupify_pipe_round_trip(tmp_path):
     grp = formats.write_grp1(groups.cyclic(4))
     code, shf, _ = run_cli(["heapify"], grp)

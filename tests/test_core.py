@@ -25,6 +25,7 @@ from semiheap.core import (
     opposite,
     product,
     product_projections,
+    relabel,
     verify_para_associative,
 )
 
@@ -305,6 +306,19 @@ def test_induce_pointed_moves_basepoint():
 def test_induce_rejects_non_bijection():
     with pytest.raises(InvalidTable):
         induce_via_bijection(np.array([0, 0, 1]), z_heap(3))
+
+
+def test_relabel_rejects_non_bijection():
+    # A repeated, short or out-of-range permutation used to leave cells unwritten.
+    for perm in ([0, 0, 1], [0, 1], [0, 1, 3]):
+        with pytest.raises(InvalidTable, match="not a bijection onto 0..2"):
+            relabel(z_heap(3).table, perm)
+
+
+def test_induce_is_relabeling_along_the_inverse():
+    s = functors.heapify(groups.symmetric3()).semiheap
+    phi = np.array([3, 5, 0, 1, 4, 2])
+    assert induce_via_bijection(phi, s).key() == relabel(s.table, np.argsort(phi)).key()
 
 
 @settings(max_examples=100, deadline=None)

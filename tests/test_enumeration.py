@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from semiheap import enumeration, functors, groups
-from semiheap.core import TernaryTable, is_heap, verify_para_associative
+from semiheap.core import TernaryTable, is_heap, relabel, verify_para_associative
 from semiheap.enumeration import (
     SearchStats,
     Unsupported,
@@ -14,7 +14,6 @@ from semiheap.enumeration import (
     canonical_form,
     enumerate_heaps,
     enumerate_semiheaps,
-    relabel,
 )
 
 from oracles import all_group_tables, semiheap_tables_brute

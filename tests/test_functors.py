@@ -1,7 +1,10 @@
+from collections import Counter
+from itertools import product as iproduct
+
 import numpy as np
 import pytest
 
-from semiheap import groups
+from semiheap import enumeration, groups
 from semiheap.core import LawError, PointedSemiheap, is_abelian, is_heap, is_homomorphism
 from semiheap.functors import (
     BudgetExceeded,
@@ -12,7 +15,9 @@ from semiheap.functors import (
     heapify,
     transport_group_hom,
 )
-from semiheap.groups import is_group_hom
+from semiheap.groups import FiniteGroup, is_group_hom
+
+from oracles import first_group_axiom_failure
 
 
 def test_heapify_z2_is_xor():
@@ -78,6 +83,53 @@ def test_groupify_diagnose_succeeds_on_actual_heaps():
     g = groupify_diagnose(h)
     assert not isinstance(g, GroupAxiomWitness)
     assert np.array_equal(g.mul, groups.dihedral4().mul)
+
+
+def test_groupify_diagnose_matches_the_loop_oracle():
+    # Para-associativity implies associativity of [x,e,y], so at n <= 3 only
+    # the identity and inverse axioms fail; the groups are the pointed heaps.
+    found = Counter()
+    for n in (1, 2, 3):
+        for s in enumeration.enumerate_semiheaps(n):
+            for e in range(n):
+                ps = PointedSemiheap(s, e)
+                diag = groupify_diagnose(ps)
+                want = first_group_axiom_failure(s.table.flat(), n, e)
+                if want is None:
+                    assert isinstance(diag, FiniteGroup) and is_heap(s)
+                    assert np.array_equal(diag.mul, groupify(ps).mul)
+                else:
+                    assert isinstance(diag, GroupAxiomWitness)
+                    assert (diag.axiom, diag.witness) == want
+                found[want and want[0]] += 1
+    assert found == {"identity": 387, "inverse": 29, None: 6}
+
+
+# An order-5 loop: identity 0 and unique two-sided inverses, but not associative.
+LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+
+def test_group_rejects_a_nonassociative_loop():
+    first = next((x, y, z) for x, y, z in iproduct(range(5), repeat=3)
+                 if LOOP5[LOOP5[x][y]][z] != LOOP5[x][LOOP5[y][z]])
+    assert first == (1, 1, 2)
+    for build in (lambda: FiniteGroup.from_mul(LOOP5), lambda: FiniteGroup(LOOP5, 0, [0, 1, 2, 3, 4])):
+        with pytest.raises(LawError, match="associativity") as exc:
+            build()
+        assert exc.value.witness == first
+
+
+def test_group_axiom_failures_carry_their_witness():
+    with pytest.raises(LawError, match="identity") as exc:
+        FiniteGroup(groups.cyclic(3).mul, 1, [0, 2, 1])
+    assert exc.value.witness == (1, 0, 1, 1)
+    with pytest.raises(LawError, match="inverse") as exc:
+        FiniteGroup(groups.cyclic(3).mul, 0, [0, 1, 2])
+    assert exc.value.witness == (1, 1)
+
+
+def test_group_axiom_witness_is_importable_from_functors():
+    assert GroupAxiomWitness is groups.GroupAxiomWitness
 
 
 def test_fully_faithful_z2_z2():

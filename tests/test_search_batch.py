@@ -30,7 +30,7 @@ from oracles import (
     relabel_loops,
 )
 from semiheap import enumeration
-from semiheap.core import _SLAB, TernaryTable
+from semiheap.core import _SLAB, TernaryTable, relabel
 from semiheap.enumeration import (
     SearchStats,
     _propagate,
@@ -40,7 +40,6 @@ from semiheap.enumeration import (
     enumerate_heaps,
     enumerate_semiheaps,
     iso_classes,
-    relabel,
 )
 from semiheap.functors import _completing_levels, check_fully_faithful, heapify
 from semiheap.groups import FiniteGroup, LawError
