@@ -11,7 +11,7 @@ from dataclasses import dataclass, InitVar
 
 import numpy as np
 
-from .core import FiniteSemiheap, InvalidTable, LawError, _first_disagreement
+from .core import FiniteSemiheap, InvalidTable, LawError, _first_disagreement, _index_array
 from .functors import heapify
 
 
@@ -27,13 +27,9 @@ class ActionCounterexample:
 
 def action_compat_witness(table, semiheap):
     """Exhaustive compatibility check of a raw (m, n, n) action table."""
-    a = np.asarray(table, dtype=np.int64)
     n = semiheap.n
-    if a.ndim != 3 or a.shape[1:] != (n, n):
-        raise InvalidTable(f"action table must be (m, {n}, {n}), got {a.shape}")
+    a = _index_array(table, (None, n, n), None, "action table")
     m = a.shape[0]
-    if a.size and (a.min() < 0 or a.max() >= m):
-        raise InvalidTable("action table entry outside the space")
     t = semiheap.table.entries
     pairs = a.reshape(m * n, n)                 # pairs[p * n + x1, x2] = a[p,x1,x2]
     hit = _first_disagreement(m * n, n ** 3,
@@ -55,8 +51,8 @@ class FiniteAction:
     verify: InitVar[bool] = True
 
     def __post_init__(self, verify):
-        arr = np.asarray(self.table, dtype=np.int64).copy()
-        arr.flags.writeable = False
+        n = self.semiheap.n
+        arr = _index_array(self.table, (None, n, n), None, "action table")
         object.__setattr__(self, "table", arr)
         if verify:
             witness = action_compat_witness(arr, self.semiheap)
@@ -96,12 +92,8 @@ def action_from_hom(h):
 
 def group_action_witness(act, g):
     """First violated right group-action axiom on a raw (m, n) table, or None."""
-    a = np.asarray(act, dtype=np.int64)
-    if a.ndim != 2 or a.shape[1] != g.n:
-        raise InvalidTable(f"group action table must be (m, {g.n}), got {a.shape}")
+    a = _index_array(act, (None, g.n), None, "group action table")
     m = a.shape[0]
-    if a.size and (a.min() < 0 or a.max() >= m):
-        raise InvalidTable("group action entry outside the space")
     hit = _first_disagreement(m, 1, lambda r: a[r, g.e], lambda r: np.arange(m)[r])
     if hit is not None:
         (p,), (ap, _) = hit
@@ -135,9 +127,7 @@ def discretized_flow_action(k, m, flow):
     flow[flow[p, t1], t2] = flow[p, (t1 + t2) % k]; the induced action is
     sigma(p, t1, t2) = flow[p, (-t1 + t2) % k].
     """
-    f = np.asarray(flow, dtype=np.int64)
-    if f.shape != (m, k):
-        raise InvalidTable(f"flow table must be ({m}, {k}), got {f.shape}")
+    f = _index_array(flow, (m, k), m, "flow table")
     if not np.array_equal(f[:, 0], np.arange(m)):
         raise LawError("flow must fix every point at step 0")
     steps = (np.arange(k)[:, None] + np.arange(k)[None, :]) % k
@@ -153,9 +143,7 @@ def equivariance_witness(mapping, a_m, a_n):
     """First (p, x, y) with psi(p <| (x,y)) != psi(p) <| (x,y), or None."""
     if a_m.semiheap.key() != a_n.semiheap.key():
         raise InvalidTable("equivariance needs actions of the same semiheap")
-    psi = np.asarray(mapping, dtype=np.int64)
-    if psi.shape != (a_m.space_size,) or (psi.size and (psi.min() < 0 or psi.max() >= a_n.space_size)):
-        raise InvalidTable("map malformed")
+    psi = _index_array(mapping, (a_m.space_size,), a_n.space_size, "map")
     hit = _first_disagreement(a_m.space_size, a_m.semiheap.n ** 2,
                               lambda r: psi[a_m.table[r]],
                               lambda r: a_n.table[psi[r]])

@@ -20,6 +20,7 @@ from .core import (
     LawError,
     SemiheapHom,
     _first_disagreement,
+    _index_array,
     induce_via_bijection,
     is_homomorphism,
 )
@@ -70,12 +71,11 @@ def verify_bundle(b):
     corrupted action table is always caught through this single entry
     point.  Checks run in a fixed order and report the first failure.
     """
-    n = b.structure.n
     _check_layout(b)
-    if b.action.table.shape != (b.total_size, n, n):
-        raise InvalidTable(f"action table must be ({b.total_size}, {n}, {n})")
     if b.action.semiheap.key() != b.structure.key():
         raise InvalidTable("action is not an action of the structure semiheap")
+    if b.action.space_size != b.total_size:
+        raise InvalidTable(f"action moves {b.action.space_size} points, the total space has {b.total_size}")
     compat = action_compat_witness(b.action.table, b.structure)
     if compat is not None:
         return BundleFailure("action-compatibility", (compat.point, *compat.quadruple))
@@ -221,12 +221,9 @@ class FinitePrincipalBundle(_Trivialized):
         so a free, fiber-preserving action is transitive on each fiber.
         """
         super().__post_init__()
-        act = np.asarray(self.action, dtype=np.int64).copy()
-        act.flags.writeable = False
-        object.__setattr__(self, "action", act)
         g = self.group
-        if act.shape != (self.total_size, g.n):
-            raise InvalidTable(f"action table must be ({self.total_size}, {g.n})")
+        act = _index_array(self.action, (self.total_size, g.n), self.total_size, "action table")
+        object.__setattr__(self, "action", act)
         _check_layout(self)
         bad = group_action_witness(act, g)
         if bad is not None:
@@ -280,17 +277,11 @@ class BundleHom:
 
 def verify_bundle_hom(h, b, b2):
     """Check the two bundle-hom identities exhaustively; None on success."""
-    phi = np.asarray(h.total_map, dtype=np.int64)
-    base = np.asarray(h.base_map, dtype=np.int64)
     psi = h.structure_hom
-    if phi.shape != (b.total_size,) or (phi.size and (phi.min() < 0 or phi.max() >= b2.total_size)):
-        raise InvalidTable("total map malformed")
-    if base.shape != (b.base_size,) or (base.size and (base.min() < 0 or base.max() >= b2.base_size)):
-        raise InvalidTable("base map malformed")
     if psi.source.key() != b.structure.key() or psi.target.key() != b2.structure.key():
         raise InvalidTable("structure hom endpoints do not match the bundles")
-    return _hom_failure(phi, base, b.projection, b2.projection, b.action.table,
-                        lambda r: b2.action.table[np.ix_(phi[r], psi.mapping, psi.mapping)])
+    return _hom_failure(h, b, b2, b.action.table,
+                        lambda phi, r: b2.action.table[np.ix_(phi[r], psi.mapping, psi.mapping)])
 
 
 @dataclass(frozen=True)
@@ -304,22 +295,22 @@ class PrincipalBundleHom:
 
 def verify_principal_hom(h, pb, pb2):
     """Check Phi(a_g(p)) = a'_{psi(g)}(Phi(p)) and the base square; None on success."""
-    phi = np.asarray(h.total_map, dtype=np.int64)
-    base = np.asarray(h.base_map, dtype=np.int64)
     psi = np.asarray(h.group_hom, dtype=np.int64)
     if group_hom_witness(psi, pb.group, pb2.group) is not None:
         return BundleFailure("hom-group", tuple(int(v) for v in psi))
-    return _hom_failure(phi, base, pb.projection, pb2.projection, pb.action,
-                        lambda r: pb2.action[np.ix_(phi[r], psi)])
+    return _hom_failure(h, pb, pb2, pb.action, lambda phi, r: pb2.action[np.ix_(phi[r], psi)])
 
 
-def _hom_failure(phi, base, proj, proj2, act, moved_image):
-    """The base square, then phi(p . w) = phi(p) . psi(w), its right side given per slab of points."""
-    hit = _first_disagreement(phi.size, 1, lambda r: proj2[phi[r]], lambda r: base[proj[r]])
+def _hom_failure(h, b, b2, act, moved_image):
+    """The maps of h checked to run from b to b2, then the base square, then
+    phi(p . w) = phi(p) . psi(w), its right side moved_image(phi, slab of points)."""
+    phi = _index_array(h.total_map, (b.total_size,), b2.total_size, "total map")
+    base = _index_array(h.base_map, (b.base_size,), b2.base_size, "base map")
+    hit = _first_disagreement(phi.size, 1, lambda r: b2.projection[phi[r]], lambda r: base[b.projection[r]])
     if hit is not None:
         return BundleFailure("hom-projection", hit[0])
     hit = _first_disagreement(phi.size, math.prod(act.shape[1:]),
-                              lambda r: phi[act[r]], moved_image)
+                              lambda r: phi[act[r]], lambda r: moved_image(phi, r))
     return None if hit is None else BundleFailure("hom-equivariance", hit[0])
 
 

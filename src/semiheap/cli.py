@@ -1,7 +1,7 @@
 """Command-line entry point.
 
-All subcommands read stdin and write stdout unless --in/--out override
-them.  Output is line-oriented key=value records; identical inputs and
+All subcommands write stdout (or --out); those that read input read stdin
+(or --in).  Output is line-oriented key=value records; identical inputs and
 seeds produce byte-identical reports.  Exit codes: 0 all checks pass,
 1 a law or property fails (witness emitted), 2 input or usage errors.
 """
@@ -41,43 +41,44 @@ def _greater_than(kind, low, what="positive"):
 
 
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--in", dest="infile", help="read input from a file instead of stdin")
-    common.add_argument("--out", dest="outfile", help="write output to a file instead of stdout")
-    common.add_argument("--seed", type=int, default=0, help="seed for stochastic subcommands")
-    common.add_argument("--budget", type=float, default=None, help="wall-clock budget in seconds")
+    writes = argparse.ArgumentParser(add_help=False)
+    writes.add_argument("--out", dest="outfile", help="write output to a file instead of stdout")
+    reads = argparse.ArgumentParser(add_help=False, parents=[writes])
+    reads.add_argument("--in", dest="infile", help="read input from a file instead of stdin")
 
     parser = argparse.ArgumentParser(prog="semiheap", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("check", parents=[common], help="verify semiheap laws on SHF1 input")
+    sub.add_parser("check", parents=[reads], help="verify semiheap laws on SHF1 input")
 
-    sub.add_parser("heapify", parents=[common], help="GRP1 in, pointed SHF1 out")
+    sub.add_parser("heapify", parents=[reads], help="GRP1 in, pointed SHF1 out")
 
-    p = sub.add_parser("groupify", parents=[common], help="pointed SHF1 in, GRP1 out")
+    p = sub.add_parser("groupify", parents=[reads], help="pointed SHF1 in, GRP1 out")
     p.add_argument("--pt", type=int, default=None, help="basepoint override")
     p.add_argument("--no-require-heap", action="store_true",
                    help="diagnostic mode: report the failing group axiom instead of requiring a heap")
 
-    p = sub.add_parser("translations", parents=[common], help="translation laws on SHF1 input")
+    p = sub.add_parser("translations", parents=[reads], help="translation laws on SHF1 input")
     p.add_argument("--law", choices=["right", "left", "commute", "centric"], required=True)
 
-    p = sub.add_parser("action-check", parents=[common], help="verify ACT1 input against --semiheap")
+    p = sub.add_parser("action-check", parents=[reads], help="verify ACT1 input against --semiheap")
     p.add_argument("--semiheap", required=True, help="SHF1 file with the structure semiheap")
 
-    p = sub.add_parser("orbit", parents=[common], help="reachable set of --point under an ACT1 action")
+    p = sub.add_parser("orbit", parents=[reads], help="reachable set of --point under an ACT1 action")
     p.add_argument("--semiheap", required=True)
     p.add_argument("--point", type=int, required=True)
 
-    sub.add_parser("bundle-check", parents=[common], help="verify BND1 input")
+    sub.add_parser("bundle-check", parents=[reads], help="verify BND1 input")
 
-    p = sub.add_parser("enumerate", parents=[common], help="enumerate semiheaps or heaps")
+    p = sub.add_parser("enumerate", parents=[writes], help="enumerate semiheaps or heaps")
+    p.add_argument("--budget", type=float, default=None, help="wall-clock budget in seconds")
     p.add_argument("--n", type=_greater_than(int, -1, "non-negative"), required=True)
     p.add_argument("--heaps", action="store_true")
     p.add_argument("--up-to-iso", action="store_true")
     p.add_argument("--no-tables", action="store_true", help="summary line only")
 
-    p = sub.add_parser("numeric", parents=[common], help="numerical heap checks on matrix charts")
+    p = sub.add_parser("numeric", parents=[writes], help="numerical heap checks on matrix charts")
+    p.add_argument("--seed", type=int, default=0, help="seed of the sampled points")
     p.add_argument("subcheck", choices=["para-assoc", "pushforward", "left-invariant",
                                         "group-vs-heap", "bracket", "mult-function",
                                         "mult-field", "tangent", "coassoc", "euclidean",
@@ -110,9 +111,6 @@ def main(argv=None):
     except LawError as exc:
         print(f"fail law witness={exc.witness}", file=sys.stderr)
         return EXIT_FAIL
-    except functors.BudgetExceeded as exc:
-        print(f"error budget {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except enumeration.Unsupported as exc:
         print(f"error unsupported {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -26,6 +26,24 @@ class LawError(ValueError):
         self.witness = witness
 
 
+def _index_array(values, shape, high, what):
+    """The index data values as a read-only int64 copy of the given shape, entries in 0..high-1.
+
+    None in shape matches any length; high=None bounds the entries by the
+    array's own length (an action's table maps its m points to themselves).
+    Raises InvalidTable naming what on a wrong shape or an out-of-range entry.
+    """
+    arr = np.array(values, dtype=np.int64)
+    if arr.ndim != len(shape) or any(d is not None and d != a for d, a in zip(shape, arr.shape)):
+        want = ", ".join("*" if d is None else str(d) for d in shape)
+        raise InvalidTable(f"{what} must have shape ({want}), got ({', '.join(map(str, arr.shape))})")
+    high = len(arr) if high is None else high
+    if arr.size and (arr.min() < 0 or arr.max() >= high):
+        raise InvalidTable(f"{what} entry {arr[(arr < 0) | (arr >= high)][0]} outside 0..{high - 1}")
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class ParaAssocCounterexample:
     """First quintuple where the three para-associative forms disagree."""
@@ -263,11 +281,7 @@ def product_projections(s, s2):
 
 def homomorphism_witness(mapping, s, s2):
     """First triple violating phi[x,y,z] = [phi x, phi y, phi z]', or None."""
-    phi = np.asarray(mapping, dtype=np.int64)
-    if phi.shape != (s.n,):
-        raise InvalidTable(f"map must have length {s.n}, got shape {phi.shape}")
-    if phi.size and (phi.min() < 0 or phi.max() >= s2.n):
-        raise InvalidTable("map value outside target carrier")
+    phi = _index_array(mapping, (s.n,), s2.n, "map")
     t, t2 = s.table.entries, s2.table.entries
     hit = _first_disagreement(s.n, s.n ** 2,
                               lambda r: phi[t[r]],
@@ -288,8 +302,7 @@ class SemiheapHom:
     mapping: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.mapping, dtype=np.int64).copy()
-        arr.flags.writeable = False
+        arr = _index_array(self.mapping, (self.source.n,), self.target.n, "map")
         object.__setattr__(self, "mapping", arr)
         witness = homomorphism_witness(arr, self.source, self.target)
         if witness is not None:
@@ -316,10 +329,7 @@ def homomorphic_image(h):
 
 def closure_witness(subset, s):
     """First triple from the subset whose product escapes it, or None."""
-    members = np.array(sorted(set(int(x) for x in subset)), dtype=np.int64)
-    for x in members:
-        if not 0 <= x < s.n:
-            raise InvalidTable(f"subset element {x} outside carrier")
+    members = np.unique(_index_array(list(subset), (None,), s.n, "subset"))
     t = s.table.entries
     inside = np.full(s.n, -1, dtype=np.int64)    # members to themselves, the rest to -1
     inside[members] = members

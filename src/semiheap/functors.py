@@ -25,7 +25,7 @@ from .groups import FiniteGroup, GroupAxiomWitness, group_axiom_witness, is_grou
 
 
 class BudgetExceeded(RuntimeError):
-    """Raised instead of returning a partial enumeration result."""
+    """Raised when check_fully_faithful would classify more maps than its budget allows."""
 
 
 def heapify(g):

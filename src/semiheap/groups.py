@@ -10,7 +10,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .core import InvalidTable, LawError, _first_disagreement
+from .core import InvalidTable, LawError, _first_disagreement, _index_array
 
 
 @dataclass(frozen=True)
@@ -23,24 +23,16 @@ class FiniteGroup:
     name: str = ""
 
     def __post_init__(self):
-        mul = np.asarray(self.mul, dtype=np.int64).copy()
-        inv = np.asarray(self.inv, dtype=np.int64).copy()
-        n = mul.shape[0]
-        if mul.shape != (n, n):
-            raise InvalidTable(f"Cayley table must be square, got {mul.shape}")
+        n = len(self.mul)
+        mul = _index_array(self.mul, (n, n), n, "Cayley table")
         if n == 0:
             raise InvalidTable("a group needs at least the identity element")
-        if mul.min() < 0 or mul.max() >= n:
-            raise InvalidTable("Cayley table entry outside carrier")
-        if inv.shape != (n,) or inv.min() < 0 or inv.max() >= n:
-            raise InvalidTable("inverse table malformed")
+        inv = _index_array(self.inv, (n,), n, "inverse table")
         if not 0 <= self.e < n:
             raise InvalidTable(f"identity index {self.e} outside carrier")
         bad = group_axiom_witness(mul, self.e, inv)
         if bad is not None:
             raise LawError(f"{bad.axiom} fails at {bad.witness}", bad.witness)
-        mul.flags.writeable = False
-        inv.flags.writeable = False
         object.__setattr__(self, "mul", mul)
         object.__setattr__(self, "inv", inv)
 
@@ -53,9 +45,9 @@ class FiniteGroup:
 
     @classmethod
     def from_mul(cls, mul, name=""):
-        """Derive identity and inverses from a bare Cayley table."""
-        mul = np.asarray(mul, dtype=np.int64)
-        n = mul.shape[0]
+        """Derive the identity, and as inverse of x the first y with xy = e, from a bare Cayley table."""
+        n = len(mul)
+        mul = _index_array(mul, (n, n), n, "Cayley table")
         ar = np.arange(n)
         e = None
         for c in range(n):
@@ -64,13 +56,7 @@ class FiniteGroup:
                 break
         if e is None:
             raise LawError("no two-sided identity in table")
-        inv = np.empty(n, dtype=np.int64)
-        for x in range(n):
-            hits = np.nonzero((mul[x] == e) & (mul[:, x] == e))[0]
-            if hits.size != 1:
-                raise LawError(f"element {x} lacks a unique two-sided inverse")
-            inv[x] = hits[0]
-        return cls(mul, e, inv, name=name)
+        return cls(mul, e, (mul == e).argmax(axis=1), name=name)
 
 
 @dataclass(frozen=True)
@@ -112,9 +98,7 @@ def associativity_witness(mul):
 
 def group_hom_witness(mapping, g, g2):
     """First pair with f(xy) != f(x)f(y), or None."""
-    f = np.asarray(mapping, dtype=np.int64)
-    if f.shape != (g.n,) or (f.size and (f.min() < 0 or f.max() >= g2.n)):
-        raise InvalidTable("map malformed")
+    f = _index_array(mapping, (g.n,), g2.n, "map")
     hit = _first_disagreement(g.n, g.n,
                               lambda r: f[g.mul[r]],
                               lambda r: g2.mul[f[r, None], f])

@@ -18,7 +18,7 @@ from semiheap.actions import (
     trivial_action,
     verify_action,
 )
-from semiheap.core import FiniteSemiheap, LawError, SemiheapHom
+from semiheap.core import FiniteSemiheap, InvalidTable, LawError, SemiheapHom
 from semiheap.translations import right_compose_law, right_endomap
 
 from oracles import action_compat_loops
@@ -155,6 +155,15 @@ def test_flow_axioms_enforced():
     bad = np.array([[1, 0], [0, 1]])
     with pytest.raises(LawError):
         discretized_flow_action(2, 2, bad)
+
+
+def test_flow_and_unverified_action_tables_stay_in_the_space():
+    with pytest.raises(InvalidTable, match="flow table entry 5"):
+        discretized_flow_action(2, 2, [[0, 5], [1, 0]])
+    table = z_heap(2).table.entries.copy()
+    table[1, 0, 1] = 2
+    with pytest.raises(InvalidTable, match="action table entry 2"):
+        FiniteAction(z_heap(2), table, verify=False)
 
 
 def test_equivariance_identity_and_quotient():

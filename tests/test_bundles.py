@@ -217,6 +217,17 @@ def test_principal_hom_transport_and_functoriality():
                           bh_id.structure_hom.mapping[bh42.structure_hom.mapping])
 
 
+def test_principal_hom_maps_are_checked_like_bundle_hom_maps():
+    # Negative entries used to wrap round and fail the projection square;
+    # long or out-of-range maps raised a bare IndexError.
+    pb = trivial_principal_bundle(2, groups.cyclic(2))
+    for total in ([0, 1, 2, 7], [-4, -3, -2, -1], [0, 1, 2, 3, 0]):
+        with pytest.raises(InvalidTable, match="total map"):
+            verify_principal_hom(PrincipalBundleHom(total, np.arange(2), np.arange(2)), pb, pb)
+    with pytest.raises(InvalidTable, match="base map"):
+        verify_principal_hom(PrincipalBundleHom(np.arange(4), [0, 2], np.arange(2)), pb, pb)
+
+
 def test_bundle_heapification_is_faithful_but_not_full():
     # a semiheap-bundle hom whose structure map is the constant map onto the
     # non-identity element of the Z/2 heap; no principal-bundle hom maps to it

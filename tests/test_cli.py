@@ -59,6 +59,25 @@ def test_heapify_rejects_a_nonassociative_loop():
     assert (code, out, err) == (1, "", "fail law witness=(1, 1, 2)\n")
 
 
+def test_heapify_names_the_first_failing_group_axiom(tmp_path, capsys):
+    # Inverses are the first y with xy = e: the first table breaks
+    # associativity with them, and in the second 1 has no inverse at all.
+    path = tmp_path / "g.grp"
+    for text, witness in (("group n=3 e=0\n0 1 2\n1 0 0\n2 0 0\n", "(1, 1, 2)"),
+                          ("group n=2 e=0\n0 1\n1 1\n", "(1, 0)")):
+        path.write_text(text)
+        assert main(["heapify", "--in", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"fail law witness={witness}\n")
+
+
+def test_options_belong_to_the_verbs_that_read_them(capsys):
+    # --in only where a verb reads input, --seed only on numeric, --budget only on enumerate.
+    for argv in (["check", "--seed", "1"], ["numeric", "para-assoc", "--budget", "1"],
+                 ["enumerate", "--n", "2", "--in", "x"]):
+        assert main(argv) == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_heapify_groupify_pipe_round_trip(tmp_path):
     grp = formats.write_grp1(groups.cyclic(4))
     code, shf, _ = run_cli(["heapify"], grp)
