@@ -38,7 +38,9 @@ class _Trivialized:
     """What both bundle kinds hold, frozen on construction: a projection and one chart per cover set."""
 
     def __post_init__(self):
-        proj = np.asarray(self.projection, dtype=np.int64).copy()
+        proj = np.array(self.projection, dtype=np.int64)
+        if proj.ndim != 1:
+            raise InvalidTable(f"projection must be one-dimensional, got shape {proj.shape}")
         proj.flags.writeable = False
         object.__setattr__(self, "projection", proj)
         object.__setattr__(self, "cover", tuple(frozenset(u) for u in self.cover))
@@ -83,9 +85,11 @@ def verify_bundle(b):
 
 
 def _check_layout(b):
-    """Raise InvalidTable unless the projection lands in the base and each cover set has one chart."""
+    """Raise InvalidTable unless the projection and cover sets lie in the base and each cover set has one chart."""
     if b.projection.size and (b.projection.min() < 0 or b.projection.max() >= b.base_size):
         raise InvalidTable("projection value outside base")
+    if outside := sorted(m for u in b.cover for m in u if not 0 <= m < b.base_size):
+        raise InvalidTable(f"cover point {outside[0]} outside base 0..{b.base_size - 1}")
     if len(b.charts) != len(b.cover):
         raise InvalidTable("one trivialization per cover set required")
 
@@ -185,6 +189,8 @@ def fiber_semiheap(b, m, i):
     there would contradict the induced-structure proposition, so it is
     asserted.
     """
+    if not 0 <= i < len(b.cover):
+        raise InvalidTable(f"chart index {i} outside 0..{len(b.cover) - 1}")
     if m not in b.cover[i]:
         raise InvalidTable(f"base point {m} not in chart {i}")
     fiber = b.fiber(m)

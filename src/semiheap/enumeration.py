@@ -22,7 +22,7 @@ from itertools import islice, permutations, product as iproduct
 
 import numpy as np
 
-from .core import _SLAB, FiniteSemiheap, TernaryTable, verify_para_associative
+from .core import _SLAB, FiniteSemiheap, TernaryTable
 from .functors import heapify
 from .groups import corpus
 
@@ -72,7 +72,7 @@ class EnumerationResult(list):
 def enumerate_semiheaps(n, up_to_iso=False, method="backtrack", budget=None):
     """All semiheap tables on {0..n-1}, in lexicographic table order.
 
-    method "filter" scans every n^(n^3) table through the verifier (its
+    method "filter" checks every n^(n^3) table (_filter_pipeline; its
     tables go through iso_classes for up_to_iso); "backtrack" is the class
     census (_census) on the empty cube.  budget is a wall-clock limit in
     seconds; when it runs out the result is returned as found so far,
@@ -143,13 +143,18 @@ def _expired(deadline):
 
 
 def _filter_pipeline(n, deadline):
-    out = []
-    for flat in iproduct(range(n), repeat=n ** 3):
+    """Para-associative tables on n >= 1 points in itertools.product order, checked in stacks of at most
+    max(1, _SLAB // n^5) whole tables with the deadline read before each; the three-form gather is the
+    filter's own, not _quintuple_reads, so it stays independent of the search it cross-checks."""
+    x1, x2, x3, x4, x5 = np.indices((n,) * 5).reshape(5, -1)
+    candidates, out = iproduct(range(n), repeat=n ** 3), []
+    while len(t := np.array(list(islice(candidates, max(1, _SLAB // n ** 5))), dtype=np.int64)):
         if _expired(deadline):
             return out, False
-        t = TernaryTable.from_flat(n, flat)
-        if verify_para_associative(t) is None:
-            out.append(t)
+        t, k = t.reshape(-1, n, n, n), np.arange(len(t))[:, None]
+        middle = t[k, x1, t[:, x4, x3, x2], x5]
+        law = (t[k, t[:, x1, x2, x3], x4, x5] == middle) & (middle == t[k, x1, x2, t[:, x3, x4, x5]])
+        out += map(TernaryTable, t[law.all(axis=1)])
     return out, True
 
 
@@ -173,19 +178,21 @@ def _search(cube, deadline, symmetry_break=False, emit=None):
     prefix; forced cells can lie past the last branch, so a complete table
     is tested whole.  Returns (tables, complete, stats), complete False
     once the _deadline has passed; emit, if given, takes each table instead.
+    Unassigned cells of cube read -1; the search pads it to (n+1)^3 cells,
+    where an unassigned cell reads n and a pad cell (a coordinate n) n + 1.
     """
     n = cube.shape[0]
-    flat = np.append(cube.reshape(-1), -1)      # index n^3 reads as unassigned
-    cells = flat[:-1]
-    stats = SearchStats()
-    out = []
+    flat = np.pad(np.where(cube < 0, n, cube), (0, 1), constant_values=n + 1).reshape(-1)
+    index = np.flatnonzero(flat <= n)           # the n^3 cells in flat order
+    stats, out = SearchStats(), []
     emit = emit or out.append
 
     def visit():
         if _expired(deadline):
             return False
         consistent, forced = _propagate(flat, n, stats)
-        free = np.flatnonzero(cells < 0)
+        cells = flat[index]
+        free = np.flatnonzero(cells == n)
         cell = free[0] if free.size else n ** 3   # the assigned prefix ends here
         complete = True
         if not consistent:
@@ -198,56 +205,51 @@ def _search(cube, deadline, symmetry_break=False, emit=None):
         else:
             for v in range(n):
                 stats.nodes += 1
-                flat[cell] = v
+                flat[index[cell]] = v
                 if not (complete := visit()):
                     break
-            flat[cell] = -1
-        flat[forced] = -1
+            flat[index[cell]] = n
+        flat[forced] = n
         return complete
 
     return out, visit(), stats
 
 
-# Per carrier size: the flat cube reads of every para-associativity instance.
-_QUINTUPLE_READS = {}
-
-
+@cache
 def _quintuple_reads(n):
-    """Where the three forms of each quintuple read the cube, one slab at a time.
+    """Where the three forms of each quintuple read the padded (n+1)^3 cube, one slab at a time; kept per n.
 
-    For the forms [[x1,x2,x3],x4,x5], [x1,[x4,x3,x2],x5] and
-    [x1,x2,[x3,x4,x5]], row k of inner holds the flat index of the inner
-    product, and the outer product of value v sits at v * scale[k] +
-    outer[k].  A slab holds every x1 when all n^5 quintuples fit in _SLAB,
-    else one x1; the next slab reads n^2 further on wherever x1 enters,
-    which is advance.
+    For the forms [[x1,x2,x3],x4,x5], [x1,[x4,x3,x2],x5] and [x1,x2,[x3,x4,x5]],
+    row k of inner holds the flat index of the inner product, and the outer
+    product of value v sits at v * scale[k] + outer[k], with strides n + 1,
+    so an unassigned inner value n lands on a pad.  A slab holds every x1
+    when all n^5 quintuples fit in _SLAB, else one x1; the next slab reads
+    (n+1)^2 further on wherever x1 enters, which is advance.
     """
-    if n not in _QUINTUPLE_READS:
-        rows = n if 0 < n ** 5 <= _SLAB else 1
-        x1, x2, x3, x4, x5 = np.indices((rows, n, n, n, n)).reshape(5, -1)
-        inner = np.stack([(x1 * n + x2) * n + x3, (x4 * n + x3) * n + x2, (x3 * n + x4) * n + x5])
-        outer = np.stack([x4 * n + x5, x1 * n * n + x5, (x1 * n + x2) * n])
-        scale = np.array([[n * n], [n], [1]])
-        advance = n * n * np.array([[[1], [0], [0]], [[0], [1], [1]]])
-        _QUINTUPLE_READS[n] = rows, inner, scale, outer, advance
-    return _QUINTUPLE_READS[n]
+    rows, m = (n if 0 < n ** 5 <= _SLAB else 1), n + 1
+    x1, x2, x3, x4, x5 = np.indices((rows, n, n, n, n)).reshape(5, -1)
+    inner = np.stack([(x1 * m + x2) * m + x3, (x4 * m + x3) * m + x2, (x3 * m + x4) * m + x5])
+    outer = np.stack([x4 * m + x5, x1 * m * m + x5, (x1 * m + x2) * m])
+    scale = np.array([[m * m], [m], [1]])
+    advance = m * m * np.array([[[1], [0], [0]], [[0], [1], [1]]])
+    return rows, inner, scale, outer, advance
 
 
 def _propagate(flat, n, stats):
-    """Force every cell the assigned cells of a partial flat cube determine.
+    """Force every cell the assigned cells of the flat padded cube of _search determine.
 
-    flat holds the n^3 cells, -1 where unassigned, and a -1 sentinel at
-    index n^3.  In each para-associativity instance a form evaluates when
-    its inner and outer cells are assigned; a form whose inner cell is
-    assigned but whose outer cell is not must take the value of an
-    evaluated form, so that outer cell is set.  Passes repeat until one
-    sets nothing.  Returns (consistent, forced): consistent is False when
-    two evaluated forms disagree or one pass forces a cell to two values,
-    which dooms every completion; forced holds every cell set, also after
-    a contradiction, for the caller to reset to -1.
+    In each para-associativity instance a form reads below n when its
+    inner and outer cells are assigned (it evaluates), n when only its
+    inner cell is, and a pad's n + 1 otherwise.  A form reading n must take
+    the value of an evaluated form, the least read, so its outer cell is
+    set.  Passes repeat until one sets nothing.  Returns (consistent,
+    forced): consistent is False when two evaluated forms disagree or one
+    pass forces a cell to two values, which dooms every completion; forced
+    holds every cell set, also after a contradiction, for the caller to
+    reset to n.
     """
     rows, inner, scale, outer, advance = _quintuple_reads(n)
-    forced, free = [np.zeros(0, dtype=np.int64)], np.count_nonzero(flat < 0)
+    forced, free = [np.zeros(0, dtype=np.int64)], np.count_nonzero(flat == n)
     consistent = progress = True
     while consistent and progress:
         progress = False
@@ -256,14 +258,13 @@ def _propagate(flat, n, stats):
         for start in range(0, n, rows):
             if start:
                 reads, outs = reads + advance[0], outs + advance[1]
-            a = flat[reads]
-            at = np.where(a >= 0, a * scale + outs, n ** 3)
+            at = flat[reads] * scale + outs
             v = flat[at]
-            value = v.max(axis=0)               # every evaluated form's value, or -1
-            if ((v != value) & (v >= 0)).any():
+            value = v.min(axis=0)
+            if ((v != value) & (v < n)).any():
                 consistent = False
                 break
-            form, q = np.nonzero((v < 0) & (a >= 0) & (value >= 0))
+            form, q = np.nonzero((v == n) & (value < n))
             if q.size:
                 cells, values = at[form, q], value[q]
                 flat[cells] = values
@@ -272,13 +273,13 @@ def _propagate(flat, n, stats):
                 if (flat[cells] != values).any():   # a cell forced to two values
                     consistent = False
                     break
-    stats.forced += int(free - np.count_nonzero(flat < 0))
+    stats.forced += int(free - np.count_nonzero(flat == n))
     return consistent, np.concatenate(forced)
 
 
 def _prefix_dominated(cube, assigned, n, deadline=None):
-    """True iff some relabeling precedes the first assigned cells, hence every completion;
-    None, neither verdict, once deadline has passed between slabs."""
+    """True iff some relabeling precedes the first assigned cells of cube (n where unassigned),
+    hence every completion; None, neither verdict, once deadline has passed between slabs."""
     flat = cube.reshape(-1)
     for rows in _relabelings(flat, n, assigned):
         if _expired(deadline):
@@ -293,14 +294,14 @@ def _relabelings(flat, n, width):
 
     Row r covers the r-th permutation perm in lexicographic order, with
     inverse inv: cell (i, j, k) holds perm[flat[(inv[i]*n + inv[j])*n + inv[k]]],
-    or -1 where that source cell is -1 (unassigned).  A slab holds at most
-    _SLAB elements and at least one permutation.  The slabs' permutations
-    and cell indices are cached up to n = 6 (1.2 MiB there) and streamed
-    beyond, where nothing n!-sized is built or kept.
+    where perm is padded with perm[n] = n, so an unassigned cell (n) stays
+    unassigned.  A slab holds at most _SLAB elements and at least one
+    permutation.  The slabs' permutations and cell indices are cached up
+    to n = 6 (1.2 MiB there) and streamed beyond, where nothing n!-sized
+    is built or kept.
     """
     for perm, cells in _cached_slabs(n) if n <= 6 else _relabeling_slabs(n):
-        src = flat[cells[:, :width]]
-        yield np.where(src < 0, -1, perm[np.arange(len(perm))[:, None], src])
+        yield perm[np.arange(len(perm))[:, None], flat[cells[:, :width]]]
 
 
 @cache
@@ -314,14 +315,13 @@ def _relabeling_slabs(n):
     while len(perm := np.array(list(islice(perms, max(1, _SLAB // max(1, n ** 3)))), dtype=np.int64)):
         inv = np.argsort(perm, axis=1)
         cells = (inv[:, :, None, None] * n + inv[:, None, :, None]) * n + inv[:, None, None, :]
-        yield perm, cells.reshape(len(perm), -1)
+        yield np.pad(perm, ((0, 0), (0, 1)), constant_values=n), cells.reshape(len(perm), -1)
 
 
 def _precedes(rows, ref):
-    """Which rows, at the first cell where they differ from ref, are assigned and smaller."""
+    """Which rows, at the first cell where they differ from ref, are smaller (an unassigned n never is)."""
     first = (rows != ref).argmax(axis=1)
-    at = rows[np.arange(len(rows)), first]
-    return (at >= 0) & (at < ref[first])
+    return rows[np.arange(len(rows)), first] < ref[first]
 
 
 def enumerate_heaps(n, up_to_iso=False, budget=None):

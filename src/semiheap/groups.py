@@ -6,6 +6,7 @@ across runs and platforms.
 """
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import permutations
 
 import numpy as np
@@ -166,7 +167,10 @@ def quaternion8():
 
 
 def corpus():
-    """The bundled groups: Z1..Z8, K4, S3, D4, Q8."""
-    groups = [cyclic(n) for n in range(1, 9)]
-    groups += [klein_four(), symmetric3(), dihedral4(), quaternion8()]
-    return groups
+    """The bundled groups Z1..Z8, K4, S3, D4, Q8 in a new list, built once per process as they are frozen."""
+    return list(_corpus())
+
+
+@cache
+def _corpus():
+    return (*(cyclic(n) for n in range(1, 9)), klein_four(), symmetric3(), dihedral4(), quaternion8())

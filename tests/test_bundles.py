@@ -152,6 +152,42 @@ def test_principal_projection_outside_base_is_invalid():
         FinitePrincipalBundle(g, 1, [0, 0, 1, 1], act, (frozenset({0}),), (chart,))
 
 
+def _semiheap_bundle(cover=None, projection=None):
+    b = trivial_bundle(2, z_heap(2))
+    return DiscreteSemiheapBundle(2, b.projection if projection is None else projection, b.structure, b.action,
+                                  b.cover if cover is None else cover, b.charts)
+
+
+def _principal_bundle(cover=None, projection=None):
+    pb = trivial_principal_bundle(2, groups.cyclic(2))
+    return FinitePrincipalBundle(pb.group, 2, pb.projection if projection is None else projection, pb.action,
+                                 pb.cover if cover is None else cover, pb.charts)
+
+
+@pytest.mark.parametrize("cover", [{0, 1, 5}, {-1, 0, 1}])
+@pytest.mark.parametrize("build", [lambda **kw: verify_bundle(_semiheap_bundle(**kw)), _principal_bundle],
+                         ids=["semiheap", "principal"])
+def test_cover_point_outside_base_is_invalid(build, cover):
+    # Both bundle kinds refuse it as malformed input; verify_bundle used to
+    # report a chart-bijective failure (0, 4, 6) for {0, 1, 5}.
+    with pytest.raises(InvalidTable, match=f"cover point {min(cover - {0, 1})} outside base 0..1"):
+        build(cover=(frozenset(cover),))
+
+
+@pytest.mark.parametrize("build", [_semiheap_bundle, _principal_bundle], ids=["semiheap", "principal"])
+def test_projection_must_be_one_dimensional(build):
+    with pytest.raises(InvalidTable, match=r"projection must be one-dimensional, got shape \(2, 2\)"):
+        build(projection=[[0, 0], [1, 1]])
+
+
+def test_fiber_semiheap_chart_index_outside_cover_is_invalid():
+    b = trivial_bundle(2, z_heap(2))
+    with pytest.raises(InvalidTable, match=r"chart index 3 outside 0\.\.0"):
+        fiber_semiheap(b, 0, 3)
+    with pytest.raises(InvalidTable, match=r"chart index -1 outside 0\.\.0"):
+        fiber_semiheap(b, 0, -1)
+
+
 def test_free_action_on_an_oversized_fiber_fails_chart_injectivity():
     # Z2 acts freely on one 4-point fiber: two orbits, so not transitive; the
     # chart onto {0} x Z2 cannot be injective, and that is the failure named.

@@ -16,7 +16,7 @@ from semiheap.enumeration import (
     enumerate_semiheaps,
 )
 
-from oracles import all_group_tables, semiheap_tables_brute
+from oracles import all_group_tables, canonical_loops, para_associative_loops, semiheap_tables_brute
 
 
 def test_counts_n0_n1():
@@ -33,6 +33,35 @@ def test_both_pipelines_match_loop_oracle_at_n2():
         assert got == oracle
     # regression value produced by the loop oracle above
     assert len(oracle) == 8
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_filter_is_the_loop_oracle_in_order(n):
+    # The stacked filter keeps the loop oracle's tables in lexicographic
+    # order, and up to iso the least of each class in the same order.
+    oracle = sorted(semiheap_tables_brute(n))
+    assert [s.table.flat() for s in enumerate_semiheaps(n, method="filter")] == oracle
+    classes = sorted({canonical_loops(t, n) for t in oracle})
+    assert [s.table.flat() for s in enumerate_semiheaps(n, method="filter", up_to_iso=True)] == classes
+
+
+def test_filter_stops_at_the_budget_with_sorted_semiheaps():
+    # 3^27 candidates: the budget ends the scan between stacks, and what was
+    # found so far is kept in order.
+    found = enumerate_semiheaps(3, method="filter", budget=0.3)
+    flats = [s.table.flat() for s in found]
+    assert found.complete is False and found.stats is None
+    assert flats and flats == sorted(set(flats)) and all(para_associative_loops(f, 3) for f in flats)
+
+
+def test_corpus_is_built_once_and_handed_out_in_new_lists():
+    first = groups.corpus()
+    first.append(groups.cyclic(9))
+    again = groups.corpus()
+    assert again is not first and len(again) == 12 and [g.name for g in again][-1] == "Q8"
+    assert all(g is h for g, h in zip(again, groups.corpus()))
+    with pytest.raises(ValueError):
+        again[0].mul[0, 0] = 0                 # shared groups are read-only
 
 
 @pytest.mark.parametrize("n", range(7))

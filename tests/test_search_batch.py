@@ -80,12 +80,16 @@ def test_every_law_instance_completes_at_exactly_one_level(corpus):
 
 
 def _propagated(cube, n):
-    """Propagate a copy of cube: (consistent, the cube reached, forced cells), checking the undo."""
-    flat = np.append(cube.reshape(-1), -1)
+    """Propagate cube (-1 where unassigned) in the padded cube of _search:
+    (consistent, the cube reached with -1 where unassigned, forced cells), checking the undo."""
+    padded = np.full((n + 1,) * 3, n + 1)
+    padded[:n, :n, :n] = np.where(cube < 0, n, cube).reshape(n, n, n)
+    flat, before = padded.reshape(-1), padded.copy()
     consistent, forced = _propagate(flat, n, SearchStats())
-    reached = flat[:-1].copy()
-    flat[forced] = -1
-    assert (flat[:-1] == cube.reshape(-1)).all() and flat[-1] == -1
+    reached = padded[:n, :n, :n].reshape(-1)
+    reached = np.where(reached == n, -1, reached)
+    flat[forced] = n
+    assert (padded == before).all()
     return consistent, reached, forced
 
 
@@ -204,7 +208,7 @@ def test_relabeling_cache_matches_the_streamed_slabs(monkeypatch):
     # and their split into slabs are those of the streamed path.
     rng = np.random.default_rng(20144)
     for n in range(1, 7):
-        flat = rng.integers(-1, n, size=n ** 3)
+        flat = rng.integers(0, n + 1, size=n ** 3)     # n: unassigned
         for width in (1, n, n ** 3):
             cached = list(_relabelings(flat, n, width))
             with monkeypatch.context() as m:
@@ -252,7 +256,8 @@ def test_prefix_dominated_matches_loops_on_random_partial_cubes():
         assigned = int(rng.integers(1, n ** 3 + 1))
         cube.reshape(-1)[assigned:] = -1
         want = prefix_dominated_loops(cube.reshape(-1).tolist(), assigned, n)
-        assert _prefix_dominated(cube, assigned, n) == want, (n, assigned, cube.reshape(-1).tolist())
+        assert _prefix_dominated(np.where(cube < 0, n, cube), assigned, n) == want, \
+            (n, assigned, cube.reshape(-1).tolist())
         verdicts.add((n, want))
     assert verdicts == {(n, v) for n in (2, 3, 4) for v in (True, False)}
 
