@@ -11,7 +11,7 @@ from dataclasses import dataclass, InitVar
 
 import numpy as np
 
-from .core import FiniteSemiheap, InvalidTable, LawError, _first_disagreement, _index_array
+from .core import FiniteSemiheap, InvalidTable, LawError, _first_disagreement, _index_array, _narrow
 from .functors import heapify
 
 
@@ -31,10 +31,11 @@ def action_compat_witness(table, semiheap):
     a = _index_array(table, (None, n, n), None, "action table")
     m = a.shape[0]
     t = semiheap.table.entries
-    pairs = a.reshape(m * n, n)                 # pairs[p * n + x1, x2] = a[p,x1,x2]
+    cube = _narrow(a, m)                        # the compared values, gathered by take
+    pairs, values = a.reshape(m * n, n), cube.reshape(m * n, n)   # [p * n + x1, x2] = a[p,x1,x2]
     hit = _first_disagreement(m * n, n ** 3,
-                              lambda r: a[pairs[r]],      # a[a[p,x1,x2],x3,x4]
-                              lambda r: pairs[r][:, t])   # a[p,x1,[x2,x3,x4]]
+                              lambda r: cube.take(pairs[r], axis=0),   # a[a[p,x1,x2],x3,x4]
+                              lambda r: values[r].take(t, axis=1))    # a[p,x1,[x2,x3,x4]]
     if hit is None:
         return None
     (pair, *rest), (lhs, rhs) = hit

@@ -44,6 +44,15 @@ def _index_array(values, shape, high, what):
     return arr
 
 
+def _narrow(arr, bound):
+    """A contiguous read-only copy of an index array with values below bound, in the narrowest unsigned dtype:
+    the law kernels gather the values they compare from it with ndarray.take, and uint8 (bound <= 256) moves
+    an eighth of the bytes of int64 on numpy's fast gather and compare paths."""
+    out = arr.astype(np.uint8 if bound <= 1 << 8 else np.uint16 if bound <= 1 << 16 else np.uint32, order="C")
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class ParaAssocCounterexample:
     """First quintuple where the three para-associative forms disagree."""
@@ -103,8 +112,10 @@ class TernaryTable:
 
 
 # Elements compared per slab: bounds the memory of every exhaustive check.
-# At 8 bytes each, a slab stays near glibc's 128 KiB mmap threshold, so slab
-# buffers are recycled from the heap; 2^16 made certify ~25 % slower.
+# The n^3-per-row law kernels compare values of 1 or 2 bytes (_narrow), so
+# their slabs take 16-32 KiB; an int64 slab of the other checks takes
+# 128 KiB, near glibc's mmap threshold, so its buffers are recycled from
+# the heap.
 _SLAB = 1 << 14
 
 
@@ -140,13 +151,14 @@ def verify_para_associative(table):
     """
     t = table.entries
     n = table.n
-    pairs = t.reshape(n * n, n)                 # pairs[x1 * n + x2, x3] = [x1,x2,x3]
+    cube = _narrow(t, n)                        # the compared values, gathered by take
+    pairs, values = t.reshape(n * n, n), cube.reshape(n * n, n)   # [x1 * n + x2, x3] = [x1,x2,x3]
     x1, x2 = np.divmod(np.arange(n * n), n)
-    trev = t.transpose(2, 1, 0)
+    trev = np.ascontiguousarray(t.transpose(2, 1, 0))  # [x1,[x4,x3,x2],x5] is row x1 * n + trev[x2,x3,x4]
     hit = _first_disagreement(n * n, n ** 3,
-                              lambda r: t[pairs[r]],                          # [[x1,x2,x3],x4,x5]
-                              lambda r: t[x1[r, None, None], trev[x2[r]]],    # [x1,[x4,x3,x2],x5]
-                              lambda r: pairs[r][:, t])                       # [x1,x2,[x3,x4,x5]]
+                              lambda r: cube.take(pairs[r], axis=0),                 # [[x1,x2,x3],x4,x5]
+                              lambda r: values.take(x1[r, None, None] * n + trev[x2[r]], axis=0),
+                              lambda r: values[r].take(t, axis=1))                   # [x1,x2,[x3,x4,x5]]
     if hit is None:
         return None
     (pair, *rest), (outer, middle, inner) = hit

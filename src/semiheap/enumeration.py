@@ -84,9 +84,8 @@ def enumerate_semiheaps(n, up_to_iso=False, method="backtrack", budget=None):
     if method == "backtrack" or n == 0:
         return _census(np.full((n, n, n), -1, dtype=np.int64), up_to_iso, deadline)
     tables, complete = _filter_pipeline(n, deadline)
-    if up_to_iso:
-        classes = iso_classes(tables, deadline)
-        return EnumerationResult(classes, complete and classes.complete)
+    if up_to_iso:                               # the found tables' orbits are swept whole, as _census does
+        return EnumerationResult(iso_classes(tables), complete)
     return EnumerationResult([FiniteSemiheap(t, _certified=True) for t in tables], complete)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _first_disagreement, is_biunitary
+from .core import _first_disagreement, _narrow, is_biunitary
 
 
 @dataclass(frozen=True)
@@ -61,12 +61,12 @@ def right_compose_law(s):
     Read at every point p: [[p,x1,x2],x3,x4] against [p,x1,[x2,x3,x4]].
     Returns None (certificate) or the first counterexample.
     """
-    t = s.table.entries
-    right = t.transpose(1, 2, 0)                # right[a, b, x] = [x,a,b]
-    pairs = right.reshape(s.n ** 2, s.n)
-    x1, x2 = np.divmod(np.arange(s.n ** 2), s.n)
-    return _law_witness("right-compose", s, lambda r: t[pairs[r]].transpose(0, 2, 3, 1),
-                        lambda r: right[x1[r, None, None], t[x2[r]]])
+    t, n = s.table.entries, s.n
+    pairs = t.transpose(1, 2, 0).reshape(n * n, n)     # pairs[a * n + b, x] = [x,a,b], a contiguous copy
+    cube, values = _narrow(t, n), _narrow(pairs, n)
+    x1, x2 = np.divmod(np.arange(n * n), n)
+    return _law_witness("right-compose", s, lambda r: cube.take(pairs[r], axis=0).transpose(0, 2, 3, 1),
+                        lambda r: values.take(x1[r, None, None] * n + t[x2[r]], axis=0))
 
 
 def left_compose_law(s):
@@ -74,9 +74,11 @@ def left_compose_law(s):
 
     Read at every point p: [x1,x2,[x3,x4,p]] against [[x1,x2,x3],x4,p].
     """
-    t = s.table.entries
-    pairs = t.reshape(s.n ** 2, s.n)
-    return _law_witness("left-compose", s, lambda r: pairs[r][:, t], lambda r: t[pairs[r]])
+    t, n = s.table.entries, s.n
+    cube = _narrow(t, n)
+    pairs, values = t.reshape(n * n, n), cube.reshape(n * n, n)
+    return _law_witness("left-compose", s, lambda r: values[r].take(t, axis=1),
+                        lambda r: cube.take(pairs[r], axis=0))
 
 
 def lr_commute(s):
@@ -84,10 +86,12 @@ def lr_commute(s):
 
     Read at every point p: [x1,x2,[p,x3,x4]] against [[x1,x2,p],x3,x4].
     """
-    t = s.table.entries
-    pairs = t.reshape(s.n ** 2, s.n)
-    return _law_witness("lr-commute", s, lambda r: pairs[r][:, t.transpose(1, 2, 0)],
-                        lambda r: t[pairs[r]].transpose(0, 2, 3, 1))
+    t, n = s.table.entries, s.n
+    cube = _narrow(t, n)
+    pairs, values = t.reshape(n * n, n), cube.reshape(n * n, n)
+    right = np.ascontiguousarray(t.transpose(1, 2, 0))      # right[a, b, x] = [x,a,b]
+    return _law_witness("lr-commute", s, lambda r: values[r].take(right, axis=1),
+                        lambda r: cube.take(pairs[r], axis=0).transpose(0, 2, 3, 1))
 
 
 def centric_nonclosure_witness(semiheaps, max_results=1):

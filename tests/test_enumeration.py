@@ -54,6 +54,14 @@ def test_filter_stops_at_the_budget_with_sorted_semiheaps():
     assert flats and flats == sorted(set(flats)) and all(para_associative_loops(f, 3) for f in flats)
 
 
+def test_filter_up_to_iso_keeps_the_classes_it_found_at_the_budget():
+    # The first stack is always checked and holds the all-zero table, which
+    # is para-associative; the classes of what was found are swept whole.
+    found = enumerate_semiheaps(3, method="filter", budget=0.3, up_to_iso=True)
+    assert found.complete is False and len(found) >= 1
+    assert all(canonical_form(s.table).flat() == s.table.flat() for s in found)
+
+
 def test_corpus_is_built_once_and_handed_out_in_new_lists():
     first = groups.corpus()
     first.append(groups.cyclic(9))
