@@ -7,6 +7,7 @@ seeds produce byte-identical reports.  Exit codes: 0 all checks pass,
 """
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -40,6 +41,7 @@ def _greater_than(kind, low, what="positive"):
     return parse
 
 
+@functools.cache
 def build_parser():
     writes = argparse.ArgumentParser(add_help=False)
     writes.add_argument("--out", dest="outfile", help="write output to a file instead of stdout")

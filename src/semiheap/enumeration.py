@@ -314,7 +314,7 @@ def _relabeling_slabs(n):
     while len(perm := np.array(list(islice(perms, max(1, _SLAB // max(1, n ** 3)))), dtype=np.int64)):
         inv = np.argsort(perm, axis=1)
         cells = (inv[:, :, None, None] * n + inv[:, None, :, None]) * n + inv[:, None, None, :]
-        yield np.pad(perm, ((0, 0), (0, 1)), constant_values=n), cells.reshape(len(perm), -1)
+        yield np.column_stack((perm, np.full(len(perm), n))), cells.reshape(len(perm), -1)
 
 
 def _precedes(rows, ref):

@@ -10,6 +10,8 @@ Parsers reject trailing garbage and out-of-range entries and report
 1-based line/column positions in the error message.
 """
 
+import bisect
+
 import numpy as np
 
 from .actions import FiniteAction
@@ -29,65 +31,76 @@ class FormatError(ValueError):
 
 
 class _Tokens:
-    """Whitespace tokenizer that remembers line/column positions."""
+    """Whitespace tokenizer over one flat word list; a token's line and column are found only for an error."""
 
     def __init__(self, text):
-        self.items = []
-        for ln, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0]
-            col = 0
-            for tok in line.split():
-                col = line.index(tok, col)
-                self.items.append((tok, ln, col + 1))
-                col += len(tok)
-        self.pos = 0
+        self.lines = text.splitlines()
+        self.words, self.ends, self.pos = [], [0], 0     # ends[i]: the number of tokens on lines 1..i
+        for raw in self.lines:
+            self.words += raw.split("#", 1)[0].split()
+            self.ends.append(len(self.words))
+
+    def error(self, message):
+        """A FormatError at the 1-based line and column of the token just taken."""
+        index = self.pos - 1
+        ln = bisect.bisect_right(self.ends, index)
+        line, col = self.lines[ln - 1].split("#", 1)[0], 0
+        for tok in line.split()[:index - self.ends[ln - 1] + 1]:
+            col = line.index(tok, col) + len(tok)
+        return FormatError(message, ln, col - len(tok) + 1)
 
     def take(self, what="token"):
-        if self.pos >= len(self.items):
+        if self.pos >= len(self.words):
             raise FormatError(f"unexpected end of input, expected {what}")
-        tok = self.items[self.pos]
         self.pos += 1
-        return tok
+        return self.words[self.pos - 1]
 
     def take_int(self, what, low=None, high=None):
-        tok, ln, col = self.take(what)
+        tok = self.take(what)
         try:
             v = int(tok)
         except ValueError:
-            raise FormatError(f"expected integer {what}, got {tok!r}", ln, col) from None
+            raise self.error(f"expected integer {what}, got {tok!r}") from None
         if low is not None and v < low or high is not None and v >= high:
-            raise FormatError(f"{what} {v} out of range", ln, col)
+            raise self.error(f"{what} {v} out of range")
         return v
 
     def take_keyword(self, keyword):
-        tok, ln, col = self.take(keyword)
+        tok = self.take(keyword)
         if tok != keyword:
-            raise FormatError(f"expected {keyword!r}, got {tok!r}", ln, col)
+            raise self.error(f"expected {keyword!r}, got {tok!r}")
 
     def take_field(self, name, low=None, high=None):
-        tok, ln, col = self.take(f"{name}=<int>")
+        tok = self.take(f"{name}=<int>")
         if not tok.startswith(name + "="):
-            raise FormatError(f"expected {name}=<int>, got {tok!r}", ln, col)
+            raise self.error(f"expected {name}=<int>, got {tok!r}")
         try:
             v = int(tok[len(name) + 1:])
         except ValueError:
-            raise FormatError(f"bad integer in {tok!r}", ln, col) from None
+            raise self.error(f"bad integer in {tok!r}") from None
         if low is not None and v < low or high is not None and v >= high:
-            raise FormatError(f"{name}={v} out of range", ln, col)
+            raise self.error(f"{name}={v} out of range")
         return v
 
     def peek_field(self, name):
-        if self.pos < len(self.items) and self.items[self.pos][0].startswith(name + "="):
-            return True
-        return False
+        return self.pos < len(self.words) and self.words[self.pos].startswith(name + "=")
 
     def done(self):
-        if self.pos < len(self.items):
-            tok, ln, col = self.items[self.pos]
-            raise FormatError(f"trailing garbage {tok!r}", ln, col)
+        if self.pos < len(self.words):
+            raise self.error(f"trailing garbage {self.take()!r}")
 
 
 def _take_ints(toks, count, what, high):
+    """The next count tokens as one int64 array, converted by int() and range-checked to 0..high-1 at once."""
+    words = toks.words[toks.pos:toks.pos + count]
+    try:
+        arr = np.array(list(map(int, words)), dtype=np.int64)
+        if len(words) == count and ((arr >= 0) & (arr < high)).all():
+            toks.pos += count
+            return arr
+    except (ValueError, OverflowError):
+        pass
+    # A bad slice: take_int raises at its first bad token, and only that token's position is computed.
     return np.array([toks.take_int(what, 0, high) for _ in range(count)], dtype=np.int64)
 
 
@@ -256,7 +269,7 @@ def write_bnd1(b):
 
 
 def _int_block(values, per_line):
-    vals = [str(int(v)) for v in values]
+    vals = list(map(str, values.tolist()))
     if not vals:
         return ""
     lines = [" ".join(vals[i:i + per_line]) for i in range(0, len(vals), per_line)]

@@ -8,7 +8,8 @@ functions, ternary product, solve and norms, taking only the charts'
 data (names, bases, step sizes) from the library.  all_group_tables, the
 group route of the heap census for n <= 3, and fully_faithful_scan, the
 map-by-map hom-set classification, are the exceptions: they scan chunks of
-itertools.product rows as arrays, and tests hold them to plain loops.
+itertools.product rows as arrays, and tests hold them to plain loops.  The
+text-format oracles tokenize eagerly and write value by value.
 """
 
 import math
@@ -803,3 +804,27 @@ def exp_hom_loops(samples, seed, tol=1e-12, span=3.0):
         rhs = math.exp(x) * (1.0 / math.exp(y)) * math.exp(z)
         fold.add(i, abs(lhs - rhs) / max(1.0, abs(lhs)))
     return fold.report(basepoint_ok=math.exp(0.0) == 1.0)
+
+
+def token_positions(text):
+    """Every token of a text format as (token, line, column), 1-based, computed eagerly.
+
+    Lines are text.splitlines(), '#' starts a comment, tokens are
+    str.split() words, and each token's column is found by searching its
+    line from the end of the token before it.
+    """
+    items = []
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0]
+        col = 0
+        for tok in line.split():
+            col = line.index(tok, col)
+            items.append((tok, ln, col + 1))
+            col += len(tok)
+    return items
+
+
+def int_lines(values, per_line):
+    """Lines of per_line integers separated by single spaces, written one value at a time."""
+    vals = [str(int(v)) for v in values]
+    return [" ".join(vals[i:i + per_line]) for i in range(0, len(vals), per_line)]

@@ -7,7 +7,7 @@ from pathlib import Path
 import semiheap
 from semiheap import formats, functors, groups
 from semiheap.actions import translation_action
-from semiheap.cli import main
+from semiheap.cli import build_parser, main
 
 # The CLI subprocess imports the same semiheap as this test run, installed or not.
 SRC = str(Path(semiheap.__file__).resolve().parents[1])
@@ -270,3 +270,27 @@ def test_numeric_rejects_non_positive_step():
         code, out, err = run_cli(["numeric", sub, "--samples", "5", "--h", "0"])
         assert code == 2 and out == "", sub
         assert "--h: must be positive" in err
+
+
+def test_one_process_answers_each_call_as_a_fresh_process_would(tmp_path, capsys, monkeypatch):
+    # main reuses one parser per process; no call may leave state behind for the next.
+    # Help text is wrapped to COLUMNS, so both sides get the same width.
+    monkeypatch.setenv("COLUMNS", "80")
+    shf, target = tmp_path / "xor.shf", tmp_path / "census.shf"
+    shf.write_text(XOR_HEAP)
+    calls = (["check", "--in", str(shf)], ["check", "--bogus"],
+             ["enumerate", "--n", "2", "--out", str(target)], ["enumerate", "--n", "2"],
+             ["numeric", "para-assoc", "--seed", "3"], ["numeric", "para-assoc", "--seed", "4"], ["--help"])
+    fresh = []
+    for argv in calls:
+        proc = subprocess.run([sys.executable, "-m", "semiheap.cli", *argv], capture_output=True, text=True,
+                              env={**ENV, "COLUMNS": "80"}, stdin=subprocess.DEVNULL)
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    written = target.read_text()
+    target.unlink()
+    assert build_parser() is build_parser()
+    for argv, want in zip(calls, fresh):
+        assert (main(argv), *capsys.readouterr()) == want, argv
+    assert target.read_text() == written
+    assert [code for code, _, _ in fresh] == [0, 2, 0, 0, 0, 0, 0]
+    assert fresh[3][1] == written and fresh[6][1].startswith("usage: semiheap")
