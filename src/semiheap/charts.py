@@ -81,7 +81,7 @@ class MatrixHeapChart:
     dim_matrix: int
     basis: tuple                                # tangent basis at the identity
     membership_residual: Callable
-    draw: Callable                              # rng -> raw numbers of one element, in draw order
+    draw: Callable                              # (rng, count) -> (count, r) raw numbers, as count single draws
     build: Callable                             # (..., r) raw numbers -> (..., k, k) elements
     exp_tangent: Callable                       # Lie algebra element -> group element
     coords: Callable                            # group element -> 1d coordinate array
@@ -98,17 +98,20 @@ class MatrixHeapChart:
         return np.eye(self.dim_matrix)
 
     def sample(self, rng):
-        return self.build(np.asarray(self.draw(rng), dtype=float))
+        return self.build(self.draw(rng, 1)[0])
 
     def sample_slabs(self, rng, samples, elements, tangents=0):
         """Slabs of samples drawn in order, each `elements` group elements, then
         `tangents` algebra elements: (start, g, a), g[i] and a[i] stacks of every
-        sample's i-th group and algebra element."""
+        sample's i-th group and algebra element.  Without tangents a slab is one draw."""
         for start, slab in slabs(range(samples)):
-            raw, coeff = zip(*(([self.draw(rng) for _ in range(elements)],
-                                [rng.normal(size=self.dim) for _ in range(tangents)]) for _ in slab))
-            coeff = np.array(coeff, dtype=float).reshape(len(slab), tangents, self.dim).swapaxes(0, 1)
-            yield start, self.build(np.array(raw, dtype=float).swapaxes(0, 1)), _combine(coeff, self.basis)
+            if tangents:
+                raw, coeff = map(np.array, zip(*((self.draw(rng, elements), rng.normal(size=(tangents, self.dim)))
+                                                 for _ in slab)))
+            else:
+                raw = self.draw(rng, len(slab) * elements).reshape(len(slab), elements, -1)
+                coeff = np.zeros((len(slab), 0, self.dim))
+            yield start, self.build(raw.swapaxes(0, 1)), _combine(coeff.swapaxes(0, 1), self.basis)
 
     def tangent_residual(self, g, v):
         """Residual of the linearized membership constraint for v at g."""
@@ -147,7 +150,7 @@ def so3():
     return MatrixHeapChart(
         name="so3", dim_matrix=3, basis=basis,
         membership_residual=_orthogonal_residual,
-        draw=lambda rng: rng.normal(size=3),
+        draw=lambda rng, count: rng.normal(size=(count, 3)),
         build=lambda raw: _rodrigues(_combine(raw, basis)),
         exp_tangent=_rodrigues,
         coords=_flat_coords,
@@ -164,7 +167,7 @@ def so2():
     return MatrixHeapChart(
         name="so2", dim_matrix=2, basis=(np.array([[0.0, -1.0], [1.0, 0.0]]),),
         membership_residual=_orthogonal_residual,
-        draw=lambda rng: (float(rng.uniform(-math.pi, math.pi)),),
+        draw=lambda rng, count: rng.uniform(-math.pi, math.pi, size=(count, 1)),
         build=lambda raw: _rot(raw[..., 0]),
         exp_tangent=lambda a: _rot(a[..., 1, 0]),
         coords=_flat_coords,
@@ -195,7 +198,7 @@ def upper_triangular2():
         name="ut2", dim_matrix=2, basis=basis,
         membership_residual=lambda g: rel_norm(np.tril(g, -1), g),
         # identity component: positive diagonal bounded away from zero
-        draw=lambda rng: (float(rng.uniform(0.5, 2.0)), float(rng.uniform(-1.0, 1.0)), float(rng.uniform(0.5, 2.0))),
+        draw=lambda rng, count: rng.uniform((0.5, -1.0, 0.5), (2.0, 1.0, 2.0), size=(count, 3)),
         build=lambda raw: _matrices([[raw[..., 0], raw[..., 1]], [0.0, raw[..., 2]]]),
         exp_tangent=_exp_upper_2,
         coords=_flat_coords,
@@ -223,7 +226,7 @@ def translations(n):
     return MatrixHeapChart(
         name=f"r{n}", dim_matrix=d, basis=basis,
         membership_residual=lambda g: rel_norm(g - with_column(g[..., :n, n]), g),
-        draw=lambda rng: rng.uniform(-2.0, 2.0, size=n),
+        draw=lambda rng, count: rng.uniform(-2.0, 2.0, size=(count, n)),
         build=with_column,
         exp_tangent=lambda a: np.eye(d) + a,   # translation generators square to zero
         coords=lambda g: g[..., :n, n].copy(),
@@ -235,7 +238,8 @@ def nonzero_reals():
     return MatrixHeapChart(
         name="rx", dim_matrix=1, basis=(np.array([[1.0]]),),
         membership_residual=lambda g: np.where(np.abs(g[..., 0, 0]) > 1e-300, 0.0, 1.0)[()],
-        draw=lambda rng: (float(rng.uniform(0.5, 3.0) * rng.choice([-1.0, 1.0])),),
+        # one element at a time: choice shares a buffered 32-bit half-word with the next choice
+        draw=lambda rng, count: np.array([[rng.uniform(0.5, 3.0) * rng.choice([-1.0, 1.0])] for _ in range(count)]),
         build=lambda raw: raw[..., None],
         exp_tangent=lambda a: _elementwise(math.exp, a)[0],
         coords=_flat_coords,

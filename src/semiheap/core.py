@@ -234,8 +234,10 @@ def is_biunitary(s, x):
 
 
 def _first_non_biunitary(s):
-    """The least element that is not biunitary, or None when s is a heap."""
-    return next((x for x in range(s.n) if not is_biunitary(s, x)), None)
+    """The least x whose t[:, x, x] or t[x, x, :] is not the identity (all x at once), or None for a heap."""
+    t, ar = s.table.entries, np.arange(s.n)
+    bad = np.flatnonzero((t[:, ar, ar] != ar[:, None]).any(axis=0) | (t[ar, ar, :] != ar).any(axis=1))
+    return int(bad[0]) if bad.size else None
 
 
 def is_heap(s):

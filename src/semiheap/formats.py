@@ -70,7 +70,7 @@ class _Tokens:
         if tok != keyword:
             raise self.error(f"expected {keyword!r}, got {tok!r}")
 
-    def take_field(self, name, low=None, high=None):
+    def take_field(self, name, low=None, high=2 ** 63):     # a header value must fit the int64 arrays it bounds
         tok = self.take(f"{name}=<int>")
         if not tok.startswith(name + "="):
             raise self.error(f"expected {name}=<int>, got {tok!r}")

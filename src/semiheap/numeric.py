@@ -6,8 +6,10 @@ independent oracle.  Every stochastic check takes a seed and echoes it in
 its report, and flow integration is fixed-step classical RK4 so residuals
 are reproducible to the bit.  A sampled check draws its samples in a
 fixed per-sample order, then computes on stacks of at most charts.SLAB samples
-with each sample's bits unchanged.  A NaN residual fails its report, and
-a failing report names its first failing sample.
+with each sample's bits unchanged: sampled elements are checked once per slab,
+and an identity's forms and a central difference's two steps are each one
+stack.  A NaN residual fails its report, and a failing report names its
+first failing sample.
 """
 
 import math
@@ -16,7 +18,7 @@ from functools import partial
 
 import numpy as np
 
-from .charts import PolynomialField, rel_norm, slabs, solve
+from .charts import PolynomialField, _elementwise, rel_norm, slabs, solve
 
 RK4_STEP = 1e-3
 FLOW_TOL = 1e-6
@@ -85,30 +87,40 @@ def _rel(a, b, *more):
     return np.abs(a - b) / np.fmax.reduce([np.ones_like(a), *map(np.abs, (a, b, *more))])
 
 
-def _central(curve, h):
-    return (curve(h) - curve(-h)) / (2.0 * h)
+def _central(curve, h, ndim):
+    """(curve(h) - curve(-h)) / 2h of ndim-dimensional values, curve taking the steps on a new leading axis."""
+    plus, minus = curve(np.array([h, -h]).reshape((2,) + (1,) * ndim))
+    return (plus - minus) / (2.0 * h)
 
 
 def _pushforward_fd(chart, x, y, z, v, h):
     """L_{xy} pushed along the tangent curve z exp(t z^-1 v), by central difference."""
     a = chart.project_algebra(solve(z, v))
-    return _central(lambda t: x @ solve(y, z @ chart.exp_tangent(t * a)), h)
+    return _central(lambda t: x @ solve(y, z @ chart.exp_tangent(t * a)), h, max(map(np.ndim, (x, y, z, v))))
 
 
 def _para_forms(op, g):
-    """[[g0,g1,g2],g3,g4], [g0,[g3,g2,g1],g4] and [g0,g1,[g2,g3,g4]]."""
-    return (op(op(g[0], g[1], g[2]), g[3], g[4]),
-            op(g[0], op(g[3], g[2], g[1]), g[4]),
-            op(g[0], g[1], op(g[2], g[3], g[4])))
+    """[[g0,g1,g2],g3,g4], [g0,[g3,g2,g1],g4] and [g0,g1,[g2,g3,g4]] as one stack: op
+    gets the three inner products stacked on a new leading axis, then the three outer ones."""
+    i = op(*map(np.stack, ((g[0], g[3], g[2]), (g[1], g[2], g[3]), (g[2], g[1], g[4]))))
+    return op(*map(np.stack, ((i[0], g[0], g[0]), (g[3], i[1], g[1]), (g[4], g[4], i[2]))))
+
+
+def _on_chart(chart, g, message):
+    if not np.all(chart.membership_residual(g) <= MEMBERSHIP_TOL):
+        raise ValueError(f"{message} the {chart.name} chart")
 
 
 def mu(chart, g1, g2, g3):
-    """g1 * g2^-1 * g3 via linear solve, per matrix on stacks; the output must stay on the group."""
-    if not np.all(chart.membership_residual(np.stack(np.broadcast_arrays(g1, g2, g3))) <= MEMBERSHIP_TOL):
-        raise ValueError(f"input leaves the {chart.name} chart")
+    """g1 * g2^-1 * g3 via linear solve, per matrix on stacks; inputs and output must stay on the group."""
+    _on_chart(chart, np.stack(np.broadcast_arrays(g1, g2, g3)), "input leaves")
+    return _mu(chart, g1, g2, g3)
+
+
+def _mu(chart, g1, g2, g3):
+    """mu on inputs already checked on the group: only the output is checked."""
     out = g1 @ solve(g2, g3)
-    if not np.all(chart.membership_residual(out) <= MEMBERSHIP_TOL):
-        raise ValueError(f"ternary product left the {chart.name} chart")
+    _on_chart(chart, out, "ternary product left")
     return out
 
 
@@ -116,7 +128,8 @@ def check_para_associative_numeric(chart, samples, seed, tol=None):
     """Max pairwise residual of the three association orders on sampled quintuples."""
     fold, membership = _Fold(chart.tol if tol is None else tol), _Fold()
     for start, g, _ in chart.sample_slabs(np.random.default_rng(seed), samples, 5):
-        outer, middle, inner = _para_forms(partial(mu, chart), g)
+        _on_chart(chart, g, "input leaves")
+        outer, middle, inner = _para_forms(partial(_mu, chart), g)
         fold.add(start, rel_norm(outer - middle, outer), rel_norm(outer - inner, outer))
         membership.add(start, chart.membership_residual(outer))
     return fold.report("para-assoc", seed, membership=membership.worst)
@@ -197,13 +210,16 @@ def compare_group_vs_heap_invariance(chart, v, samples, seed, tol=1e-6):
     return fold.report("group-vs-heap", seed, exact=not fold.failed)
 
 
+def _rk4_steps(t, step):
+    return 0 if t == 0.0 else max(1, int(math.ceil(abs(t) / step)))
+
+
 def _rk4(fieldrule, y0, t, step=RK4_STEP):
-    """Classical fixed-step RK4 from y0, any stack of points, over signed duration t."""
-    if t == 0.0:
-        return np.array(y0, dtype=float, copy=True)
-    nsteps = max(1, int(math.ceil(abs(t) / step)))
-    h = t / nsteps
-    y = np.array(y0, dtype=float, copy=True)
+    """Classical fixed-step RK4 from y0, any stack of points, over signed durations t that
+    broadcast against y0 and all take the same number of steps."""
+    y = np.array(np.broadcast_to(y0, np.broadcast_shapes(np.shape(y0), np.shape(t))), dtype=float)
+    nsteps = _rk4_steps(np.abs(t).max(), step)
+    h = t / max(nsteps, 1)
     for _ in range(nsteps):
         k1 = fieldrule(y)
         k2 = fieldrule(y + 0.5 * h * k1)
@@ -229,7 +245,7 @@ def bracket_closure(chart, u, v, samples, seed, tol=BRACKET_TOL, t=1e-3):
     fold = _Fold(tol)
     for start, (x,), _ in chart.sample_slabs(np.random.default_rng(seed), samples, 1):
         conjugated = lambda s: _rk4(flow_u, _rk4(flow_u, x, s) @ av, -s)
-        fold.add(start, rel_norm(_central(conjugated, t) - x @ w, x @ w))
+        fold.add(start, rel_norm(_central(conjugated, t, x.ndim) - x @ w, x @ w))
         frame = np.stack([(x @ e).reshape(len(x), -1) for e in chart.basis], axis=-2)
         fold.require(start, np.linalg.matrix_rank(frame) == chart.dim)
     return fold.report("bracket", seed, rank_ok=not fold.failed, commutator=w)
@@ -277,7 +293,9 @@ def multiplicative_vector_field_check(fieldrule, triples, t_grid=(-0.5, -0.1, 0.
     against single points, and a rule that breaks the contract raises
     ValueError.
     """
-    t_grid, fold = tuple(t_grid), _Fold(tol)
+    t_grid, fold, groups = tuple(t_grid), _Fold(tol), {}
+    for q, t in enumerate(t_grid):          # durations that take as many steps flow together
+        groups.setdefault(_rk4_steps(t, step), []).append(q)
     for start, slab in slabs(triples):
         slab = [tuple(np.asarray(p, dtype=float) for p in triple) for triple in slab]
         x, y, z = (np.stack([triple[i] for triple in slab], axis=-1) for i in range(3))
@@ -290,8 +308,11 @@ def multiplicative_vector_field_check(fieldrule, triples, t_grid=(-0.5, -0.1, 0.
         if not ok:
             raise ValueError("a field rule maps a (k, m) stack of points, one point per column, "
                              "to the field at each column, computed from that column alone")
-        flows = [_rk4(fieldrule, points, t, step) for t in t_grid]
-        sides = [(f[:, :m], f[:, m:2 * m] - f[:, 2 * m:3 * m] + f[:, 3 * m:]) for f in flows]
+        flows = {}
+        for qs in groups.values():
+            ends = _rk4(fieldrule, np.tile(points, len(qs)), np.repeat([t_grid[q] for q in qs], 4 * m), step)
+            flows.update(zip(qs, np.split(ends, len(qs), axis=-1)))
+        sides = [(f[:, :m], f[:, m:2 * m] - f[:, 2 * m:3 * m] + f[:, 3 * m:]) for f in map(flows.get, range(nt))]
         res = [rel_norm(*(a.T[:, None, :] for a in (lhs - rhs, lhs, rhs))) for lhs, rhs in sides]
         fold.add(start * nt, np.array(res).T, witness=lambda q: (
             t_grid[q % nt], slab[q // nt], *(side[:, q // nt].copy() for side in sides[q % nt])))
@@ -320,14 +341,17 @@ def tangent_semiheap_check(chart, samples, seed, tol=1e-6, h=None):
     """
     h = chart.h if h is None else h
     fold = _Fold(tol, "fd_residual", "para_residual")
-    t_mu = lambda *pairs: (mu(chart, *[p[0] for p in pairs]), d_mu(chart, *zip(*pairs)))
+    # a tangent point is the stack [g, V]; t_mu gets stacks of them, g and V on axis 1
+    t_mu = lambda *p: np.stack([_mu(chart, *(q[:, 0] for q in p)),
+                                d_mu(chart, [q[:, 0] for q in p], [q[:, 1] for q in p])], axis=1)
     for start, pts, algebra in chart.sample_slabs(np.random.default_rng(seed), samples, 5, tangents=5):
+        _on_chart(chart, pts, "input leaves")
         vecs = pts @ algebra
         lifted = d_mu(chart, pts[:3], vecs[:3])
         algs = chart.project_algebra(solve(pts[:3], vecs[:3]))
-        curve_mu = lambda t: mu(chart, *(pts[:3] @ chart.exp_tangent(t * algs)))
-        fold.add(start, rel_norm(lifted - _central(curve_mu, h), lifted), part="fd_residual")
-        outer, middle, inner = _para_forms(t_mu, list(zip(pts, vecs)))
+        curve_mu = lambda t: mu(chart, *(pts[:3] @ chart.exp_tangent(t * algs)).swapaxes(0, 1))
+        fold.add(start, rel_norm(lifted - _central(curve_mu, h, algs.ndim), lifted), part="fd_residual")
+        outer, middle, inner = _para_forms(t_mu, np.stack([pts, vecs], axis=1))
         for b in (middle, inner):
             fold.add(start, rel_norm(outer[0] - b[0], outer[0]),
                      rel_norm(outer[1] - b[1], outer[1], b[1]), part="para_residual")
@@ -359,11 +383,12 @@ def coassociativity_check(chart, samples, seed, tol=1e-10, degree=3, fields=None
     a, b = float(rng.normal()), float(rng.normal())
     fold = _Fold(tol, "linear", "multiplicative", "unit", "para-coassoc")
     for start, g, _ in chart.sample_slabs(rng, samples, 5):
-        cm = chart.coords(mu(chart, *g[:3]))
+        _on_chart(chart, g, "input leaves")
+        cm = chart.coords(_mu(chart, *g[:3]))
         fold.add(start, _rel((a * f1 + b * f2)(cm), a * f1(cm) + b * f2(cm)), part="linear")
         fold.add(start, _rel((f1 * f2)(cm), f1(cm) * f2(cm)), part="multiplicative")
         fold.add(start, abs(PolynomialField.constant(1.0)(cm) - 1.0), part="unit")
-        outer, middle, inner = (f1(chart.coords(m)) for m in _para_forms(partial(mu, chart), g))
+        outer, middle, inner = f1(chart.coords(_para_forms(partial(_mu, chart), g)))
         fold.add(start, _rel(outer, middle, inner), _rel(outer, inner, middle), part="para-coassoc")
     return fold.report("coassociativity", seed, **fold.parts)
 
@@ -376,21 +401,21 @@ def euclidean_semiheap_check(n, samples, seed, tol=1e-12):
     v d(x1,x2) d(x3,x4) = v d(x1, x2 d(x3,x4)).
     """
     rng = np.random.default_rng(seed)
-    g = np.dot
+    g = lambda a, b: np.vecdot(a, b)[..., None]       # kept as an axis, so products broadcast
     fold = _Fold(tol)
-    for i in range(samples):
-        w, x, y, z, q = (rng.normal(size=n) for _ in range(5))
+    for start, slab in slabs(range(samples)):
+        # each sample draws w, x, y, z, q and then v, kept as (1, n) rows so rel_norm takes vector norms
+        w, x, y, z, q, v = rng.normal(size=(len(slab), 6, 1, n)).swapaxes(0, 1)
         s1 = g(w, x) * g(y, z)
         s2 = g(w, x * g(y, z))
         s3 = g(y, g(x, w) * z)
-        scale = max(1.0, abs(s1))
-        fold.add(i, abs(s1 - s2) / scale, abs(s1 - s3) / scale)
+        scale = np.fmax(1.0, abs(s1))
+        fold.add(start, abs(s1 - s2) / scale, abs(s1 - s3) / scale)
         outer, middle, inner = _para_forms(lambda a, b, c: a * g(b, c), [w, x, y, z, q])
-        fold.add(i, rel_norm(outer - middle, outer), rel_norm(outer - inner, outer))
-        v = rng.normal(size=n)
+        fold.add(start, rel_norm(outer - middle, outer), rel_norm(outer - inner, outer))
         lhs = v * g(w, x) * g(y, z)
         rhs = v * g(w, x * g(y, z))
-        fold.add(i, rel_norm(lhs - rhs, lhs))
+        fold.add(start, rel_norm(lhs - rhs, lhs))
     return fold.report("euclidean", seed)
 
 
@@ -403,9 +428,8 @@ def exp_hom_check(samples, seed, tol=1e-12, span=3.0):
     rng = np.random.default_rng(seed)
     fold = _Fold(tol)
     fold.require(0, math.exp(0.0) == 1.0, witness=lambda _: "basepoint")
-    for i in range(samples):
-        x, y, z = rng.uniform(-span, span, size=3)
-        lhs = math.exp(x - y + z)
-        rhs = math.exp(x) * (1.0 / math.exp(y)) * math.exp(z)
-        fold.add(i, abs(lhs - rhs) / max(1.0, abs(lhs)))
+    for start, slab in slabs(range(samples)):
+        lhs, rhs = _elementwise(lambda x, y, z: (math.exp(x - y + z), math.exp(x) * (1.0 / math.exp(y)) * math.exp(z)),
+                                *rng.uniform(-span, span, size=(len(slab), 3)).T)
+        fold.add(start, abs(lhs - rhs) / np.fmax(1.0, abs(lhs)))
     return fold.report("exp-hom", seed, basepoint_ok=not fold.failed)

@@ -489,7 +489,7 @@ def scalar_chart(chart):
         lambda a: np.eye(d) + a, lambda g: g[:n, n].copy(), project_translation))
     return SimpleNamespace(
         name=name, basis=basis, dim=len(basis), basepoint=np.eye(d), h=chart.h, tol=chart.tol,
-        membership=membership, sample=sample, exp=exp, coords=coords, project=project,
+        membership=membership, sample=sample, exp=exp, coords=coords, project=project, combination=combination,
         random_tangent=lambda g, rng: g @ combination(rng.normal(scale=1.0, size=len(basis))))
 
 

@@ -294,3 +294,9 @@ def test_one_process_answers_each_call_as_a_fresh_process_would(tmp_path, capsys
     assert target.read_text() == written
     assert [code for code, _, _ in fresh] == [0, 2, 0, 0, 0, 0, 0]
     assert fresh[3][1] == written and fresh[6][1].startswith("usage: semiheap")
+
+
+def test_integers_beyond_int64_exit_2():
+    code, out, err = run_cli(["bundle-check"], f"bundle p=1 m={10 ** 29}\nprojection\n{2 ** 64}\n")
+    assert (code, out) == (2, "")
+    assert err.strip() == f"error input m={10 ** 29} out of range at line 1, column 12"

@@ -11,6 +11,7 @@ from semiheap.core import (
     PointedSemiheap,
     SemiheapHom,
     TernaryTable,
+    _first_non_biunitary,
     closure_witness,
     homomorphic_image,
     homomorphism_witness,
@@ -117,6 +118,28 @@ def test_heap_checks_name_the_first_non_biunitary_element(order2_semiheaps, poin
         assert is_heap(t) == all(is_biunitary(t, x) for x in range(t.n))
         for x in range(t.n):
             assert translations.is_biunital(PointedSemiheap(t, x)) == is_biunitary(t, x)
+
+
+def test_first_non_biunitary_matches_the_per_point_loop(heap_corpus):
+    def loop(s):
+        return next((x for x in range(s.n) if not is_biunitary(s, x)), None)
+
+    heaps = [h.semiheap for _, h in heap_corpus]
+    assert all(_first_non_biunitary(s) is None and loop(s) is None for s in heaps)
+    rng = np.random.default_rng(29)
+    for k in range(300):
+        n = int(rng.integers(1, 8))
+        if k % 3 == 0:                                  # a random table
+            t = rng.integers(0, n, size=(n, n, n))
+        else:                                           # heap(Z_n) with diagonal cells changed
+            t = z_heap(n).table.entries.copy()
+            for _ in range(int(rng.integers(1, 3))):
+                x, y = rng.integers(0, n, size=2)
+                cell = (y, x, x) if rng.integers(2) else (x, x, y)
+                t[cell] = (t[cell] + int(rng.integers(0, n))) % n
+        s = FiniteSemiheap(TernaryTable(t), _certified=True)
+        assert _first_non_biunitary(s) == loop(s)
+        assert is_heap(s) == (loop(s) is None)
 
 
 def test_all_heapified_group_elements_biunitary(corpus):

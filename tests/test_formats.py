@@ -248,3 +248,14 @@ def test_writers_match_value_by_value_rendering(heap_corpus):
         b = _twisted_bundle(g, base)
         assert write_bnd1(b) == _lines(*_bnd1_lines(b))
     assert write_shf1(parse_shf1("semiheap n=0\n")) == "semiheap n=0\n"
+
+
+def test_integers_beyond_int64_are_malformed_input():
+    big, huge, top = 10 ** 29, 2 ** 64, 2 ** 63 - 1
+    _raises_at(parse_hom1, f"hom n=1 m={big}\n{huge}\n", f"m={big} out of range at line 1, column 9", 1, 9)
+    _raises_at(parse_hom1, f"hom n=1 m={top}\n{huge}\n", f"hom entry {huge} out of range at line 2, column 1", 2, 1)
+    assert parse_hom1(f"hom n=1 m={top}\n5\n")[2] == top
+    _raises_at(parse_bnd1, f"bundle p=1 m={big}\nprojection\n{huge}\n",
+               f"m={big} out of range at line 1, column 12", 1, 12)
+    _raises_at(parse_bnd1, f"bundle p=1 m={top}\nprojection\n{huge}\n",
+               f"projection entry {huge} out of range at line 3, column 1", 3, 1)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -462,46 +463,74 @@ def _same(a, b):
     return a == b
 
 
-def _line_triples(seed, k=2):
+def _line_triples(seed, k=2, samples=ORACLE_SAMPLES):
     rng = np.random.default_rng(seed)
-    return [tuple(rng.uniform(-0.8, 0.8, size=k) for _ in range(3)) for _ in range(ORACLE_SAMPLES)]
+    return [tuple(rng.uniform(-0.8, 0.8, size=k) for _ in range(3)) for _ in range(samples)]
 
 
 def _coordinate_sum(chart):
     return PolynomialField.linear([1.0] * chart.coords(chart.basepoint).shape[0])
 
 
+SQUARE = PolynomialField((((0, 0), 1.0),))
+# Each check as (stacked, loops), both called as (chart, seed, k=samples, **kw).
+K = ORACLE_SAMPLES
 CHART_CHECKS = {
-    "para-assoc": (lambda c, s, **kw: check_para_associative_numeric(c, ORACLE_SAMPLES, s, **kw),
-                   lambda c, s, **kw: oracles.para_assoc_loops(c, ORACLE_SAMPLES, s, **kw)),
-    "left-invariant": (lambda c, s, **kw: left_invariant_field_check(c, c.basis[0], ORACLE_SAMPLES, s, **kw),
-                       lambda c, s, **kw: oracles.left_invariant_loops(c, c.basis[0], ORACLE_SAMPLES, s, **kw)),
-    "group-vs-heap": (lambda c, s, **kw: compare_group_vs_heap_invariance(c, c.basis[0], ORACLE_SAMPLES, s, **kw),
-                      lambda c, s, **kw: oracles.group_vs_heap_loops(c, c.basis[0], ORACLE_SAMPLES, s, **kw)),
-    "bracket": (lambda c, s, **kw: bracket_closure(c, c.basis[0], c.basis[-1], ORACLE_SAMPLES, s, **kw),
-                lambda c, s, **kw: oracles.bracket_loops(c, c.basis[0], c.basis[-1], ORACLE_SAMPLES, s, **kw)),
-    "tangent": (lambda c, s, **kw: tangent_semiheap_check(c, ORACLE_SAMPLES, s, **kw),
-                lambda c, s, **kw: oracles.tangent_loops(c, ORACLE_SAMPLES, s, **kw)),
-    "coassoc": (lambda c, s, **kw: coassociativity_check(c, ORACLE_SAMPLES, s, **kw),
-                lambda c, s, **kw: oracles.coassoc_loops(c, ORACLE_SAMPLES, s, **kw)),
-    "mult-function": (lambda c, s, **kw: multiplicative_function_check(
-                          c, _coordinate_sum(c), sample_triples(c, ORACLE_SAMPLES, s), **kw),
-                      lambda c, s, **kw: oracles.mult_function_loops(
-                          c, _coordinate_sum(c), oracles.sample_triples_loops(c, ORACLE_SAMPLES, s), **kw)),
-    "mult-function-square": (lambda c, s, **kw: multiplicative_function_check(
-                                 c, PolynomialField((((0, 0), 1.0),)), sample_triples(c, ORACLE_SAMPLES, s), **kw),
-                             lambda c, s, **kw: oracles.mult_function_loops(
-                                 c, PolynomialField((((0, 0), 1.0),)),
-                                 oracles.sample_triples_loops(c, ORACLE_SAMPLES, s), **kw)),
+    "para-assoc": (lambda c, s, k=K, **kw: check_para_associative_numeric(c, k, s, **kw),
+                   lambda c, s, k=K, **kw: oracles.para_assoc_loops(c, k, s, **kw)),
+    "left-invariant": (lambda c, s, k=K, **kw: left_invariant_field_check(c, c.basis[0], k, s, **kw),
+                       lambda c, s, k=K, **kw: oracles.left_invariant_loops(c, c.basis[0], k, s, **kw)),
+    "group-vs-heap": (lambda c, s, k=K, **kw: compare_group_vs_heap_invariance(c, c.basis[0], k, s, **kw),
+                      lambda c, s, k=K, **kw: oracles.group_vs_heap_loops(c, c.basis[0], k, s, **kw)),
+    "bracket": (lambda c, s, k=K, **kw: bracket_closure(c, c.basis[0], c.basis[-1], k, s, **kw),
+                lambda c, s, k=K, **kw: oracles.bracket_loops(c, c.basis[0], c.basis[-1], k, s, **kw)),
+    "tangent": (lambda c, s, k=K, **kw: tangent_semiheap_check(c, k, s, **kw),
+                lambda c, s, k=K, **kw: oracles.tangent_loops(c, k, s, **kw)),
+    "coassoc": (lambda c, s, k=K, **kw: coassociativity_check(c, k, s, **kw),
+                lambda c, s, k=K, **kw: oracles.coassoc_loops(c, k, s, **kw)),
+    "mult-function": (lambda c, s, k=K, **kw: multiplicative_function_check(
+                          c, _coordinate_sum(c), sample_triples(c, k, s), **kw),
+                      lambda c, s, k=K, **kw: oracles.mult_function_loops(
+                          c, _coordinate_sum(c), oracles.sample_triples_loops(c, k, s), **kw)),
+    "mult-function-square": (lambda c, s, k=K, **kw: multiplicative_function_check(
+                                 c, SQUARE, sample_triples(c, k, s), **kw),
+                             lambda c, s, k=K, **kw: oracles.mult_function_loops(
+                                 c, SQUARE, oracles.sample_triples_loops(c, k, s), **kw)),
 }
 FREE_CHECKS = {
-    "mult-field": (lambda s, **kw: multiplicative_vector_field_check(lambda y: y * y, _line_triples(s), **kw),
-                   lambda s, **kw: oracles.mult_field_loops(lambda y: y * y, _line_triples(s), **kw)),
-    "euclidean": (lambda s, **kw: euclidean_semiheap_check(4, ORACLE_SAMPLES, s, **kw),
-                  lambda s, **kw: oracles.euclidean_loops(4, ORACLE_SAMPLES, s, **kw)),
-    "exp-hom": (lambda s, **kw: exp_hom_check(ORACLE_SAMPLES, s, **kw),
-                lambda s, **kw: oracles.exp_hom_loops(ORACLE_SAMPLES, s, **kw)),
+    "mult-field": (lambda s, k=K, **kw: multiplicative_vector_field_check(
+                       lambda y: y * y, _line_triples(s, samples=k), **kw),
+                   lambda s, k=K, **kw: oracles.mult_field_loops(lambda y: y * y, _line_triples(s, samples=k), **kw)),
+    "euclidean": (lambda s, k=K, **kw: euclidean_semiheap_check(4, k, s, **kw),
+                  lambda s, k=K, **kw: oracles.euclidean_loops(4, k, s, **kw)),
+    "exp-hom": (lambda s, k=K, **kw: exp_hom_check(k, s, **kw),
+                lambda s, k=K, **kw: oracles.exp_hom_loops(k, s, **kw)),
 }
+
+
+def _tol_past_first(loops):
+    """(tol, first): a tol under which sample first > 0 is the loops' first failing sample.
+
+    tol is the worst residual of the first k samples for the least k at which it
+    exceeds sample 0's, so sample k - 1 is the first to reach it.  (None, None)
+    when no later sample's residual exceeds sample 0's.
+    """
+    r0 = loops(1)[0]
+    worst = ((k - 1, loops(k)[0]) for k in range(2, ORACLE_SAMPLES + 1))
+    return next(((r, first) for first, r in worst if r > r0), (None, None))
+
+
+def _kw(tol, loops):
+    """The tol keyword for a parametrized tol; "past-first" takes it from the loops' own
+    residuals, and the index witness of the loops must then be that later sample."""
+    if tol != "past-first":
+        return {} if tol is None else {"tol": tol}
+    tol, first = _tol_past_first(loops)
+    if tol is None:
+        return {}
+    witness = loops(ORACLE_SAMPLES, tol=tol)[2]
+    assert not isinstance(witness, int) or witness == first > 0
+    return {"tol": tol}
 
 
 def _assert_matches(report, loops):
@@ -540,23 +569,32 @@ def small_slabs(monkeypatch):
     monkeypatch.setattr(charts, "SLAB", 3)
 
 
-@pytest.mark.parametrize("tol", [None, 0.0])
+@pytest.mark.parametrize("tol", [None, 0.0, "past-first"])
 @pytest.mark.parametrize("seed", [3, 11])
 @pytest.mark.parametrize("check", sorted(CHART_CHECKS))
 @pytest.mark.parametrize("name", sorted(CHARTS))
 def test_stacked_checks_match_per_sample_loops(small_slabs, name, check, seed, tol):
-    kw = {} if tol is None else {"tol": tol}
     stacked, loops = CHART_CHECKS[check]
+    kw = _kw(tol, lambda k, **kw: loops(CHARTS[name], seed, k, **kw))
     _assert_matches(stacked(CHARTS[name], seed, **kw), loops(CHARTS[name], seed, **kw))
 
 
-@pytest.mark.parametrize("tol", [None, 0.0])
+@pytest.mark.parametrize("tol", [None, 0.0, "past-first"])
 @pytest.mark.parametrize("seed", [3, 11])
 @pytest.mark.parametrize("check", sorted(FREE_CHECKS))
 def test_stacked_chart_free_checks_match_per_sample_loops(small_slabs, check, seed, tol):
-    kw = {} if tol is None else {"tol": tol}
     stacked, loops = FREE_CHECKS[check]
+    kw = _kw(tol, lambda k, **kw: loops(seed, k, **kw))
     _assert_matches(stacked(seed, **kw), loops(seed, **kw))
+
+
+def test_past_first_tols_pin_a_later_witness_for_every_check():
+    """Each check, on some chart and seed of the tests above, has a "past-first" tol."""
+    for check, (_, loops) in CHART_CHECKS.items():
+        assert any(_tol_past_first(lambda k: loops(CHARTS[name], seed, k))[0] is not None
+                   for name in sorted(CHARTS) for seed in (3, 11)), check
+    for check, (_, loops) in FREE_CHECKS.items():
+        assert any(_tol_past_first(lambda k: loops(seed, k))[0] is not None for seed in (3, 11)), check
 
 
 @pytest.mark.parametrize("seed", [3, 11])
@@ -565,6 +603,36 @@ def test_stacked_samples_and_pushforward_match_per_sample_loops(small_slabs, nam
     chart, k = CHARTS[name], ORACLE_SAMPLES
     assert _same(sample_triples(chart, k, seed), oracles.sample_triples_loops(chart, k, seed))
     assert pushforward_convergence(chart, k, seed) == oracles.pushforward_loops(chart, k, seed)
+
+
+@pytest.mark.parametrize("tangents", [0, 5])
+@pytest.mark.parametrize("name", sorted(CHARTS))
+def test_sample_slabs_match_per_element_draws(small_slabs, name, tangents):
+    """A slab's draws give each element and tangent the bits of its own scalar draw, across slabs."""
+    chart, sc = CHARTS[name], oracles.scalar_chart(CHARTS[name])
+    rng = np.random.default_rng(19)
+    want = [([sc.sample(rng) for _ in range(5)], [sc.combination(rng.normal(size=sc.dim)) for _ in range(tangents)])
+            for _ in range(7)]
+    slabs = list(chart.sample_slabs(np.random.default_rng(19), 7, 5, tangents))
+    assert [start for start, _, _ in slabs] == [0, 3, 6]
+    for part in (0, 1):
+        got = np.concatenate([np.swapaxes(slab[part + 1], 0, 1) for slab in slabs])
+        assert _same(got, np.array([sample[part] for sample in want]).reshape(got.shape))
+
+
+@pytest.mark.parametrize("tol", [None, 0.0, "past-first"])
+@pytest.mark.parametrize("t_grid", [(-0.01, 0.05, 0.0, 0.025, -0.01, 0.05), (0.0, 0.03, 0.0, -0.03, 0.005)])
+def test_grouped_flows_match_per_duration_loops(small_slabs, t_grid, tol):
+    """Durations with a repeated t, a 0.0 and three or more step counts flow together to the bit.
+
+    The residual is largest at the longest duration, so a witness at the first t
+    (tol 0.0) pins the flows of a shorter one.
+    """
+    def run(check, k=K, **kw):
+        return check(lambda y: y * y, _line_triples(5, samples=k), t_grid=t_grid, **kw)
+
+    kw = _kw(tol, partial(run, oracles.mult_field_loops))
+    _assert_matches(run(multiplicative_vector_field_check, **kw), run(oracles.mult_field_loops, **kw))
 
 
 def test_rank_deficient_frame_fails_the_bracket():
