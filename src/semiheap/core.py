@@ -119,17 +119,22 @@ class TernaryTable:
 _SLAB = 1 << 14
 
 
-def _first_disagreement(rows, row_size, *forms):
+def _slab_rows(row_size):
+    """Rows per slab of _first_disagreement: _SLAB elements, at least one row."""
+    return _SLAB // row_size if 0 < row_size <= _SLAB else 1
+
+
+def _first_disagreement(rows, row_size, *forms, start=0):
     """Lexicographically first index where the forms of an identity disagree.
 
-    Each form maps a slice of the leading axis (rows long) to that slab of
-    one side of the identity, with row_size elements per row (trailing axes
-    may broadcast).  Slabs of _SLAB elements, at least one row, are compared
-    in order.  Returns (index, value of each form there) or None.
+    Each form maps a slice of the leading axis (rows start..rows-1) to that
+    slab of one side of the identity, with row_size elements per row
+    (trailing axes may broadcast).  Slabs of _slab_rows(row_size) rows are
+    compared in order.  Returns (index, value of each form there) or None.
     """
-    step = max(1, _SLAB // max(row_size, 1))
-    for start in range(0, rows, step):
-        r = slice(start, start + step)
+    step = _slab_rows(row_size)
+    for first in range(start, rows, step):
+        r = slice(first, min(first + step, rows))
         slabs = [f(r) for f in forms]
         bad = slabs[0] != slabs[1]
         for other in slabs[2:]:
@@ -138,16 +143,48 @@ def _first_disagreement(rows, row_size, *forms):
             idx = np.unravel_index(int(bad.argmax()), bad.shape)
             values = tuple(int(v[idx] if v.shape == bad.shape else np.broadcast_to(v, bad.shape)[idx])
                            for v in slabs)
-            return (start + int(idx[0]), *map(int, idx[1:])), values
+            return (first + int(idx[0]), *map(int, idx[1:])), values
     return None
+
+
+def _row_classes(rows):
+    """The classes of equal rows of a 2-D index array (the law kernels pass narrow rows), by a sort of its
+    rows viewed as void items: (the distinct rows as void items, sorted; the first row of each class, in
+    increasing order; the class of each row, numbered in sorted order)."""
+    items = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    order = items.argsort()
+    ordered = items[order]
+    new = np.ones(len(items), dtype=bool)      # where a class begins in sorted order
+    new[1:] = ordered[1:] != ordered[:-1]
+    ids = np.empty(len(items), dtype=np.int64)
+    ids[order] = new.cumsum() - 1
+    starts = np.flatnonzero(new)
+    heads = np.zeros(len(items), dtype=bool)
+    heads[np.minimum.reduceat(order, starts)] = True
+    return ordered[starts], np.flatnonzero(heads), ids
+
+
+def _first_class_disagreement(heads, start, row_size, *forms):
+    """_first_disagreement on the first rows of the classes (_row_classes) from row start on, for forms
+    that read a row only through the map it stores, so that a class agrees on all its rows or on none.
+    The index returned is on the whole row axis."""
+    heads = heads[heads >= start]
+    hit = _first_disagreement(len(heads), row_size, *(lambda r, f=f: f(heads[r]) for f in forms))
+    return None if hit is None else ((int(heads[hit[0][0]]), *hit[0][1:]), hit[1])
 
 
 def verify_para_associative(table):
     """Check the three-way identity over all n^5 quintuples.
 
-    The scan runs over the pairs (x1, x2) in order, so a slab holds n^3
-    values per pair.  Returns None on success, else the lexicographically
-    first ParaAssocCounterexample.
+    The scan runs over the pairs (x1, x2) in order, n^3 values per pair.
+    The first slab is compared directly.  Past it, outer = [L(x3),x4,x5]
+    and inner = L([x3,x4,x5]) depend only on the left translation
+    L = L_{x1x2}, so they are compared once per class of equal rows; and
+    middle = outer at every x5 is one comparison of the classes of
+    L_{x1,[x4,x3,x2]} and L_{[x1,x2,x3],x4} per quadruple: n^4 work for a
+    heap's n classes.  The first failing pair is then scanned directly.
+    Returns None on success, else the lexicographically first
+    ParaAssocCounterexample.
     """
     t = table.entries
     n = table.n
@@ -155,10 +192,22 @@ def verify_para_associative(table):
     pairs, values = t.reshape(n * n, n), cube.reshape(n * n, n)   # [x1 * n + x2, x3] = [x1,x2,x3]
     x1, x2 = np.divmod(np.arange(n * n), n)
     trev = np.ascontiguousarray(t.transpose(2, 1, 0))  # [x1,[x4,x3,x2],x5] is row x1 * n + trev[x2,x3,x4]
-    hit = _first_disagreement(n * n, n ** 3,
-                              lambda r: cube.take(pairs[r], axis=0),                 # [[x1,x2,x3],x4,x5]
-                              lambda r: values.take(x1[r, None, None] * n + trev[x2[r]], axis=0),
-                              lambda r: values[r].take(t, axis=1))                   # [x1,x2,[x3,x4,x5]]
+    forms = (lambda r: cube.take(pairs[r], axis=0),                                  # [[x1,x2,x3],x4,x5]
+             lambda r: values.take(x1[r, None, None] * n + trev[x2[r]], axis=0),   # [x1,[x4,x3,x2],x5]
+             lambda r: values[r].take(t, axis=1))                                   # [x1,x2,[x3,x4,x5]]
+    step = _slab_rows(n ** 3)
+    hit = _first_disagreement(min(step, n * n), n ** 3, *forms)
+    if hit is None and step < n * n:
+        _, first, ids = _row_classes(values)
+        cls = _narrow(ids, len(first)).reshape(n, n)   # [a, b]: the class of L_{ab}
+        heads = _first_class_disagreement(first, step, n ** 3, forms[0], forms[2])   # outer = inner
+        quads = _first_disagreement(n, n ** 3, lambda r: cls[r].take(trev, axis=1),  # [x1,x2,x3,x4]: L_{x1,[x4,x3,x2]}
+                                    lambda r: cls.take(t[r], axis=0),                 # and L_{[x1,x2,x3],x4}
+                                    start=step // n)
+        failed = ([heads[0][0]] if heads else []) + ([quads[0][0] * n + quads[0][1]] if quads else [])
+        if failed:
+            pair = min(failed)
+            hit = _first_disagreement(pair + 1, n ** 3, *forms, start=pair)
     if hit is None:
         return None
     (pair, *rest), (outer, middle, inner) = hit

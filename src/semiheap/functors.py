@@ -25,7 +25,11 @@ from .groups import FiniteGroup, GroupAxiomWitness, group_axiom_witness, is_grou
 
 
 class BudgetExceeded(RuntimeError):
-    """Raised when check_fully_faithful would classify more maps than its budget allows."""
+    """Raised when a hom-set build of check_fully_faithful would extend more prefix rows than its budget allows.
+
+    A row is one prefix extended by one value of its next element, so the
+    count is the work of the build, not the size of the map space.
+    """
 
 
 def heapify(g):
@@ -102,15 +106,13 @@ def check_fully_faithful(g, g2, budget=1_000_000):
     preserving semiheap homomorphisms between the heapifications; a
     mismatch is an implementation bug, so it raises.  Unpointed semiheap
     homs are reported as well: there are generally more of them.  Each
-    hom set is built by prefix extension (_homs) in itertools.product order.
+    hom set is built by prefix extension (_homs) in itertools.product order,
+    and each build may extend at most budget prefix rows.
     """
-    total = g2.n ** g.n
-    if total > budget:
-        raise BudgetExceeded(f"{total} maps exceed the budget of {budget}")
     h, h2 = heapify(g), heapify(g2)
-    heap = _homs(h.semiheap.table.entries, h2.semiheap.table.entries)
-    homs = (_homs(g.mul, g2.mul), heap[heap[:, h.basepoint] == h2.basepoint], heap)
-    report = FullyFaithfulReport(total, *(tuple(map(tuple, f.tolist())) for f in homs))
+    heap = _homs(h.semiheap.table.entries, h2.semiheap.table.entries, budget)
+    homs = (_homs(g.mul, g2.mul, budget), heap[heap[:, h.basepoint] == h2.basepoint], heap)
+    report = FullyFaithfulReport(g2.n ** g.n, *(tuple(map(tuple, f.tolist())) for f in homs))
     if not report.bijective:
         raise AssertionError("heapification must be fully faithful on pointed homs")
     return report
@@ -123,17 +125,23 @@ def _completing_levels(table):
     return [(args[level == k], out[level == k]) for k in range(len(table))]
 
 
-def _homs(table, table2):
+def _homs(table, table2, budget):
     """Every map f with f[table[x, ...]] = table2[f[x], ...], as rows in itertools.product order.
 
     Level k extends each surviving prefix f[0..k-1] by every value of f[k]
     and keeps the rows that pass the instances level k completes, so each
     instance is tested exactly once.  Prefixes are extended in chunks of
-    at most _SLAB gathered elements, at least one prefix.
+    at most _SLAB gathered elements, at least one prefix.  Raises
+    BudgetExceeded before the rows extended, summed over the levels, would
+    pass budget.
     """
     n2 = len(table2)
     prefixes = np.zeros((1, 0), dtype=np.int64)
+    extended = 0
     for a, o in _completing_levels(table):
+        extended += len(prefixes) * n2
+        if extended > budget:
+            raise BudgetExceeded(f"{extended} prefix rows exceed the budget of {budget}")
         step = max(1, _SLAB // (n2 * max(a.size + o.size, 1)))
         kept = [np.zeros((0, prefixes.shape[1] + 1), dtype=np.int64)]
         for start in range(0, len(prefixes), step):

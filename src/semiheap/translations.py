@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _first_disagreement, _narrow, is_biunitary
+from .core import _first_disagreement, _narrow, _row_classes, is_biunitary
 
 
 @dataclass(frozen=True)
@@ -108,11 +108,10 @@ def centric_nonclosure_witness(semiheaps, max_results=1):
         n = s.n
         if n == 0:
             continue
-        centric = s.table.entries.transpose(0, 2, 1).reshape(n * n, n)   # centric[a*n+b] = C_{ab}
-        row = np.dtype((np.void, centric.itemsize * n))                  # one endomap as one sortable item
-        known = np.unique(centric.view(row).ravel())
+        centric = _narrow(s.table.entries.transpose(0, 2, 1).reshape(n * n, n), n)   # centric[a*n+b] = C_{ab}
+        known = _row_classes(centric)[0]        # the distinct endomaps, each one sortable item
         for ab in range(n * n):
-            comps = np.ascontiguousarray(centric[:, centric[ab]]).view(row).ravel()
+            comps = np.ascontiguousarray(centric[:, centric[ab]]).view(known.dtype).ravel()
             at = np.minimum(np.searchsorted(known, comps), known.size - 1)
             for cd in np.flatnonzero(known[at] != comps).tolist():
                 found.append((s, divmod(ab, n), divmod(cd, n)))

@@ -8,7 +8,10 @@ functions, ternary product, solve and norms, taking only the charts'
 data (names, bases, step sizes) from the library.  all_group_tables, the
 group route of the heap census for n <= 3, and fully_faithful_scan, the
 map-by-map hom-set classification, are the exceptions: they scan chunks of
-itertools.product rows as arrays, and tests hold them to plain loops.  The
+itertools.product rows as arrays, and tests hold them to plain loops.  So
+are para_pair_scan and action_row_scan, the direct scans of every tuple the
+law kernels made before they compared translation classes, one row of
+n^3 values at a time, for sizes where the loops are too slow.  The
 text-format oracles tokenize eagerly and write value by value.
 """
 
@@ -41,6 +44,21 @@ def first_para_failure(flat, n):
                         inner = t(x1, x2, t(x3, x4, x5))
                         if not (outer == middle == inner):
                             return (x1, x2, x3, x4, x5), outer, middle, inner
+    return None
+
+
+def para_pair_scan(t):
+    """first_para_failure of an (n, n, n) numpy table, scanned one pair (x1, x2) at a time."""
+    n = len(t)
+    for x1 in range(n):
+        for x2 in range(n):
+            outer = t[t[x1, x2]]                    # [x3, x4, x5]
+            middle = t[x1][t[:, :, x2].T]           # t[x1, t[x4, x3, x2], x5]
+            inner = t[x1, x2][t]
+            bad = (outer != middle) | (outer != inner)
+            if bad.any():
+                i = np.unravel_index(int(bad.argmax()), bad.shape)
+                return (x1, x2, *map(int, i)), int(outer[i]), int(middle[i]), int(inner[i])
     return None
 
 
@@ -146,6 +164,19 @@ def first_action_failure(act, m, flat_s, n):
                         rhs = act[p][x1][t(x2, x3, x4)]
                         if lhs != rhs:
                             return p, (x1, x2, x3, x4), lhs, rhs
+    return None
+
+
+def action_row_scan(act, t):
+    """first_action_failure of an (m, n, n) numpy action table on the (n, n, n) table t, one row (p, x1) at a time."""
+    m, n = act.shape[:2]
+    for p in range(m):
+        for x1 in range(n):
+            lhs = act[act[p, x1]]                   # [x2, x3, x4]
+            rhs = act[p, x1][t]
+            if (bad := lhs != rhs).any():
+                i = np.unravel_index(int(bad.argmax()), bad.shape)
+                return p, (x1, *map(int, i)), int(lhs[i]), int(rhs[i])
     return None
 
 

@@ -156,6 +156,16 @@ def test_fully_faithful_budget_refusal():
         check_fully_faithful(groups.dihedral4(), groups.quaternion8(), budget=100)
 
 
+def test_fully_faithful_budget_counts_prefix_rows_not_maps():
+    # 8^8 = 16,777,216 maps Z8 -> Q8, far past the default budget of
+    # 1,000,000, but the prefix extension extends only a few thousand rows.
+    # A hom of Z8 is any image of its generator, since every element of Q8
+    # has order dividing 8.
+    report = check_fully_faithful(groups.cyclic(8), groups.quaternion8())
+    assert report.maps_checked == 8 ** 8
+    assert len(report.group_homs) == 8 and len(report.unpointed_heap_homs) == 64
+
+
 def test_group_homs_transport_to_pointed_heap_homs():
     pairs = [(groups.cyclic(2), groups.cyclic(4)),
              (groups.cyclic(3), groups.cyclic(3)),

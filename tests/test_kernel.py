@@ -2,7 +2,10 @@
 
 Each checker must report the same lexicographically first witness,
 values included, as the loop scan in tests/oracles.py, on random tables
-and on heaps with one corrupted cell.
+and on heaps with one corrupted cell.  Past their first slab the
+para-associativity and action kernels compare classes of equal rows; the
+tables that reach that path are checked against the loops up to n = 9
+and against the row-by-row numpy scans of tests/oracles.py above.
 """
 
 import tracemalloc
@@ -11,16 +14,28 @@ import numpy as np
 import pytest
 
 from oracles import (
+    action_row_scan,
     first_action_failure,
     first_hom_failure,
     first_left_compose_failure,
     first_lr_commute_failure,
     first_para_failure,
     first_right_compose_failure,
+    para_pair_scan,
 )
 from semiheap import functors, groups
-from semiheap.actions import action_compat_witness
-from semiheap.core import _SLAB, FiniteSemiheap, TernaryTable, _narrow, homomorphism_witness, verify_para_associative
+from semiheap.actions import action_compat_witness, action_from_hom, trivial_action
+from semiheap.core import (
+    _SLAB,
+    FiniteSemiheap,
+    SemiheapHom,
+    TernaryTable,
+    _narrow,
+    _row_classes,
+    homomorphism_witness,
+    relabel,
+    verify_para_associative,
+)
 from semiheap.translations import left_compose_law, lr_commute, right_compose_law
 
 
@@ -35,21 +50,33 @@ def _tables(rng, n):
     return [FiniteSemiheap(TernaryTable(t), _certified=True) for t in out]
 
 
+def _assert_class_kernels_match(s, para_oracle, action_oracle):
+    """verify_para_associative and action_compat_witness (the table acting on itself) against
+    oracles, values included; returns both witnesses."""
+    para, act = verify_para_associative(s.table), action_compat_witness(s.table.entries, s)
+    assert (None if para is None else (para.quintuple, para.outer, para.middle, para.inner)) == para_oracle(s)
+    assert (None if act is None else (act.point, act.quadruple, act.lhs, act.rhs)) == action_oracle(s)
+    return para, act
+
+
+def _para_loops(s):
+    return first_para_failure(s.table.flat(), s.n)
+
+
+def _action_loops(s):
+    return first_action_failure(s.table.entries.tolist(), s.n, s.table.flat(), s.n)
+
+
 def _assert_law_kernels_match_loop_scans(s):
     """The five n^3-per-row kernels against their loop oracles, values included; returns the witnesses."""
     n, flat = s.n, s.table.flat()
-    para = verify_para_associative(s.table)
-    want = first_para_failure(flat, n)
-    assert (None if para is None else (para.quintuple, para.outer, para.middle, para.inner)) == want
+    para, act = _assert_class_kernels_match(s, _para_loops, _action_loops)
     laws = []
     for law, oracle in [(right_compose_law, first_right_compose_failure),
                         (left_compose_law, first_left_compose_failure),
                         (lr_commute, first_lr_commute_failure)]:
         laws.append(w := law(s))
         assert (None if w is None else (w.params, w.point, w.lhs, w.rhs)) == oracle(flat, n)
-    act = action_compat_witness(s.table.entries, s)
-    want = first_action_failure(s.table.entries.tolist(), n, flat, n)
-    assert (None if act is None else (act.point, act.quadruple, act.lhs, act.rhs)) == want
     return para, act, laws
 
 
@@ -111,6 +138,125 @@ def test_actions_past_the_uint8_values_match_loop_scan():
     z1 = functors.heapify(groups.cyclic(1)).semiheap
     w = action_compat_witness(a, z1)
     assert (w.point, w.quadruple, w.lhs, w.rhs) == first_action_failure(a.tolist(), 65537, z1.table.flat(), 1)
+
+
+def _semiheaps_with_few_classes(n):
+    """Para-associative tables on n points that are not heaps: a projection, a semilattice,
+    a commutative monoid and a constant.  Their left translations fall into at most n classes."""
+    x, y, z = np.indices((n, n, n))
+    return [x, np.maximum(np.maximum(x, y), z), x * y * z % n, np.zeros_like(x)]
+
+
+def _corrupted(rng, base, count):
+    """A random relabeling of a table, then count copies of it with one random cell changed,
+    in a row x1 of the upper half, where these tables first read it late."""
+    n = len(base)
+    t = relabel(TernaryTable(base), rng.permutation(n)).entries
+    out = [t]
+    for _ in range(count):
+        out.append(t.copy())
+        cell = int(rng.integers(n // 2, n)), int(rng.integers(0, n)), int(rng.integers(0, n))
+        out[-1][cell] = (t[cell] + rng.integers(1, n)) % n
+    return [FiniteSemiheap(TernaryTable(c), _certified=True) for c in out]
+
+
+def _row(witness, n):
+    """The row of the scan a para-associativity or action witness lies in."""
+    return (witness.quintuple[0] * n + witness.quintuple[1] if hasattr(witness, "quintuple")
+            else witness.point * n + witness.quadruple[0])
+
+
+def test_pair_and_row_scans_match_loop_scans():
+    rng = np.random.default_rng(300)
+    for n in range(1, 6):
+        for s in _tables(rng, n):
+            t = s.table.entries
+            assert para_pair_scan(t) == first_para_failure(s.table.flat(), n)
+            assert action_row_scan(t, t) == first_action_failure(t.tolist(), n, s.table.flat(), n)
+
+
+@pytest.mark.parametrize("n", [7, 8, 9])
+def test_class_path_witnesses_match_loop_scans(n):
+    # A heap with one corrupted cell fails in its first row, inside the first
+    # slab; these semiheaps are not heaps, so a changed cell is often first
+    # read past it, where the kernels compare classes of equal rows.  At
+    # n = 7 the first slab holds 47 of the 49 rows: of these tables only the
+    # constant semiheap with a cell (6, b, 5) or (6, b, 6) set to b > 0 fails
+    # past it, and no action among them does.
+    rng = np.random.default_rng(200 + n)
+    step = _SLAB // n ** 3                      # rows in the first slab
+    tables = []
+    for base in _semiheaps_with_few_classes(n):
+        certified, *corrupted = _corrupted(rng, base, 8)
+        assert _assert_class_kernels_match(certified, _para_loops, _action_loops) == (None, None)
+        tables += corrupted
+    for b, c in ((1, n - 2), (2, n - 1)):
+        t = np.zeros((n, n, n), dtype=np.int64)
+        t[n - 1, b, c] = b
+        tables.append(FiniteSemiheap(TernaryTable(t), _certified=True))
+    late = [0, 0]
+    for s in tables:
+        witnesses = _assert_class_kernels_match(s, _para_loops, _action_loops)
+        late = [c + (w is not None and _row(w, n) >= step) for c, w in zip(late, witnesses)]
+    assert late[0] >= (2 if n == 7 else 6) and late[1] >= (0 if n == 7 else 6), late
+
+
+@pytest.mark.parametrize("n", [12, 16, 24, 28])
+def test_class_path_matches_pair_scans(n):
+    # The projection [x,y,z] = x reads row x1 of the table only in the pairs
+    # (x1, x2), so its three changed cells are refuted past the first slab.
+    rng = np.random.default_rng(400 + n)
+    heap = functors.heapify(groups.cyclic(n)).semiheap.table.entries
+    tables = [FiniteSemiheap(relabel(TernaryTable(heap), rng.permutation(n)), _certified=True)]
+    tables += [s for base in _semiheaps_with_few_classes(n) for s in _corrupted(rng, base, 3)]
+    late = 0
+    for s in tables:
+        para, _ = _assert_class_kernels_match(s, lambda s: para_pair_scan(s.table.entries),
+                                              lambda s: action_row_scan(s.table.entries, s.table.entries))
+        late += para is not None and _row(para, n) >= _SLAB // n ** 3
+    assert verify_para_associative(tables[0].table) is None and late >= 3, late
+
+
+@pytest.mark.parametrize("n, zero_rows", [(17, 1), (27, 10)])
+def test_more_than_256_classes_match_pair_scans(n, zero_rows):
+    # Every pair (x1, x2) with x1 < zero_rows reads only the zero rows, so it
+    # passes; the random rows after them are more than 256 classes of
+    # left translations, whose ids are uint16.
+    t = np.random.default_rng(n).integers(0, n, size=(n, n, n))
+    t[:zero_rows] = 0
+    k = len(_row_classes(_narrow(t.reshape(n * n, n), n))[1])
+    assert k > 256 and _narrow(np.arange(k), k).dtype == np.uint16
+    para, act = _assert_class_kernels_match(FiniteSemiheap(TernaryTable(t), _certified=True),
+                                            lambda s: para_pair_scan(t), lambda s: action_row_scan(t, t))
+    assert para.quintuple[0] == zero_rows and act.point >= zero_rows
+
+
+def test_row_classes_number_equal_rows_in_sorted_order():
+    rows = np.array([[2, 0], [1, 1], [2, 0], [0, 2], [1, 1]], dtype=np.uint8)
+    distinct, first, ids = _row_classes(rows)
+    assert first.tolist() == [0, 1, 3] and ids.tolist() == [2, 1, 2, 0, 1]
+    assert [bytes(v) for v in distinct] == [bytes([0, 2]), bytes([1, 1]), bytes([2, 0])]
+
+
+def test_actions_with_repeated_rows_match_loop_scan():
+    # m != n, and the rows (p, x1) repeat: every row of a point of a trivial
+    # action is the same constant map, and an action through Z12 -> Z4 reads
+    # x1 only mod 4.  A cell changed at a point p of the trivial action is
+    # first read in row (p, 0), past the first slab.
+    z8, z12 = (functors.heapify(groups.cyclic(k)).semiheap for k in (8, 12))
+    z4 = functors.heapify(groups.cyclic(4)).semiheap
+    rng = np.random.default_rng(500)
+    mod4 = SemiheapHom(z12, z4, np.arange(12) % 4)
+    for s, a in ((z8, trivial_action(12, z8).table), (z12, action_from_hom(mod4).table)):
+        m, n = a.shape[:2]
+        assert m * n > _SLAB // n ** 3 and len(_row_classes(_narrow(a.reshape(m * n, n), m))[1]) < m * n
+        assert action_compat_witness(a, s) is None
+        for point in (m - 1, m // 2, int(rng.integers(1, m))):
+            bad = a.copy()
+            bad[point, int(rng.integers(0, n)), int(rng.integers(0, n))] = (point + 1) % m
+            w = action_compat_witness(bad, s)
+            assert (w.point, w.quadruple, w.lhs, w.rhs) == first_action_failure(bad.tolist(), m, s.table.flat(), n)
+            assert s is z12 or (w.point, w.quadruple[0]) == (point, 0)
 
 
 def test_para_associative_memory_stays_bounded_on_z32():
