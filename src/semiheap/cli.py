@@ -30,11 +30,11 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-def _greater_than(kind, low, what="positive"):
-    """An argparse type: kind(text), rejected as not what unless it is greater than low."""
+def _checked(kind, ok, what):
+    """An argparse type: kind(text), rejected as not what unless ok(value), which nan fails as a comparison."""
     def parse(text):
         value = kind(text)
-        if not value > low:
+        if not ok(value):
             raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
         return value
     parse.__name__ = kind.__name__    # argparse names the type in its messages
@@ -73,8 +73,9 @@ def build_parser():
     sub.add_parser("bundle-check", parents=[reads], help="verify BND1 input")
 
     p = sub.add_parser("enumerate", parents=[writes], help="enumerate semiheaps or heaps")
-    p.add_argument("--budget", type=float, default=None, help="wall-clock budget in seconds")
-    p.add_argument("--n", type=_greater_than(int, -1, "non-negative"), required=True)
+    p.add_argument("--budget", type=_checked(float, lambda v: v >= 0, "non-negative"), default=None,
+                   help="wall-clock budget in seconds")
+    p.add_argument("--n", type=_checked(int, lambda v: v >= 0, "non-negative"), required=True)
     p.add_argument("--heaps", action="store_true")
     p.add_argument("--up-to-iso", action="store_true")
     p.add_argument("--no-tables", action="store_true", help="summary line only")
@@ -86,8 +87,8 @@ def build_parser():
                                         "mult-field", "tangent", "coassoc", "euclidean",
                                         "exp-hom"])
     p.add_argument("--chart", default="so3", choices=sorted(bundled_charts()))
-    p.add_argument("--samples", type=_greater_than(int, 0), default=100)
-    p.add_argument("--h", type=_greater_than(float, 0), default=None)
+    p.add_argument("--samples", type=_checked(int, lambda v: v > 0, "positive"), default=100)
+    p.add_argument("--h", type=_checked(float, lambda v: v > 0, "positive"), default=None)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--square", action="store_true",
                    help="mult-function: use the quadratic test function instead of a linear one")

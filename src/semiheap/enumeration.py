@@ -75,8 +75,8 @@ def enumerate_semiheaps(n, up_to_iso=False, method="backtrack", budget=None):
     method "filter" checks every n^(n^3) table (_filter_pipeline; its
     tables go through iso_classes for up_to_iso); "backtrack" is the class
     census (_census) on the empty cube.  budget is a wall-clock limit in
-    seconds; when it runs out the result is returned as found so far,
-    flagged incomplete.
+    seconds (nan raises ValueError); when it runs out the result is
+    returned as found so far, flagged incomplete.
     """
     if method not in ("filter", "backtrack"):
         raise ValueError(f"unknown method {method!r}")
@@ -97,14 +97,10 @@ def _census(root, up_to_iso, deadline):
     class, within its deadline, so a partial result holds whole orbits.
     The empty carrier is complete even at budget 0.
     """
-    classes, orbits = [], {}
-
-    def emit(table):
-        classes.append(FiniteSemiheap(table, _certified=True))
-        if not up_to_iso:
-            _add_orbit(orbits, table)
-
-    _, complete, stats = _search(root, deadline if root.size else None, True, emit)
+    orbits = {}
+    tables, complete, stats = _search(root, deadline if root.size else None, True,
+                                      None if up_to_iso else lambda table: _add_orbit(orbits, table))
+    classes = [FiniteSemiheap(t, _certified=True) for t in tables]
     items = classes if up_to_iso else [FiniteSemiheap(orbits[key], _certified=True) for key in sorted(orbits)]
     return EnumerationResult(items, complete, stats, classes)
 
@@ -134,6 +130,8 @@ def iso_classes(tables, deadline=None):
 
 def _deadline(budget):
     # time.time(), the clock of the deadlines callers pass in; a clock step moves it.
+    if budget is not None and np.isnan(budget):
+        raise ValueError("budget must be a number of seconds, got nan")   # a nan deadline never passes
     return None if budget is None else time.time() + budget
 
 
@@ -169,49 +167,55 @@ def _add_orbit(orbits, table):
 def _search(cube, deadline, symmetry_break=False, emit=None):
     """Every para-associative completion of cube, in lexicographic order.
 
-    The assigned cells of cube are forced at the root.  Each node
-    propagates the values its assigned cells force (_propagate), then
-    branches on the first unassigned cell in flat order, values
-    ascending, so tables come out in lexicographic order.  With
-    symmetry_break a node is cut when a relabeling precedes its assigned
-    prefix; forced cells can lie past the last branch, so a complete table
-    is tested whole.  Returns (tables, complete, stats), complete False
-    once the _deadline has passed; emit, if given, takes each table instead.
-    Unassigned cells of cube read -1; the search pads it to (n+1)^3 cells,
-    where an unassigned cell reads n and a pad cell (a coordinate n) n + 1.
+    The search tree is fixed: the assigned cells of cube are forced at the
+    root, each node propagates the values its assigned cells force
+    (_propagate), then branches on the first unassigned cell in flat
+    order, one child per value.  With symmetry_break a node is cut when a
+    relabeling precedes its assigned prefix; forced cells can lie past the
+    last branch, so a complete table is tested whole.  Each node is its
+    own copy of the padded cube.  The nodes wait on a stack, the lex-least
+    on top, and each step takes up to max(1, _SLAB // n^5) of them off it,
+    propagates and tests them as one stack and pushes their children;
+    stats count each node as a step of one node would.  Returns (tables,
+    complete, stats), the tables sorted, complete False once the _deadline
+    has passed: a stopped search returns the tables it found, which need
+    not be the lex-first ones.  emit, if given, is handed each table as it
+    is found.  Unassigned cells of cube read -1; the search pads it to
+    (n+1)^3 cells, where an unassigned cell reads n and a pad cell (a
+    coordinate n) n + 1.
     """
     n = cube.shape[0]
-    flat = np.pad(np.where(cube < 0, n, cube), (0, 1), constant_values=n + 1).reshape(-1)
-    index = np.flatnonzero(flat <= n)           # the n^3 cells in flat order
-    stats, out = SearchStats(), []
-    emit = emit or out.append
-
-    def visit():
-        if _expired(deadline):
-            return False
-        consistent, forced = _propagate(flat, n, stats)
-        cells = flat[index]
-        free = np.flatnonzero(cells == n)
-        cell = free[0] if free.size else n ** 3   # the assigned prefix ends here
-        complete = True
-        if not consistent:
-            stats.conflicts += 1
-        elif symmetry_break and cell and (dominated := _prefix_dominated(cells, cell, n, deadline)) is not False:
-            complete = dominated is True        # None: the deadline passed mid-check
-            stats.symmetry_prunes += complete
-        elif not free.size:
-            emit(TernaryTable(cells.reshape(n, n, n)))
-        else:
-            for v in range(n):
-                stats.nodes += 1
-                flat[index[cell]] = v
-                if not (complete := visit()):
-                    break
-            flat[index[cell]] = n
-        flat[forced] = n
-        return complete
-
-    return out, visit(), stats
+    root = np.pad(np.where(cube < 0, n, cube), (0, 1), constant_values=n + 1).reshape(-1)
+    root = root.astype(np.min_scalar_type(n + 1))   # narrow: propagation gathers each cell many times
+    index = np.flatnonzero(root <= n)           # the n^3 cells in flat order
+    step = max(1, _SLAB // max(1, n ** 5))
+    stats, found, stack, complete = SearchStats(), [], [root], True
+    while stack and (complete := not _expired(deadline)):
+        nodes = np.array(stack[:-step - 1:-1])  # the top of the stack first
+        del stack[-step:]
+        consistent = _propagate(nodes, n, stats)
+        stats.conflicts += len(nodes) - int(consistent.sum())
+        nodes = nodes[consistent]
+        cells = nodes[:, index]
+        width = (cells < n).cumprod(axis=1).sum(axis=1)    # the assigned prefixes
+        if symmetry_break and width.any():
+            if (dominated := _prefix_dominated(cells, width, n, deadline)) is None:
+                complete = False                # the deadline passed mid-check
+                break
+            stats.symmetry_prunes += int(dominated.sum())
+            nodes, cells, width = nodes[~dominated], cells[~dominated], width[~dominated]
+        for table in cells[width == n ** 3]:
+            found.append(TernaryTable(table.reshape(n, n, n)))
+            if emit:
+                emit(found[-1])
+        parents = width < n ** 3
+        children = np.repeat(nodes[parents], n, axis=0)
+        branch = np.repeat(index[width[parents]], n)      # each parent's first unassigned cell, n times
+        children[np.arange(len(children)), branch] = np.tile(np.arange(n), parents.sum())
+        stats.nodes += len(children)
+        stack.extend(children[::-1])           # the lex-least child on top
+    found.sort(key=lambda table: table.entries.tolist())
+    return found, complete, stats
 
 
 @cache
@@ -229,67 +233,82 @@ def _quintuple_reads(n):
     x1, x2, x3, x4, x5 = np.indices((rows, n, n, n, n)).reshape(5, -1)
     inner = np.stack([(x1 * m + x2) * m + x3, (x4 * m + x3) * m + x2, (x3 * m + x4) * m + x5])
     outer = np.stack([x4 * m + x5, x1 * m * m + x5, (x1 * m + x2) * m])
-    scale = np.array([[m * m], [m], [1]])
-    advance = m * m * np.array([[[1], [0], [0]], [[0], [1], [1]]])
-    return rows, inner, scale, outer, advance
+    # int32 where a stack's indices are summed: half the memory of int64 for the largest temporaries.
+    scale = np.array([[m * m], [m], [1]], dtype=np.int32)
+    advance = m * m * np.array([[[1], [0], [0]], [[0], [1], [1]]], dtype=np.int32)
+    return rows, inner, scale, outer.astype(np.int32), advance
 
 
-def _propagate(flat, n, stats):
-    """Force every cell the assigned cells of the flat padded cube of _search determine.
+def _propagate(nodes, n, stats):
+    """Force every cell the assigned cells determine, in each row of a stack of flat padded cubes of _search.
 
     In each para-associativity instance a form reads below n when its
     inner and outer cells are assigned (it evaluates), n when only its
     inner cell is, and a pad's n + 1 otherwise.  A form reading n must take
     the value of an evaluated form, the least read, so its outer cell is
-    set.  Passes repeat until one sets nothing.  Returns (consistent,
-    forced): consistent is False when two evaluated forms disagree or one
-    pass forces a cell to two values, which dooms every completion; forced
-    holds every cell set, also after a contradiction, for the caller to
-    reset to n.
+    set.  A row meets a contradiction, which dooms every completion, when
+    two evaluated forms disagree, and then sets nothing in that slab, or
+    when one slab forces a cell to two values.  Each pass reads the live
+    rows slab by slab; a row leaves at its contradiction, reading no later
+    slab, or after a pass that set nothing in it.  stats count each row as
+    a stack of that row alone would.  Returns which rows stayed consistent.
     """
     rows, inner, scale, outer, advance = _quintuple_reads(n)
-    forced, free = [np.zeros(0, dtype=np.int64)], np.count_nonzero(flat == n)
-    consistent = progress = True
-    while consistent and progress:
-        progress = False
-        stats.rounds += 1
+    flat = nodes.reshape(-1)
+    free = np.count_nonzero(nodes == n)
+    consistent = np.ones(len(nodes), dtype=bool)
+    live = np.arange(len(nodes))
+    while live.size:
+        stats.rounds += live.size
+        progress = np.zeros(len(nodes), dtype=bool)
         reads, outs = inner, outer
+        offset = live[:, None, None].astype(np.int32) * nodes.shape[1]
         for start in range(0, n, rows):
             if start:
                 reads, outs = reads + advance[0], outs + advance[1]
-            at = flat[reads] * scale + outs
-            v = flat[at]
-            value = v.min(axis=0)
-            if ((v != value) & (v < n)).any():
-                consistent = False
-                break
-            form, q = np.nonzero((v == n) & (value < n))
-            if q.size:
-                cells, values = at[form, q], value[q]
-                flat[cells] = values
-                forced.append(cells)
-                progress = True
-                if (flat[cells] != values).any():   # a cell forced to two values
-                    consistent = False
+            at = nodes[live].take(reads, axis=1) * scale     # (live row, form, quintuple)
+            at += outs
+            at += offset
+            v = flat.take(at)
+            value = v.min(axis=1, keepdims=True)
+            consistent[live[((v != value) & (v < n)).any(axis=(1, 2))]] = False   # evaluated forms disagree
+            if not (keep := consistent[live]).all():    # such rows, and those of a clash before, set nothing
+                live, offset, at, v, value = live[keep], offset[keep], at[keep], v[keep], value[keep]
+                if not live.size:
                     break
-    stats.forced += int(free - np.count_nonzero(flat == n))
-    return consistent, np.concatenate(forced)
+            row, form, q = np.nonzero((v == n) & (value < n))
+            if row.size:
+                cells, values = at[row, form, q], value[row, 0, q]
+                flat[cells] = values
+                progress[live[row]] = True
+                consistent[live[row[flat[cells] != values]]] = False     # a cell forced to two values
+        live = live[progress[live] & consistent[live]]
+    stats.forced += int(free - np.count_nonzero(nodes == n))
+    return consistent
 
 
-def _prefix_dominated(cube, assigned, n, deadline=None):
-    """True iff some relabeling precedes the first assigned cells of cube (n where unassigned),
-    hence every completion; None, neither verdict, once deadline has passed between slabs."""
-    flat = cube.reshape(-1)
-    for rows in _relabelings(flat, n, assigned):
+def _prefix_dominated(cubes, widths, n, deadline=None):
+    """Which rows of a stack of flat cubes (n where unassigned) some relabeling precedes in their
+    first widths cells, hence in every completion; a row of width 0 never is, and some width must
+    be above 0.  None, no verdict, once deadline has passed between slabs, which stop once every
+    row is dominated."""
+    width = widths.max()
+    # Past its width a row's reference reads 0, which no relabeled cell is below.
+    refs = np.where(np.arange(width) < widths[:, None], cubes[:, :width], 0)
+    k = np.arange(len(cubes))[:, None]
+    dominated = np.zeros(len(cubes), dtype=bool)
+    for rows in _relabelings(cubes, n, width):
         if _expired(deadline):
             return None
-        if _precedes(rows, flat[:assigned]).any():
-            return True
-    return False
+        first = (rows != refs[:, None]).argmax(axis=2)
+        dominated |= (rows[k, np.arange(rows.shape[1]), first] < refs[k, first]).any(axis=1)
+        if dominated.all():
+            break
+    return dominated
 
 
 def _relabelings(flat, n, width):
-    """The first width cells of every relabeling of a flat cube, in slabs.
+    """The first width cells of every relabeling of a flat cube, or of each cube of a stack, in slabs.
 
     Row r covers the r-th permutation perm in lexicographic order, with
     inverse inv: cell (i, j, k) holds perm[flat[(inv[i]*n + inv[j])*n + inv[k]]],
@@ -300,7 +319,8 @@ def _relabelings(flat, n, width):
     is built or kept.
     """
     for perm, cells in _cached_slabs(n) if n <= 6 else _relabeling_slabs(n):
-        yield perm[np.arange(len(perm))[:, None], flat[cells[:, :width]]]
+        labels = np.arange(0, perm.size, n + 1)[:, None]     # where each padded permutation starts in perm.flat
+        yield perm.reshape(-1).take(flat.take(cells[:, :width], axis=-1) + labels)
 
 
 @cache
@@ -311,10 +331,11 @@ def _cached_slabs(n):
 def _relabeling_slabs(n):
     """Each slab's permutations, and the flat source cell of every relabeled cell."""
     perms = permutations(range(n))
-    while len(perm := np.array(list(islice(perms, max(1, _SLAB // max(1, n ** 3)))), dtype=np.int64)):
+    labels = np.min_scalar_type(n)      # narrow, as the search's cubes are: rows compare with them
+    while len(perm := np.array(list(islice(perms, max(1, _SLAB // max(1, n ** 3)))), dtype=labels)):
         inv = np.argsort(perm, axis=1)
         cells = (inv[:, :, None, None] * n + inv[:, None, :, None]) * n + inv[:, None, None, :]
-        yield np.column_stack((perm, np.full(len(perm), n))), cells.reshape(len(perm), -1)
+        yield np.column_stack((perm, np.full(len(perm), n, dtype=labels))), cells.reshape(len(perm), -1)
 
 
 def _precedes(rows, ref):

@@ -194,6 +194,17 @@ def test_enumerate_rejects_a_negative_size(capsys):
         assert out == "" and "--n: must be non-negative, got -1" in err, kind
 
 
+def test_enumerate_rejects_a_budget_that_is_not_a_non_negative_number(capsys):
+    # A nan budget would never run out, and a negative one has run out
+    # before the search starts; 0 stops at once, as from the API.
+    for budget in ("nan", "-1", "-inf"):
+        assert main(["enumerate", "--n", "5", f"--budget={budget}", "--no-tables"]) == 2, budget
+        out, err = capsys.readouterr()
+        assert out == "" and f"--budget: must be non-negative, got {budget}" in err, budget
+    assert main(["enumerate", "--n", "3", "--budget", "0", "--no-tables"]) == 0
+    assert capsys.readouterr().out == "n=3 kind=semiheap count=0 iso_count=0 complete=false\n"
+
+
 def test_enumerate_heap_census_beyond_the_corpus_is_unsupported():
     # A refusal by design, not a budget that ran out.
     code, out, err = run_cli(["enumerate", "--n", "8", "--heaps", "--no-tables"])

@@ -216,6 +216,15 @@ def test_budget_exhaustion_reports_partial():
         enumerate_heaps(8)
 
 
+def test_nan_budget_is_refused():
+    # time.time() > time.time() + nan is never true, so a nan deadline would never pass.
+    for run in (enumerate_semiheaps, enumerate_heaps):
+        with pytest.raises(ValueError, match="nan"):
+            run(3, budget=float("nan"))
+    with pytest.raises(ValueError, match="nan"):
+        enumerate_semiheaps(3, method="filter", budget=float("nan"))
+
+
 def test_budgeted_labeled_run_keeps_whole_orbits():
     # Each class's orbit is gathered as the search emits the class, so the
     # run keeps to its budget and what it returns is closed under relabeling.

@@ -79,18 +79,25 @@ def test_every_law_instance_completes_at_exactly_one_level(corpus):
                 assert (named.max(axis=1) == k).all()
 
 
-def _propagated(cube, n):
-    """Propagate cube (-1 where unassigned) in the padded cube of _search:
-    (consistent, the cube reached with -1 where unassigned, forced cells), checking the undo."""
+def _padded(cube, n):
+    """cube (-1 where unassigned) as a flat padded cube of _search."""
     padded = np.full((n + 1,) * 3, n + 1)
     padded[:n, :n, :n] = np.where(cube < 0, n, cube).reshape(n, n, n)
-    flat, before = padded.reshape(-1), padded.copy()
-    consistent, forced = _propagate(flat, n, SearchStats())
-    reached = padded[:n, :n, :n].reshape(-1)
-    reached = np.where(reached == n, -1, reached)
-    flat[forced] = n
-    assert (padded == before).all()
-    return consistent, reached, forced
+    return padded.reshape(-1)
+
+
+def _cells(flat, n):
+    """The n^3 cells of a flat padded cube, -1 where unassigned."""
+    cells = flat.reshape((n + 1,) * 3)[:n, :n, :n].reshape(-1)
+    return np.where(cells == n, -1, cells)
+
+
+def _propagated(cube, n):
+    """Propagate cube (-1 where unassigned) as a stack of one padded cube of _search:
+    (consistent, the cube reached with -1 where unassigned, the cells forced)."""
+    nodes, stats = _padded(cube, n)[None], SearchStats()
+    consistent = _propagate(nodes, n, stats)
+    return bool(consistent[0]), _cells(nodes[0], n), stats.forced
 
 
 def test_partial_consistent_matches_loops_on_random_partial_cubes():
@@ -114,7 +121,7 @@ def test_partial_consistent_matches_loops_on_random_partial_cubes():
         if not partial_consistent_loops(flat.tolist(), n):
             assert not consistent
         verdicts.add((n, consistent))
-        forcing.add((n, consistent, forced.size > 0))
+        forcing.add((n, consistent, forced > 0))
     assert verdicts == {(n, v) for n in (2, 3, 4) for v in (True, False)} | {(1, True)}
     assert {(n, v, True) for n in (2, 3, 4) for v in (True, False)} <= forcing
 
@@ -140,6 +147,82 @@ def test_partial_consistent_reads_every_slab():
     assert (_propagated(holes, n)[1] == heap.reshape(-1)).all()
 
 
+@pytest.fixture
+def slab(monkeypatch):
+    """Set enumeration._SLAB for one test; the caches built from it are emptied as it is set and after."""
+    def set_slab(size):
+        monkeypatch.setattr(enumeration, "_SLAB", size)
+        enumeration._quintuple_reads.cache_clear()
+        enumeration._cached_slabs.cache_clear()
+    yield set_slab
+    enumeration._quintuple_reads.cache_clear()
+    enumeration._cached_slabs.cache_clear()
+
+
+def _assert_stack_matches_rows_alone(cubes, n):
+    # Each row of one stacked propagation reaches what it reaches alone,
+    # with the same verdict, the same forced cells and, summed, the same
+    # rounds; a consistent row reaches the loop oracle's fixpoint.
+    nodes, stats = np.array([_padded(c, n) for c in cubes]), SearchStats()
+    consistent = _propagate(nodes, n, stats)
+    alone = SearchStats()
+    for cube, row, ok in zip(cubes, nodes, consistent):
+        single, one = _padded(cube, n)[None], SearchStats()
+        assert _propagate(single, n, one)[0] == ok
+        assert (single[0] == row).all()
+        alone.rounds, alone.forced = alone.rounds + one.rounds, alone.forced + one.forced
+        want = propagate_loops(np.asarray(cube).reshape(-1).tolist(), n)
+        assert ok == (want is not None)
+        if ok:
+            assert tuple(_cells(row, n).tolist()) == want
+            assert one.forced == np.count_nonzero(np.asarray(cube).reshape(-1) < 0) - want.count(-1)
+    assert (stats.rounds, stats.forced) == (alone.rounds, alone.forced)
+    return consistent
+
+
+@pytest.mark.parametrize("size", [None, 100])
+def test_stacked_propagation_matches_each_row_alone(slab, size):
+    # Random stacks of partial cubes, with all x1 in one slab and (size
+    # 100) with one x1 per slab, so a row that conflicts stops reading
+    # slabs while the others go on.
+    if size:
+        slab(size)
+    rng = np.random.default_rng(20267)
+    verdicts = set()
+    for trial in range(300):
+        n = 1 + trial % 4
+        cubes = []
+        for _ in range(int(rng.integers(1, 9))):
+            cube = rng.integers(0, n, size=n ** 3)
+            cube[int(rng.integers(0, n ** 3 + 1)):] = -1
+            cube[rng.random(n ** 3) < rng.random()] = -1
+            cubes.append(cube)
+        consistent = _assert_stack_matches_rows_alone(cubes, n)
+        verdicts.add((n, len(cubes) > 1, consistent.all(), consistent.any()))
+    assert {(n, True, False, True) for n in (2, 3, 4)} <= verdicts
+
+
+def test_stacked_propagation_stops_a_row_that_conflicts_in_its_first_slab():
+    # At n = 7 every x1 is a slab.  Row 0 of bad disagrees in quintuple
+    # (0,0,0,0,1), in the first slab: [0,0,[0,0,1]] = 3 but
+    # [[0,0,0],0,1] = 2.  It sets nothing, while the heaps with holes
+    # around it are forced whole, slab after slab.
+    n = 7
+    x = np.arange(n)
+    heap = (x[:, None, None] - x[None, :, None] + x[None, None, :]) % n
+    bad = np.full((n, n, n), -1)
+    bad[0] = heap[0]
+    bad[0, 0, 1:3] = (2, 3)
+    rng = np.random.default_rng(20268)
+    holes = [np.where(rng.random((n, n, n)) < 0.5, -1, heap) for _ in range(2)]
+    for cubes in ([holes[0], bad, holes[1]], [bad, holes[0]], [holes[1], bad]):
+        consistent = _assert_stack_matches_rows_alone(cubes, n)
+        assert consistent.tolist() == [cube is not bad for cube in cubes]
+    nodes = np.array([_padded(c, n) for c in (bad, holes[0])])
+    _propagate(nodes, n, SearchStats())
+    assert (_cells(nodes[0], n) == bad.reshape(-1)).all() and (_cells(nodes[1], n) == heap.reshape(-1)).all()
+
+
 def test_propagation_never_contradicts_the_table():
     # Every value forced below a prefix of a semiheap is that semiheap's own.
     rng = np.random.default_rng(20231)
@@ -151,7 +234,7 @@ def test_propagation_never_contradicts_the_table():
             cube[assigned:] = -1
             consistent, reached, forced = _propagated(cube, 3)
             assert consistent and (reached[reached >= 0] == table[reached >= 0]).all()
-            forced_cells += forced.size
+            forced_cells += forced
     assert forced_cells > 0
 
 
@@ -245,8 +328,20 @@ def test_iso_classes_stop_at_the_budget():
 
 
 def test_prefix_dominated_matches_loops_on_random_partial_cubes():
+    _assert_prefix_dominated_matches_loops()
+
+
+def test_prefix_dominated_matches_loops_across_slabs(slab):
+    # With slabs of 64 the relabelings of n = 3 and 4 come in several slabs.
+    slab(64)
+    _assert_prefix_dominated_matches_loops()
+
+
+def _assert_prefix_dominated_matches_loops():
+    # One row at a time, then the same rows as stacks of up to nine with a
+    # row of width 0 (never dominated) among them.
     rng = np.random.default_rng(20142)
-    verdicts = set()
+    verdicts, rows = set(), {2: [], 3: [], 4: []}
     for trial in range(3000):
         n = 2 + trial % 3
         t = TernaryTable(rng.integers(0, n, size=(n, n, n)))
@@ -256,10 +351,19 @@ def test_prefix_dominated_matches_loops_on_random_partial_cubes():
         assigned = int(rng.integers(1, n ** 3 + 1))
         cube.reshape(-1)[assigned:] = -1
         want = prefix_dominated_loops(cube.reshape(-1).tolist(), assigned, n)
-        assert _prefix_dominated(np.where(cube < 0, n, cube), assigned, n) == want, \
+        cubes = np.where(cube < 0, n, cube).reshape(1, -1)
+        assert _prefix_dominated(cubes, np.array([assigned]), n).tolist() == [want], \
             (n, assigned, cube.reshape(-1).tolist())
+        rows[n].append((cubes[0], assigned, want))
         verdicts.add((n, want))
     assert verdicts == {(n, v) for n in (2, 3, 4) for v in (True, False)}
+    for n, found in rows.items():
+        while found:
+            k = int(rng.integers(1, 10))
+            stack, found = found[:k], found[k:]
+            stack.insert(int(rng.integers(0, len(stack) + 1)), (stack[0][0], 0, False))
+            cubes, widths, want = (np.array(column) for column in zip(*stack))
+            assert _prefix_dominated(cubes, widths, n).tolist() == want.tolist()
 
 
 def test_canonical_form_relabeling_invariant_at_eight_points(corpus):
@@ -392,6 +496,49 @@ def test_consistency_calls_pinned_for_n3():
     assert iso.stats == SearchStats(nodes=309, rounds=464, forced=592, conflicts=142, symmetry_prunes=34)
     labeled = enumerate_semiheaps(3)
     assert len(labeled) == 135 and labeled.stats == iso.stats
+
+
+def test_search_tree_pinned_past_n3():
+    # Taken from the one-node-at-a-time recursive search: the stacked steps
+    # visit the same tree.
+    iso = enumerate_semiheaps(4, up_to_iso=True)
+    assert iso.complete and len(iso) == 416
+    assert iso.stats == SearchStats(nodes=10408, rounds=13004, forced=11869, conflicts=6777, symmetry_prunes=614)
+    pinned = {4: (4, 2, SearchStats(nodes=28, rounds=42, forced=98, conflicts=18, symmetry_prunes=2)),
+              5: (6, 1, SearchStats(nodes=40, rounds=57, forced=149, conflicts=27, symmetry_prunes=5)),
+              6: (80, 2, SearchStats(nodes=108, rounds=171, forced=997, conflicts=71, symmetry_prunes=18)),
+              7: (120, 1, SearchStats(nodes=98, rounds=132, forced=703, conflicts=65, symmetry_prunes=19))}
+    for n, (count, classes, stats) in pinned.items():
+        heaps = enumerate_heaps(n)
+        assert heaps.complete and (len(heaps), len(heaps.classes), heaps.stats) == (count, classes, stats), n
+
+
+def _n3_searches():
+    direct, complete, stats = enumeration._search(np.full((3, 3, 3), -1, dtype=np.int64), None)
+    iso, labeled = enumerate_semiheaps(3, up_to_iso=True), enumerate_semiheaps(3)
+    assert complete and iso.complete and labeled.complete
+    tables = [[t.flat() for t in direct]] + [[s.table.flat() for s in r] for r in (iso, labeled, labeled.classes)]
+    return tables, (stats, iso.stats, labeled.stats)
+
+
+def test_search_steps_of_any_size_give_the_same_tables_order_and_stats(slab, monkeypatch):
+    # With one x1 per propagation slab the n = 3 searches step one node at
+    # a time (_SLAB 1, one permutation per relabeling slab), and 67 nodes at
+    # a time on reads and relabelings cut for _SLAB 100 (three permutations
+    # per slab).  Both find the tables of the default slabs in the same
+    # order, and both count the tree as the one-node-at-a-time recursive
+    # search did with one x1 per slab, where a pass sees the cells forced
+    # earlier in it.
+    want = _n3_searches()
+    slab(1)
+    one = _n3_searches()
+    slab(100)
+    assert enumeration._quintuple_reads(3)[0] == 1 and len(enumeration._cached_slabs(3)) == 2
+    monkeypatch.setattr(enumeration, "_SLAB", _SLAB)
+    assert _SLAB // 3 ** 5 == 67 and _n3_searches() == one
+    broken = SearchStats(nodes=309, rounds=437, forced=600, conflicts=142, symmetry_prunes=34)
+    assert one[0] == want[0]
+    assert one[1] == (SearchStats(nodes=780, rounds=1100, forced=1326, conflicts=386, symmetry_prunes=0), broken, broken)
 
 
 @pytest.mark.parametrize("n", [2, 3])
