@@ -11,8 +11,8 @@ from dataclasses import dataclass, InitVar
 
 import numpy as np
 
-from .core import (FiniteSemiheap, InvalidTable, LawError, _first_class_disagreement, _first_disagreement,
-                   _index_array, _narrow, _row_classes, _slab_rows)
+from .core import (FiniteSemiheap, InvalidTable, LawError, _first_class_path_disagreement, _first_disagreement,
+                   _index_array, _narrow)
 from .functors import heapify
 
 
@@ -29,10 +29,9 @@ class ActionCounterexample:
 def action_compat_witness(table, semiheap):
     """Exhaustive compatibility check of a raw (m, n, n) action table.
 
-    The scan runs over the rows (p, x1) in order, n^3 values per row.  The
-    first slab is compared directly; past it both sides of row (p, x1)
-    read only the map y -> sigma(p, x1, y), so only the first row of each
-    class of equal maps is compared, in the order the classes first appear.
+    The scan runs over the rows (p, x1) in order, n^3 values per row, on
+    the class path of _first_class_path_disagreement: both sides of row
+    (p, x1) read it only through the map y -> sigma(p, x1, y).
     """
     n = semiheap.n
     a = _index_array(table, (None, n, n), None, "action table")
@@ -40,12 +39,8 @@ def action_compat_witness(table, semiheap):
     t = semiheap.table.entries
     cube = _narrow(a, m)                        # the compared values, gathered by take
     pairs, values = a.reshape(m * n, n), cube.reshape(m * n, n)   # [p * n + x1, x2] = a[p,x1,x2]
-    forms = (lambda r: cube.take(pairs[r], axis=0),   # a[a[p,x1,x2],x3,x4]
-             lambda r: values[r].take(t, axis=1))    # a[p,x1,[x2,x3,x4]]
-    step = _slab_rows(n ** 3)
-    hit = _first_disagreement(min(step, m * n), n ** 3, *forms)
-    if hit is None and step < m * n:
-        hit = _first_class_disagreement(_row_classes(values)[1], step, n ** 3, *forms)
+    hit = _first_class_path_disagreement(values, n ** 3, (lambda r: cube.take(pairs[r], axis=0),  # a[a[p,x1,x2],x3,x4]
+                                                          lambda r: values[r].take(t, axis=1)))   # a[p,x1,[x2,x3,x4]]
     if hit is None:
         return None
     (pair, *rest), (lhs, rhs) = hit

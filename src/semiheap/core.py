@@ -104,7 +104,7 @@ class TernaryTable:
         return cls(arr.reshape(n, n, n))
 
     def flat(self):
-        return tuple(int(v) for v in self.entries.reshape(-1))
+        return tuple(self.entries.reshape(-1).tolist())
 
     def key(self):
         """Hashable identity: (n, flat entries)."""
@@ -119,26 +119,27 @@ class TernaryTable:
 _SLAB = 1 << 14
 
 
-def _slab_rows(row_size):
-    """Rows per slab of _first_disagreement: _SLAB elements, at least one row."""
-    return _SLAB // row_size if 0 < row_size <= _SLAB else 1
+def _slab_rows(row_size, slab=_SLAB):
+    """Rows per slab of _first_disagreement: slab elements, at least one row."""
+    return slab // row_size if 0 < row_size <= slab else 1
 
 
-def _first_disagreement(rows, row_size, *forms, start=0):
+def _first_disagreement(rows, row_size, *forms, start=0, slab=_SLAB):
     """Lexicographically first index where the forms of an identity disagree.
 
     Each form maps a slice of the leading axis (rows start..rows-1) to that
     slab of one side of the identity, with row_size elements per row
-    (trailing axes may broadcast).  Slabs of _slab_rows(row_size) rows are
-    compared in order.  Returns (index, value of each form there) or None.
+    (trailing axes may broadcast).  Slabs of _slab_rows(row_size, slab)
+    rows are compared in order.  Returns (index, value of each form there)
+    or None.
     """
-    step = _slab_rows(row_size)
+    step = _slab_rows(row_size, slab)
     for first in range(start, rows, step):
         r = slice(first, min(first + step, rows))
         slabs = [f(r) for f in forms]
         bad = slabs[0] != slabs[1]
         for other in slabs[2:]:
-            bad = bad | (slabs[0] != other)
+            bad |= slabs[0] != other
         if bad.any():
             idx = np.unravel_index(int(bad.argmax()), bad.shape)
             values = tuple(int(v[idx] if v.shape == bad.shape else np.broadcast_to(v, bad.shape)[idx])
@@ -149,8 +150,8 @@ def _first_disagreement(rows, row_size, *forms, start=0):
 
 def _row_classes(rows):
     """The classes of equal rows of a 2-D index array (the law kernels pass narrow rows), by a sort of its
-    rows viewed as void items: (the distinct rows as void items, sorted; the first row of each class, in
-    increasing order; the class of each row, numbered in sorted order)."""
+    rows viewed as void items, numbered in sorted order: (the distinct rows as void items, sorted; the
+    first row of each class; the class of each row)."""
     items = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
     order = items.argsort()
     ordered = items[order]
@@ -159,58 +160,64 @@ def _row_classes(rows):
     ids = np.empty(len(items), dtype=np.int64)
     ids[order] = new.cumsum() - 1
     starts = np.flatnonzero(new)
-    heads = np.zeros(len(items), dtype=bool)
-    heads[np.minimum.reduceat(order, starts)] = True
-    return ordered[starts], np.flatnonzero(heads), ids
+    return ordered[starts], np.minimum.reduceat(order, starts), ids
 
 
-def _first_class_disagreement(heads, start, row_size, *forms):
-    """_first_disagreement on the first rows of the classes (_row_classes) from row start on, for forms
-    that read a row only through the map it stores, so that a class agrees on all its rows or on none.
-    The index returned is on the whole row axis."""
-    heads = heads[heads >= start]
-    hit = _first_disagreement(len(heads), row_size, *(lambda r, f=f: f(heads[r]) for f in forms))
-    return None if hit is None else ((int(heads[hit[0][0]]), *hit[0][1:]), hit[1])
+def _first_class_path_disagreement(keys, row_size, forms, loose=None):
+    """_first_disagreement of forms that read row r only through the translation keys[r]; given loose,
+    the rows are the pairs (x1, x2) of an n-point table and a last form reads keys[x1 * n + loose[x2, x3,
+    x4]] at (x3, x4).  Past the first slab of a table of three or more, the forms are compared on the
+    first row of each class of equal keys (_row_classes); where that row holds, another row of its class
+    fails exactly where its loose keys lie in other classes.  The first failing row is the least failing
+    first row or row with such loose keys (rescanned directly), sought in slabs of 4 * _SLAB loose ids
+    and 2 * _SLAB form values."""
+    rows, step, direct = len(keys), _slab_rows(row_size), forms
+    if loose is not None:
+        n = len(loose)
+        x1, x2 = np.divmod(np.arange(rows), n)
+        direct = (*forms, lambda r: keys.take(x1[r, None, None] * n + loose[x2[r]], axis=0))
+    hit = _first_disagreement(rows if rows <= 2 * step else step, row_size, *direct)
+    if hit is not None or rows <= 2 * step:     # two slabs or fewer: scanned whole, cheaper than classed
+        return hit
+    first, ids = _row_classes(keys)[1:]
+    heads, span = np.sort(first), rows
+    if loose is not None:
+        cls = _narrow(ids, len(first)).reshape(n, n)             # [x1, x2]: the class of keys[x1 * n + x2]
+        held = np.empty((len(first), n, n), cls.dtype)          # [c]: the loose classes of c's first row
+        forms = (*forms, lambda r, known=keys[first]: known.take(held[ids[r]], axis=0))
+        span = n * _slab_rows(n ** 3, 4 * _SLAB)
+    for begin in range(0, rows, span):
+        end = stop = min(begin + span, rows)
+        new = heads[np.searchsorted(heads, begin):np.searchsorted(heads, end)]
+        if loose is not None:
+            got = cls[begin // n:end // n].take(loose, axis=1).reshape(end - begin, n, n)
+            held[ids[new]] = got[new - begin]
+            bad = got != held[ids[begin:end]]
+            stop = begin + int(bad.argmax()) // (n * n) if bad.any() else end
+        at = new[(new >= step) & (new < stop)]
+        hit = _first_disagreement(len(at), row_size, *(lambda r, f=f: f(at[r]) for f in forms), slab=2 * _SLAB)
+        if hit is not None:
+            return (int(at[hit[0][0]]), *hit[0][1:]), hit[1]
+        if stop < end:
+            return _first_disagreement(stop + 1, row_size, *direct, start=stop)
+    return None
 
 
 def verify_para_associative(table):
-    """Check the three-way identity over all n^5 quintuples.
-
-    The scan runs over the pairs (x1, x2) in order, n^3 values per pair.
-    The first slab is compared directly.  Past it, outer = [L(x3),x4,x5]
-    and inner = L([x3,x4,x5]) depend only on the left translation
-    L = L_{x1x2}, so they are compared once per class of equal rows; and
-    middle = outer at every x5 is one comparison of the classes of
-    L_{x1,[x4,x3,x2]} and L_{[x1,x2,x3],x4} per quadruple: n^4 work for a
-    heap's n classes.  The first failing pair is then scanned directly.
-    Returns None on success, else the lexicographically first
-    ParaAssocCounterexample.
-    """
+    """Check the three-way identity over all n^5 quintuples, pair (x1, x2) by pair on the class path of
+    _first_class_path_disagreement: outer = [L(x3),x4,x5] and inner = L([x3,x4,x5]) read the pair only
+    through L = L_{x1x2}, middle through L_{x1,[x4,x3,x2]}.  A heap has n classes, so certifying it takes
+    n^4 work, not n^5.  Returns None or the lexicographically first ParaAssocCounterexample."""
     t = table.entries
     n = table.n
     cube = _narrow(t, n)                        # the compared values, gathered by take
     pairs, values = t.reshape(n * n, n), cube.reshape(n * n, n)   # [x1 * n + x2, x3] = [x1,x2,x3]
-    x1, x2 = np.divmod(np.arange(n * n), n)
-    trev = np.ascontiguousarray(t.transpose(2, 1, 0))  # [x1,[x4,x3,x2],x5] is row x1 * n + trev[x2,x3,x4]
-    forms = (lambda r: cube.take(pairs[r], axis=0),                                  # [[x1,x2,x3],x4,x5]
-             lambda r: values.take(x1[r, None, None] * n + trev[x2[r]], axis=0),   # [x1,[x4,x3,x2],x5]
-             lambda r: values[r].take(t, axis=1))                                   # [x1,x2,[x3,x4,x5]]
-    step = _slab_rows(n ** 3)
-    hit = _first_disagreement(min(step, n * n), n ** 3, *forms)
-    if hit is None and step < n * n:
-        _, first, ids = _row_classes(values)
-        cls = _narrow(ids, len(first)).reshape(n, n)   # [a, b]: the class of L_{ab}
-        heads = _first_class_disagreement(first, step, n ** 3, forms[0], forms[2])   # outer = inner
-        quads = _first_disagreement(n, n ** 3, lambda r: cls[r].take(trev, axis=1),  # [x1,x2,x3,x4]: L_{x1,[x4,x3,x2]}
-                                    lambda r: cls.take(t[r], axis=0),                 # and L_{[x1,x2,x3],x4}
-                                    start=step // n)
-        failed = ([heads[0][0]] if heads else []) + ([quads[0][0] * n + quads[0][1]] if quads else [])
-        if failed:
-            pair = min(failed)
-            hit = _first_disagreement(pair + 1, n ** 3, *forms, start=pair)
+    hit = _first_class_path_disagreement(values, n ** 3, (lambda r: cube.take(pairs[r], axis=0),   # [[x1,x2,x3],x4,x5]
+                                                          lambda r: values[r].take(t, axis=1)),   # [x1,x2,[x3,x4,x5]]
+                                         loose=np.ascontiguousarray(t.transpose(2, 1, 0)))   # [x1,[x4,x3,x2],x5]
     if hit is None:
         return None
-    (pair, *rest), (outer, middle, inner) = hit
+    (pair, *rest), (outer, inner, middle) = hit
     return ParaAssocCounterexample((*divmod(pair, n), *rest), outer, middle, inner)
 
 

@@ -9,16 +9,16 @@ f[g].  The composition laws
     L_{x1 x2} . R_{x3 x4} = R_{x3 x4} . L_{x1 x2}
 
 are theorems for any semiheap: each is the para-associative law read on
-a permutation of its variables.  The checkers here re-derive them
-exhaustively, quadruple by quadruple and point by point, as an
-independent code path.
+a permutation of its variables, and the checkers here verify them on
+the class path of the para-associativity check (core).
 """
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-from .core import _first_disagreement, _narrow, _row_classes, is_biunitary
+from .core import _first_class_path_disagreement, _first_disagreement, _narrow, _row_classes, is_biunitary
 
 
 @dataclass(frozen=True)
@@ -45,10 +45,10 @@ def centric_endomap(s, x1, x2):
     return s.table.entries[x1, :, x2].copy()
 
 
-def _law_witness(law, s, lhs, rhs):
-    """Scan the pairs (x1, x2), then (x3, x4, p); lhs and rhs are indexed [pair, x3, x4, p]."""
+def _law_witness(law, s, keys, forms, loose=None):
+    """The class path over the pairs (x1, x2) with translations keys, then (x3, x4, p): [pair, x3, x4, p]."""
     n = s.n
-    hit = _first_disagreement(n * n, n ** 3, lhs, rhs)
+    hit = _first_class_path_disagreement(keys, n ** 3, forms, loose)
     if hit is None:
         return None
     (pair, x3, x4, p), values = hit
@@ -58,40 +58,39 @@ def _law_witness(law, s, lhs, rhs):
 def right_compose_law(s):
     """Check R_{x3x4} . R_{x1x2} = R_{x1,[x2,x3,x4]} over all quadruples.
 
-    Read at every point p: [[p,x1,x2],x3,x4] against [p,x1,[x2,x3,x4]].
-    Returns None (certificate) or the first counterexample.
+    Read at every point p: [[p,x1,x2],x3,x4], through R_{x1x2}, against
+    [p,x1,[x2,x3,x4]].  Returns None (certificate) or the first counterexample.
     """
     t, n = s.table.entries, s.n
     pairs = t.transpose(1, 2, 0).reshape(n * n, n)     # pairs[a * n + b, x] = [x,a,b], a contiguous copy
-    cube, values = _narrow(t, n), _narrow(pairs, n)
-    x1, x2 = np.divmod(np.arange(n * n), n)
-    return _law_witness("right-compose", s, lambda r: cube.take(pairs[r], axis=0).transpose(0, 2, 3, 1),
-                        lambda r: values.take(x1[r, None, None] * n + t[x2[r]], axis=0))
+    cube = _narrow(t, n)
+    return _law_witness("right-compose", s, _narrow(pairs, n),     # the right side: R_{x1,t[x2,x3,x4]}
+                        (lambda r: cube.take(pairs[r], axis=0).transpose(0, 2, 3, 1),), loose=t)
 
 
 def left_compose_law(s):
     """Check L_{x1x2} . L_{x3x4} = L_{[x1,x2,x3],x4} over all quadruples.
 
-    Read at every point p: [x1,x2,[x3,x4,p]] against [[x1,x2,x3],x4,p].
+    Read at every point p through L_{x1x2}: [x1,x2,[x3,x4,p]] against [[x1,x2,x3],x4,p].
     """
     t, n = s.table.entries, s.n
     cube = _narrow(t, n)
     pairs, values = t.reshape(n * n, n), cube.reshape(n * n, n)
-    return _law_witness("left-compose", s, lambda r: values[r].take(t, axis=1),
-                        lambda r: cube.take(pairs[r], axis=0))
+    return _law_witness("left-compose", s, values, (lambda r: values[r].take(t, axis=1),
+                                                    lambda r: cube.take(pairs[r], axis=0)))
 
 
 def lr_commute(s):
     """Check L_{x1x2} . R_{x3x4} = R_{x3x4} . L_{x1x2} over all quadruples.
 
-    Read at every point p: [x1,x2,[p,x3,x4]] against [[x1,x2,p],x3,x4].
+    Read at every point p through L_{x1x2}: [x1,x2,[p,x3,x4]] against [[x1,x2,p],x3,x4].
     """
     t, n = s.table.entries, s.n
     cube = _narrow(t, n)
     pairs, values = t.reshape(n * n, n), cube.reshape(n * n, n)
     right = np.ascontiguousarray(t.transpose(1, 2, 0))      # right[a, b, x] = [x,a,b]
-    return _law_witness("lr-commute", s, lambda r: values[r].take(right, axis=1),
-                        lambda r: cube.take(pairs[r], axis=0).transpose(0, 2, 3, 1))
+    return _law_witness("lr-commute", s, values, (lambda r: values[r].take(right, axis=1),
+                                                  lambda r: cube.take(pairs[r], axis=0).transpose(0, 2, 3, 1)))
 
 
 def centric_nonclosure_witness(semiheaps, max_results=1):
@@ -103,21 +102,19 @@ def centric_nonclosure_witness(semiheaps, max_results=1):
     For each C_{x1x2}, all n^2 compositions C_{x3x4} . C_{x1x2} are formed
     at once and looked up among the sorted distinct centric translations.
     """
-    found = []
-    for s in semiheaps:
-        n = s.n
-        if n == 0:
-            continue
-        centric = _narrow(s.table.entries.transpose(0, 2, 1).reshape(n * n, n), n)   # centric[a*n+b] = C_{ab}
-        known = _row_classes(centric)[0]        # the distinct endomaps, each one sortable item
-        for ab in range(n * n):
-            comps = np.ascontiguousarray(centric[:, centric[ab]]).view(known.dtype).ravel()
-            at = np.minimum(np.searchsorted(known, comps), known.size - 1)
-            for cd in np.flatnonzero(known[at] != comps).tolist():
-                found.append((s, divmod(ab, n), divmod(cd, n)))
-                if len(found) >= max_results:
-                    return found
-    return found
+    def witnesses():
+        for s in semiheaps:
+            n = s.n
+            if n == 0:
+                continue
+            centric = _narrow(s.table.entries.transpose(0, 2, 1).reshape(n * n, n), n)   # [a*n+b] = C_{ab}
+            known = _row_classes(centric)[0]    # the distinct endomaps, each one sortable item
+            for ab in range(n * n):
+                comps = np.ascontiguousarray(centric[:, centric[ab]]).view(known.dtype).ravel()
+                at = np.minimum(np.searchsorted(known, comps), known.size - 1)
+                for cd in np.flatnonzero(known[at] != comps).tolist():
+                    yield s, divmod(ab, n), divmod(cd, n)
+    return list(islice(witnesses(), max(max_results, 0)))
 
 
 def is_biunital(ps):

@@ -9,9 +9,9 @@ data (names, bases, step sizes) from the library.  all_group_tables, the
 group route of the heap census for n <= 3, and fully_faithful_scan, the
 map-by-map hom-set classification, are the exceptions: they scan chunks of
 itertools.product rows as arrays, and tests hold them to plain loops.  So
-are para_pair_scan and action_row_scan, the direct scans of every tuple the
-law kernels made before they compared translation classes, one row of
-n^3 values at a time, for sizes where the loops are too slow.  The
+are para_pair_scan, law_pair_scan and action_row_scan, the direct scans of
+every tuple the law kernels made before they compared translation classes,
+one row of n^3 values at a time, for sizes where the loops are too slow.  The
 text-format oracles tokenize eagerly and write value by value.
 """
 
@@ -59,6 +59,24 @@ def para_pair_scan(t):
             if bad.any():
                 i = np.unravel_index(int(bad.argmax()), bad.shape)
                 return (x1, x2, *map(int, i)), int(outer[i]), int(middle[i]), int(inner[i])
+    return None
+
+
+def law_pair_scan(t, law):
+    """first_right_compose_failure, first_left_compose_failure or first_lr_commute_failure (law "right",
+    "left" or "commute") of an (n, n, n) numpy table, scanned one pair (x1, x2) at a time."""
+    n = len(t)
+    for x1 in range(n):
+        for x2 in range(n):
+            if law == "right":              # [[p,x1,x2],x3,x4] against [p,x1,[x2,x3,x4]], indexed [p, x3, x4]
+                lhs, rhs = t[t[:, x1, x2]].transpose(1, 2, 0), t[:, x1][:, t[x2]].transpose(1, 2, 0)
+            elif law == "left":             # [x1,x2,[x3,x4,p]] against [[x1,x2,x3],x4,p], indexed [x3, x4, p]
+                lhs, rhs = t[x1, x2][t], t[t[x1, x2]]
+            else:                           # [x1,x2,[p,x3,x4]] against [[x1,x2,p],x3,x4], indexed [p, x3, x4]
+                lhs, rhs = t[x1, x2][t].transpose(1, 2, 0), t[t[x1, x2]].transpose(1, 2, 0)
+            if (bad := lhs != rhs).any():
+                x3, x4, p = map(int, np.unravel_index(int(bad.argmax()), bad.shape))
+                return (x1, x2, x3, x4), p, int(lhs[x3, x4, p]), int(rhs[x3, x4, p])
     return None
 
 

@@ -71,6 +71,16 @@ def test_centric_witness_on_z3_heap():
     assert tuple(int(v) for v in comp) not in centrics
 
 
+def test_centric_witnesses_stop_at_max_results():
+    # Z/3 has more than one witness; max_results bounds the list, and a limit of zero or below asks for none.
+    s = z_heap(3)
+    every = centric_nonclosure_witness([s, s], max_results=10 ** 6)
+    assert len(every) > 2 and every[:2] == centric_nonclosure_witness([s], max_results=2)
+    assert centric_nonclosure_witness([s], max_results=1) == every[:1]
+    assert centric_nonclosure_witness([s], max_results=0) == []
+    assert centric_nonclosure_witness([s], max_results=-1) == []
+
+
 def test_centrics_closed_on_z2_heap_and_constants():
     assert centric_nonclosure_witness([z_heap(2)]) == []
     assert centric_nonclosure_witness([constant_semiheap(3)]) == []
