@@ -118,9 +118,9 @@ class MatrixHeapChart:
         a = solve(g, v)
         return rel_norm(a - self.project_algebra(a), a)
 
-    def random_tangent(self, g, rng, scale=1.0):
-        """A tangent vector at g: g times a random algebra element."""
-        return g @ _combine(rng.normal(scale=scale, size=self.dim), self.basis)
+    def random_tangent(self, g, rng):
+        """A tangent vector at g: g times a random algebra element, standard normal in the basis."""
+        return g @ _combine(rng.normal(size=self.dim), self.basis)
 
 
 def _flat_coords(g):
@@ -295,9 +295,9 @@ class PolynomialField:
         return cls(tuple(((i,), float(c)) for i, c in enumerate(coeffs)))
 
     @classmethod
-    def random(cls, n_coords, degree, rng, n_terms=6):
+    def random(cls, n_coords, degree, rng):
         terms = []
-        for _ in range(n_terms):
+        for _ in range(6):
             d = int(rng.integers(0, degree + 1))
             exps = tuple(sorted(int(rng.integers(0, n_coords)) for _ in range(d)))
             terms.append((exps, float(rng.normal())))

@@ -53,6 +53,16 @@ def _narrow(arr, bound):
     return out
 
 
+def _cell_bytes(cells, n):
+    """An n-point table's (n, n, n) cells as bytes, or the list of those of each row of a 2-D stack of flat
+    tables: each value big-endian in _narrow's dtype for n, whatever the dtype of cells, so that for one n
+    the bytes order as the tables do lexicographically."""
+    cells = cells.astype(">u1" if n <= 1 << 8 else ">u2" if n <= 1 << 16 else ">u4")
+    if cells.ndim == 3:
+        return cells.tobytes()
+    return np.ndarray(len(cells), (np.void, cells.itemsize * cells.shape[1]), cells).tolist()   # a row of 0 cells too
+
+
 @dataclass(frozen=True)
 class ParaAssocCounterexample:
     """First quintuple where the three para-associative forms disagree."""
@@ -107,8 +117,8 @@ class TernaryTable:
         return tuple(self.entries.reshape(-1).tolist())
 
     def key(self):
-        """Hashable identity: (n, flat entries)."""
-        return (self.n, self.flat())
+        """Hashable identity and order: (n, _cell_bytes of the entries); for one n, keys order as flat() does."""
+        return (self.n, _cell_bytes(self.entries, self.n))
 
 
 # Elements compared per slab: bounds the memory of every exhaustive check.

@@ -22,7 +22,7 @@ from itertools import islice, permutations, product as iproduct
 
 import numpy as np
 
-from .core import _SLAB, FiniteSemiheap, TernaryTable
+from .core import _SLAB, FiniteSemiheap, TernaryTable, _cell_bytes
 from .functors import heapify
 from .groups import corpus
 
@@ -108,23 +108,19 @@ def _census(root, up_to_iso, deadline):
 def iso_classes(tables, deadline=None):
     """The canonical form of each isomorphism class among tables, in order of first appearance.
 
-    A table in no orbit seen so far starts a class: canonical_form gathers
-    its orbit once, and the later tables among the orbit's rows are
-    skipped.  For tables in lexicographic order the first member seen of
-    a complete class is its canonical form.  deadline is a time.time()
-    reading; once it has passed, the classes found so far are returned,
-    flagged incomplete.
+    A table whose key is in no orbit seen so far starts a class: _sweep
+    reads its orbit's keys once, all marked seen, the least the class's
+    canonical form.  deadline is a time.time() reading; once it has
+    passed, the classes found so far are returned, flagged incomplete.
     """
-    tables = list(tables)
-    # int8 keys of the input tables only (values < 128 wherever n! is in reach)
-    unseen, keep = {bytes(t.entries.astype(np.int8)) for t in tables}, []
+    seen, keep = set(), []
     for t in tables:
-        if (key := bytes(t.entries.astype(np.int8))) in unseen:
-            unseen.discard(key)                 # for n <= 1 the table is its orbit
-            c = canonical_form(t, deadline, lambda rows: unseen.difference_update(map(bytes, rows.astype(np.int8))))
-            if c is None:
-                return EnumerationResult(keep, False)
-            keep.append(FiniteSemiheap(c, _certified=True))
+        if t.key() not in seen:
+            for keys, _, least in _sweep(t):
+                if _expired(deadline):
+                    return EnumerationResult(keep, False)
+                seen.update((t.n, key) for key in keys)
+            keep.append(FiniteSemiheap(TernaryTable(least), _certified=True))
     return EnumerationResult(keep, True)
 
 
@@ -156,12 +152,11 @@ def _filter_pipeline(n, deadline):
 
 
 def _add_orbit(orbits, table):
-    """Key every relabeling of table by its cells as bytes, which sort as the tables do."""
-    n = table.n
-    for rows in _relabelings(table.entries.reshape(-1), n, n ** 3):
-        for row in rows.astype(np.uint8):       # values below 256
-            if (key := row.tobytes()) not in orbits:
-                orbits[key] = TernaryTable(row.reshape(n, n, n))
+    """Add each distinct relabeling of table to orbits as a TernaryTable when its slab is gathered, by key bytes."""
+    for keys, cubes, _ in _sweep(table):
+        for key, cube in zip(keys, cubes):
+            if key not in orbits:
+                orbits[key] = TernaryTable(cube)
 
 
 def _search(cube, deadline, symmetry_break=False, emit=None):
@@ -214,7 +209,7 @@ def _search(cube, deadline, symmetry_break=False, emit=None):
         children[np.arange(len(children)), branch] = np.tile(np.arange(n), parents.sum())
         stats.nodes += len(children)
         stack.extend(children[::-1])           # the lex-least child on top
-    found.sort(key=lambda table: table.entries.tolist())
+    found.sort(key=TernaryTable.key)
     return found, complete, stats
 
 
@@ -338,12 +333,6 @@ def _relabeling_slabs(n):
         yield np.column_stack((perm, np.full(len(perm), n, dtype=labels))), cells.reshape(len(perm), -1)
 
 
-def _precedes(rows, ref):
-    """Which rows, at the first cell where they differ from ref, are smaller (an unassigned n never is)."""
-    first = (rows != ref).argmax(axis=1)
-    return rows[np.arange(len(rows)), first] < ref[first]
-
-
 def enumerate_heaps(n, up_to_iso=False, budget=None):
     """All heap tables on {0..n-1}, or one per class, checked against the group route.
 
@@ -361,37 +350,38 @@ def enumerate_heaps(n, up_to_iso=False, budget=None):
     cube[y, x, x] = y                           # biunitarity: [y,x,x] = y = [x,x,y]
     cube[x, x, y] = y
     found = _census(cube, up_to_iso, _deadline(budget))
-    if found.complete and n and [s.table.flat() for s in found.classes] != sorted(
-            canonical_form(heapify(g).semiheap.table).flat() for g in corpus() if g.n == n):
+    if found.complete and n and [s.key() for s in found.classes] != sorted(
+            canonical_form(heapify(g).semiheap.table).key() for g in corpus() if g.n == n):
         raise AssertionError("the heap classes must be the canonical forms of the heapified corpus groups")
     return found
 
 
-def canonical_form(table, deadline=None, gathered=lambda rows: None):
-    """The lexicographically least relabeling of the table.
+def canonical_form(table, deadline=None):
+    """The relabeling of the table with the least key (TernaryTable.key), the lexicographically least.
 
     Idempotent and relabeling-invariant; two tables are isomorphic iff
-    their canonical forms are equal.  All n! relabelings are compared a
-    slab at a time, so time grows as n! * n^3 and memory stays O(_SLAB);
-    gathered is handed each slab first.  Once deadline, a time.time()
-    reading, has passed it returns None.
+    their canonical forms are equal.  All n! relabelings are swept a slab
+    at a time (_sweep), so time grows as n! * n^3 and memory stays
+    O(_SLAB).  Once deadline, a time.time() reading, has passed it
+    returns None.
     """
-    n = table.n
-    if n <= 1:
-        return table
-    best = table.entries.reshape(-1)
-    for rows in _relabelings(best, n, n ** 3):
+    for _, _, least in _sweep(table):
         if _expired(deadline):
             return None
-        gathered(rows)
-        # Keep only the rows below the best so far; each pass lowers best.
-        while (below := _precedes(rows, best)).any():
-            rows = rows[below]
-            best = rows[0]
-    return TernaryTable(best.reshape(n, n, n))
+    return TernaryTable(least)
+
+
+def _sweep(table):
+    """table's relabelings a slab at a time (_relabelings): each slab's keys (_cell_bytes), its (n, n, n)
+    cubes, and the cube of least key so far."""
+    n, least = table.n, None
+    for rows in _relabelings(table.entries.reshape(-1), n, n ** 3):
+        keys, cubes = _cell_bytes(rows, n), rows.reshape(len(rows), n, n, n)
+        key = min(keys)
+        if least is None or key < least[0]:
+            least = key, cubes[keys.index(key)]
+        yield keys, cubes, least[1]
 
 
 def are_isomorphic(s, s2):
-    if s.n != s2.n:
-        return False
-    return canonical_form(s.table).flat() == canonical_form(s2.table).flat()
+    return s.n == s2.n and canonical_form(s.table).key() == canonical_form(s2.table).key()

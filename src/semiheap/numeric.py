@@ -210,15 +210,15 @@ def compare_group_vs_heap_invariance(chart, v, samples, seed, tol=1e-6):
     return fold.report("group-vs-heap", seed, exact=not fold.failed)
 
 
-def _rk4_steps(t, step):
-    return 0 if t == 0.0 else max(1, int(math.ceil(abs(t) / step)))
+def _rk4_steps(t):
+    return 0 if t == 0.0 else max(1, int(math.ceil(abs(t) / RK4_STEP)))
 
 
-def _rk4(fieldrule, y0, t, step=RK4_STEP):
+def _rk4(fieldrule, y0, t):
     """Classical fixed-step RK4 from y0, any stack of points, over signed durations t that
     broadcast against y0 and all take the same number of steps."""
     y = np.array(np.broadcast_to(y0, np.broadcast_shapes(np.shape(y0), np.shape(t))), dtype=float)
-    nsteps = _rk4_steps(np.abs(t).max(), step)
+    nsteps = _rk4_steps(np.abs(t).max())
     h = t / max(nsteps, 1)
     for _ in range(nsteps):
         k1 = fieldrule(y)
@@ -278,7 +278,7 @@ def sample_triples(chart, samples, seed):
 
 
 def multiplicative_vector_field_check(fieldrule, triples, t_grid=(-0.5, -0.1, 0.1, 0.5),
-                                      tol=FLOW_TOL, seed=None, step=RK4_STEP):
+                                      tol=FLOW_TOL, seed=None):
     """Flow-homomorphism test on the +-+ heap of R^k.
 
     Integrates the flow of the field with fixed-step RK4 and checks
@@ -295,7 +295,7 @@ def multiplicative_vector_field_check(fieldrule, triples, t_grid=(-0.5, -0.1, 0.
     """
     t_grid, fold, groups = tuple(t_grid), _Fold(tol), {}
     for q, t in enumerate(t_grid):          # durations that take as many steps flow together
-        groups.setdefault(_rk4_steps(t, step), []).append(q)
+        groups.setdefault(_rk4_steps(t), []).append(q)
     for start, slab in slabs(triples):
         slab = [tuple(np.asarray(p, dtype=float) for p in triple) for triple in slab]
         x, y, z = (np.stack([triple[i] for triple in slab], axis=-1) for i in range(3))
@@ -310,7 +310,7 @@ def multiplicative_vector_field_check(fieldrule, triples, t_grid=(-0.5, -0.1, 0.
                              "to the field at each column, computed from that column alone")
         flows = {}
         for qs in groups.values():
-            ends = _rk4(fieldrule, np.tile(points, len(qs)), np.repeat([t_grid[q] for q in qs], 4 * m), step)
+            ends = _rk4(fieldrule, np.tile(points, len(qs)), np.repeat([t_grid[q] for q in qs], 4 * m))
             flows.update(zip(qs, np.split(ends, len(qs), axis=-1)))
         sides = [(f[:, :m], f[:, m:2 * m] - f[:, 2 * m:3 * m] + f[:, 3 * m:]) for f in map(flows.get, range(nt))]
         res = [rel_norm(*(a.T[:, None, :] for a in (lhs - rhs, lhs, rhs))) for lhs, rhs in sides]
@@ -419,8 +419,8 @@ def euclidean_semiheap_check(n, samples, seed, tol=1e-12):
     return fold.report("euclidean", seed)
 
 
-def exp_hom_check(samples, seed, tol=1e-12, span=3.0):
-    """e^(x - y + z) = e^x (e^y)^-1 e^z on sampled real triples.
+def exp_hom_check(samples, seed, tol=1e-12):
+    """e^(x - y + z) = e^x (e^y)^-1 e^z on real triples sampled uniformly from [-3, 3]^3.
 
     The additive heap maps to the multiplicative heap with 0 -> 1, as a
     pointed-heap homomorphism; a basepoint not sent to 1 fails the report.
@@ -430,6 +430,6 @@ def exp_hom_check(samples, seed, tol=1e-12, span=3.0):
     fold.require(0, math.exp(0.0) == 1.0, witness=lambda _: "basepoint")
     for start, slab in slabs(range(samples)):
         lhs, rhs = _elementwise(lambda x, y, z: (math.exp(x - y + z), math.exp(x) * (1.0 / math.exp(y)) * math.exp(z)),
-                                *rng.uniform(-span, span, size=(len(slab), 3)).T)
+                                *rng.uniform(-3.0, 3.0, size=(len(slab), 3)).T)
         fold.add(start, abs(lhs - rhs) / np.fmax(1.0, abs(lhs)))
     return fold.report("exp-hom", seed, basepoint_ok=not fold.failed)

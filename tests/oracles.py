@@ -359,6 +359,53 @@ def first_group_axiom_failure(flat, n, e):
     return None
 
 
+def first_trivialization_failure(base_size, proj, act, mul, cover, charts):
+    """The first failing bundle axiom shared by semiheap and principal bundles, as (axiom, witness), or None.
+
+    act is indexed [point, *word] with words over the structure's carrier
+    (pairs for a semiheap, one element for a group) and mul is the
+    structure's table; the axioms run in the order the library documents.
+    """
+    total, n = len(proj), len(mul)
+    proj = [int(v) for v in proj]
+    words = list(iproduct(range(n), repeat=np.ndim(act) - 1))
+    for m in range(base_size):
+        if m not in proj:
+            return "projection-surjective", (m,)
+    for p in range(total):
+        for w in words:
+            q = int(act[(p, *w)])
+            if proj[q] != proj[p]:
+                return "fiber-preservation", (p, *w, q)
+    for m in range(base_size):
+        if not any(m in u for u in cover):
+            return "cover", (m,)
+    for i, (u, chart) in enumerate(zip(cover, charts)):
+        domain = [p for p in range(total) if proj[p] in u]
+        for p in sorted(set(chart) | set(domain)):
+            if (p in chart) != (p in domain):
+                return "chart-domain", (i, p)
+        seen = []
+        for p in domain:
+            bm, s = chart[p]
+            if bm != proj[p]:
+                return "chart-triangle", (i, p, bm, proj[p])
+            if not 0 <= s < n:
+                return "chart-range", (i, p, s)
+            if (bm, s) in seen:
+                return "chart-injective", (i, p, bm, s)
+            seen.append((bm, s))
+        if len(seen) != len(u) * n:
+            return "chart-bijective", (i, len(seen), len(u) * n)
+        for p in domain:
+            for w in words:
+                q = int(act[(p, *w)])
+                want = (chart[p][0], int(mul[(chart[p][1], *w)]))
+                if chart[q] != want:
+                    return "chart-equivariance", (i, p, *w, chart[q], want)
+    return None
+
+
 def _product_chunks(base, length, width):
     """range(base)^length in itertools.product order, as int64 arrays of 2^14 // width rows (at least one)."""
     rows = iproduct(range(base), repeat=length)

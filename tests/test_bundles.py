@@ -6,6 +6,7 @@ import pytest
 from semiheap import functors, groups
 from semiheap.actions import FiniteAction
 from semiheap.bundles import (
+    BundleFailure,
     BundleHom,
     DiscreteSemiheapBundle,
     FinitePrincipalBundle,
@@ -20,6 +21,8 @@ from semiheap.bundles import (
     verify_principal_hom,
 )
 from semiheap.core import InvalidTable, LawError, SemiheapHom, verify_para_associative
+
+from oracles import first_trivialization_failure
 
 
 def z_heap(n):
@@ -126,6 +129,58 @@ def test_verify_bundle_failure_axioms_are_specific():
                                  b.cover, b.charts)
     failure = verify_bundle(bad)
     assert failure is not None
+
+
+def _translation_table(n, blocks, to=lambda b: b):
+    """Z_n acting by right translation on blocks of n points p = b * n + x, block b sent to block to(b)."""
+    return np.array([[to(p // n) * n + (p + g) % n for g in range(n)] for p in range(blocks * n)])
+
+
+TRIVIAL2, COVER2 = {p: (p // 2, p % 2) for p in range(4)}, (frozenset({0, 1}),)
+# axiom: (n, base size, projection, right Z_n action table, cover, charts,
+#         verify_bundle's witness, the principal bundle's witness or None where its own axioms fail first)
+BUNDLE_DEFECTS = {
+    "projection-surjective": (2, 3, [0, 0, 1, 1], _translation_table(2, 2), (frozenset({0, 1, 2}),), (TRIVIAL2,),
+                              (2,), (2,)),
+    # an idempotent base map keeps the action compatible but moves fiber 1 onto fiber 0 (and breaks a(p, e) = p)
+    "fiber-preservation": (2, 2, [0, 0, 1, 1], _translation_table(2, 2, lambda b: 0), COVER2, (TRIVIAL2,),
+                           (2, 0, 0, 0), None),
+    "cover": (2, 2, [0, 0, 1, 1], _translation_table(2, 2), (frozenset({0}),), ({0: (0, 0), 1: (0, 1)},),
+              (1,), (1,)),
+    "chart-domain": (2, 2, [0, 0, 1, 1], _translation_table(2, 2), COVER2, ({0: (0, 0), 1: (0, 1), 2: (1, 0)},),
+                     (0, 3), (0, 3)),
+    "chart-triangle": (2, 2, [0, 0, 1, 1], _translation_table(2, 2), COVER2, ({**TRIVIAL2, 2: (0, 0)},),
+                       (0, 2, 0, 1), (0, 2, 0, 1)),
+    "chart-range": (2, 2, [0, 0, 1, 1], _translation_table(2, 2), COVER2, ({**TRIVIAL2, 1: (0, 2)},),
+                    (0, 1, 2), (0, 1, 2)),
+    "chart-injective": (2, 2, [0, 0, 1, 1], _translation_table(2, 2), COVER2, ({**TRIVIAL2, 1: (0, 0)},),
+                        (0, 1, 0, 0), (0, 1, 0, 0)),
+    # a one-point fiber, fixed by everything (so the principal action is not free)
+    "chart-bijective": (2, 2, [0, 0, 1], np.array([[0, 1], [1, 0], [2, 2]]), COVER2,
+                        ({0: (0, 0), 1: (0, 1), 2: (1, 0)},), (0, 3, 4), None),
+    # x -> -x on Z3 is a bijection that commutes with no nonzero translation
+    "chart-equivariance": (3, 1, [0, 0, 0], _translation_table(3, 1), (frozenset({0}),),
+                           ({p: (0, -p % 3) for p in range(3)},), (0, 0, 0, 1, (0, 2), (0, 1)),
+                           (0, 0, 1, (0, 2), (0, 1))),
+}
+
+
+@pytest.mark.parametrize("axiom", BUNDLE_DEFECTS)
+def test_each_trivialization_axiom_fails_with_its_own_witness(axiom):
+    # Each bundle has a compatible action and exactly one defect, so the
+    # axiom named is that defect's and not action-compatibility.
+    n, base, proj, act, cover, charts, witness, principal = BUNDLE_DEFECTS[axiom]
+    g = groups.cyclic(n)
+    s = functors.heapify(g).semiheap
+    table = act[:, g.mul[g.inv]]                # sigma(p, y, z) = a(p, y^-1 z), as heapify_principal builds it
+    b = DiscreteSemiheapBundle(base, proj, s, FiniteAction(s, table), cover, charts)
+    assert verify_bundle(b) == BundleFailure(axiom, witness)
+    assert first_trivialization_failure(base, proj, table, s.table.entries, cover, charts) == (axiom, witness)
+    if principal is not None:
+        with pytest.raises(LawError) as exc:
+            FinitePrincipalBundle(g, base, proj, act, cover, charts)
+        assert exc.value.witness == BundleFailure(axiom, principal)
+        assert first_trivialization_failure(base, proj, act, g.mul, cover, charts) == (axiom, principal)
 
 
 def test_principal_axioms_enforced():

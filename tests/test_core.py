@@ -11,6 +11,7 @@ from semiheap.core import (
     PointedSemiheap,
     SemiheapHom,
     TernaryTable,
+    _cell_bytes,
     _first_non_biunitary,
     closure_witness,
     homomorphic_image,
@@ -91,6 +92,37 @@ def test_empty_semiheap_is_legal():
     assert s.n == 0 and is_heap(s) and is_abelian(s)
     with pytest.raises(InvalidTable):
         PointedSemiheap(s, 0)
+
+
+def test_key_orders_tables_as_flat_does():
+    rng = np.random.default_rng(20221)
+    for n in (0, 1, 2, 3, 4):
+        tables = [TernaryTable(rng.integers(0, 1 + trial % max(n, 1), size=(n, n, n))) for trial in range(60)]
+        for a, b in zip(tables, tables[1:] + tables[:1]):
+            assert a.key()[0] == n and (a.key() < b.key()) == (a.flat() < b.flat())
+            assert (a.key() == b.key()) == (a.flat() == b.flat())
+
+
+def test_cell_bytes_order_rows_as_their_values_do_whatever_their_dtype():
+    # Short rows stand in for flat tables.  At n = 300 a value takes two
+    # big-endian bytes, so 256 sorts above 255 and 1 below 256; at n = 256
+    # uint16 rows (as the padded relabelings of 256 points are) take one byte.
+    rng = np.random.default_rng(20222)
+    for n, dtype, width in ((3, np.uint8, 1), (256, np.uint16, 1), (300, np.uint16, 2), (300, np.int64, 2)):
+        rows = rng.integers(0, n, size=(300, 3)).astype(dtype)
+        if n == 300:                            # rows that their low bytes alone would misorder
+            rows[:4] = [[255, 1, 0], [256, 0, 0], [1, 299, 299], [0, 0, 256]]
+        keys = _cell_bytes(rows, n)
+        assert all(len(key) == 3 * width for key in keys)
+        assert keys == _cell_bytes(rows.astype(np.int64), n)
+        order = sorted(range(len(rows)), key=keys.__getitem__)
+        assert order == sorted(range(len(rows)), key=lambda i: rows[i].tolist())
+        assert [keys[i] == keys[j] for i, j in zip(order, order[1:])] == \
+               [rows[i].tolist() == rows[j].tolist() for i, j in zip(order, order[1:])]
+    assert _cell_bytes(np.array([[256, 1]]), 300) == [b"\x01\x00\x00\x01"]
+    assert _cell_bytes(np.zeros((2, 0), dtype=np.uint8), 0) == [b"", b""]
+    cube = rng.integers(0, 5, size=(5, 5, 5))
+    assert _cell_bytes(cube, 5) == _cell_bytes(cube.reshape(1, -1), 5)[0] == bytes(cube.reshape(-1).tolist())
 
 
 def test_biunitary_on_heapified_z2():
