@@ -27,19 +27,31 @@ SLAB = 256          # samples per stack, so memory stays bounded for any sample 
 def solve(a, b):
     """a^-1 b via LU with partial pivoting, guarded by a condition bound.
 
-    The 2-norm condition number is the ratio of the extreme singular
-    values; a matrix with a NaN or infinite entry has none.
+    The 2-norm condition number is the ratio of the extreme singular values; a matrix with a NaN or
+    infinite entry has none.  For k x k matrices cond_2 <= cond_F = |a|_F |a^-1|_F <= k cond_2 (Golub and
+    Van Loan, Matrix Computations, 4th ed., 2.3 and 3.5): a matrix passes where cond_F <= COND_LIMIT / 2
+    and fails where a finite cond_F > 2 k COND_LIMIT, margins far wider than the computed inverse's rounding.
+    The SVD decides the rest (a NaN cond_F, an overflowed norm), and all of a stack with a singular matrix.
     """
-    if np.isfinite(a).all():
-        s = np.linalg.svd(a, compute_uv=False)
-        if (s[..., -1] > 0).all() and (s[..., 0] / s[..., -1] <= COND_LIMIT).all():
-            return np.linalg.solve(a, b)
-    raise ValueError(f"matrix condition number exceeds {COND_LIMIT:g}")
+    a = np.asarray(a)
+    with np.errstate(all="ignore"):
+        try:
+            cond = _norm(a) * _norm(np.linalg.inv(a))
+        except np.linalg.LinAlgError:
+            cond = np.full(a.shape[:-2], np.nan)
+    band = a[~(cond <= COND_LIMIT / 2)]
+    ok = not ((2 * a.shape[-1] * COND_LIMIT < cond) & (cond < np.inf)).any() and np.isfinite(band).all()
+    if ok and len(band):
+        s = np.linalg.svd(band, compute_uv=False)
+        ok = (s[..., -1] > 0).all() and (s[..., 0] / s[..., -1] <= COND_LIMIT).all()
+    if not ok:
+        raise ValueError(f"matrix condition number exceeds {COND_LIMIT:g}")
+    return np.linalg.solve(a, b)
 
 
 def _norm(x):
     """Frobenius norm of each matrix of a stack (or of a vector), by np.linalg.norm's dot kernel."""
-    f = x.reshape(*x.shape[:-2], 1, -1) if x.ndim >= 2 else x.reshape(1, -1)
+    f = x.reshape(*x.shape[:-2], 1, math.prod(x.shape[-2:])) if x.ndim >= 2 else x.reshape(1, -1)
     return np.sqrt(f @ f.swapaxes(-1, -2))[..., 0, 0]
 
 
@@ -209,18 +221,11 @@ def upper_triangular2():
 def translations(n):
     """(R^n, +) embedded as (n+1)x(n+1) translation matrices."""
     d = n + 1
-    basis = tuple(np.zeros((d, d)) for _ in range(n))
-    for i, e in enumerate(basis):
-        e[i, n] = 1.0
+    basis = tuple(np.outer(np.eye(d)[i], np.eye(d)[n]) for i in range(n))     # e_i e_n^T
 
     def with_column(column):
         out = np.zeros(column.shape[:-1] + (d, d)) + np.eye(d)
         out[..., :n, n] = column
-        return out
-
-    def project_algebra(a):
-        out = np.zeros_like(a)
-        out[..., :n, n] = a[..., :n, n]
         return out
 
     return MatrixHeapChart(
@@ -230,16 +235,31 @@ def translations(n):
         build=with_column,
         exp_tangent=lambda a: np.eye(d) + a,   # translation generators square to zero
         coords=lambda g: g[..., :n, n].copy(),
-        project_algebra=project_algebra,
+        project_algebra=lambda a: with_column(a[..., :n, n]) - np.eye(d),
     )
+
+
+def _signed_uniforms(rng, count):
+    """count draws of uniform(0.5, 3.0) * choice([-1.0, 1.0]) as (count, 1), from one random_raw call:
+    uniform reads a 64-bit word w as 0.5 + 2.5 (w >> 11) 2^-53, choice bit 31 of a 32-bit half-word, low
+    half first, the high half buffered in the state.  Without that buffer (MT19937) it draws one by one."""
+    state = rng.bit_generator.state
+    if "has_uint32" not in state:
+        return np.array([rng.uniform(0.5, 3.0) * rng.choice([-1.0, 1.0]) for _ in range(count)]).reshape(-1, 1)
+    held, i = state["has_uint32"], np.arange(count)
+    words = rng.bit_generator.random_raw(count + (count + 1 - held) // 2)
+    picks = words[held + 1::3]                  # drawn after the uniform of every other element
+    halves = np.concatenate(([state["uinteger"]], picks.astype("<u8").view("<u4")))     # low half first
+    sign = np.where(halves[1 - held:count + 1 - held] >> 31, 1.0, -1.0)
+    rng.bit_generator.state = rng.bit_generator.state | {"has_uint32": (count - held) % 2, "uinteger": int(halves[-1])}
+    return ((0.5 + 2.5 * ((words[i + (i + 1 - held) // 2] >> 11) * 2.0 ** -53)) * sign)[:, None]
 
 
 def nonzero_reals():
     return MatrixHeapChart(
         name="rx", dim_matrix=1, basis=(np.array([[1.0]]),),
         membership_residual=lambda g: np.where(np.abs(g[..., 0, 0]) > 1e-300, 0.0, 1.0)[()],
-        # one element at a time: choice shares a buffered 32-bit half-word with the next choice
-        draw=lambda rng, count: np.array([[rng.uniform(0.5, 3.0) * rng.choice([-1.0, 1.0])] for _ in range(count)]),
+        draw=_signed_uniforms,
         build=lambda raw: raw[..., None],
         exp_tangent=lambda a: _elementwise(math.exp, a)[0],
         coords=_flat_coords,
@@ -266,10 +286,7 @@ class PolynomialField:
         coords = np.asarray(coords)
         total = np.zeros(coords.shape[:-1])
         for exps, coeff in self.terms:
-            m = coeff
-            for i in exps:
-                m *= coords[..., i]
-            total += m
+            total += math.prod((coords[..., i] for i in exps), start=coeff)
         return total[()]
 
     def __add__(self, other):
@@ -298,9 +315,8 @@ class PolynomialField:
     def random(cls, n_coords, degree, rng):
         terms = []
         for _ in range(6):
-            d = int(rng.integers(0, degree + 1))
-            exps = tuple(sorted(int(rng.integers(0, n_coords)) for _ in range(d)))
-            terms.append((exps, float(rng.normal())))
+            exps = sorted(int(rng.integers(0, n_coords)) for _ in range(int(rng.integers(0, degree + 1))))
+            terms.append((tuple(exps), float(rng.normal())))
         return _merged(terms)
 
 

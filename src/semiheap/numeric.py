@@ -7,9 +7,9 @@ its report, and flow integration is fixed-step classical RK4 so residuals
 are reproducible to the bit.  A sampled check draws its samples in a
 fixed per-sample order, then computes on stacks of at most charts.SLAB samples
 with each sample's bits unchanged: sampled elements are checked once per slab,
-and an identity's forms and a central difference's two steps are each one
-stack.  A NaN residual fails its report, and a failing report names its
-first failing sample.
+and an identity's forms and a central difference's steps (+-h, and h with
+h/2 in pushforward) are each one stack.  A NaN residual fails its report,
+and a failing report names its first failing sample.
 """
 
 import math
@@ -88,9 +88,9 @@ def _rel(a, b, *more):
 
 
 def _central(curve, h, ndim):
-    """(curve(h) - curve(-h)) / 2h of ndim-dimensional values, curve taking the steps on a new leading axis."""
-    plus, minus = curve(np.array([h, -h]).reshape((2,) + (1,) * ndim))
-    return (plus - minus) / (2.0 * h)
+    """(curve(h) - curve(-h)) / 2h of ndim-dim values, curve taking +-h on a new leading axis, then h's own."""
+    h = np.reshape(h, np.shape(h) + (1,) * ndim)
+    return np.subtract(*curve(np.stack([h, -h]))) / (2.0 * h)
 
 
 def _pushforward_fd(chart, x, y, z, v, h):
@@ -109,6 +109,7 @@ def _para_forms(op, g):
 def _on_chart(chart, g, message):
     if not np.all(chart.membership_residual(g) <= MEMBERSHIP_TOL):
         raise ValueError(f"{message} the {chart.name} chart")
+    return g
 
 
 def mu(chart, g1, g2, g3):
@@ -119,9 +120,7 @@ def mu(chart, g1, g2, g3):
 
 def _mu(chart, g1, g2, g3):
     """mu on inputs already checked on the group: only the output is checked."""
-    out = g1 @ solve(g2, g3)
-    _on_chart(chart, out, "ternary product left")
-    return out
+    return _on_chart(chart, g1 @ solve(g2, g3), "ternary product left")
 
 
 def check_para_associative_numeric(chart, samples, seed, tol=None):
@@ -139,8 +138,9 @@ def dL(chart, x, y, z, v, h=None):
     """Pushforward of the tangent vector v at z under L_{xy}.
 
     Returns (analytic value, residual against the central finite
-    difference along the curve z exp(t z^-1 v)), per sample on stacks.
-    v must satisfy the linearized membership constraint at z.
+    difference along the curve z exp(t z^-1 v)), per sample on stacks and
+    per step of a 1-d array h on a leading axis.  v must satisfy the
+    linearized membership constraint at z.
     """
     h = chart.h if h is None else h
     if not np.all(chart.tangent_residual(z, v) <= TANGENT_TOL):
@@ -158,8 +158,8 @@ def pushforward_convergence(chart, samples, seed, h=1e-3):
     """
     res_h, res_half = _Fold(), _Fold()
     for start, (x, y, z), (a,) in chart.sample_slabs(np.random.default_rng(seed), samples, 3, tangents=1):
-        res_h.add(start, dL(chart, x, y, z, z @ a, h=h)[1])
-        res_half.add(start, dL(chart, x, y, z, z @ a, h=h / 2.0)[1])
+        for fold, res in zip((res_h, res_half), dL(chart, x, y, z, z @ a, h=np.array([h, h / 2.0]))[1]):
+            fold.add(start, res)
     ratio = res_h.worst / res_half.worst if res_half.worst > 0 else float("inf")
     return res_h.worst, res_half.worst, ratio
 
@@ -324,10 +324,15 @@ def d_mu(chart, g, vs):
 
     d mu(V1,V2,V3) = V1 g2^-1 g3 - g1 g2^-1 V2 g2^-1 g3 + g1 g2^-1 V3.
     """
+    return _mu_d_mu(g, vs)[1]
+
+
+def _mu_d_mu(g, vs):
+    """g1 g2^-1 g3 and d mu(vs) at g, from one solve of g2 against [g3, v2, v3]."""
     g1, g2, g3 = g
     v1, v2, v3 = vs
     s23, s2v2, s2v3 = solve(g2, np.stack(np.broadcast_arrays(g3, v2, v3)))
-    return v1 @ s23 - g1 @ s2v2 @ s23 + g1 @ s2v3
+    return g1 @ s23, v1 @ s23 - g1 @ s2v2 @ s23 + g1 @ s2v3
 
 
 def tangent_semiheap_check(chart, samples, seed, tol=1e-6, h=None):
@@ -341,9 +346,9 @@ def tangent_semiheap_check(chart, samples, seed, tol=1e-6, h=None):
     """
     h = chart.h if h is None else h
     fold = _Fold(tol, "fd_residual", "para_residual")
-    # a tangent point is the stack [g, V]; t_mu gets stacks of them, g and V on axis 1
-    t_mu = lambda *p: np.stack([_mu(chart, *(q[:, 0] for q in p)),
-                                d_mu(chart, [q[:, 0] for q in p], [q[:, 1] for q in p])], axis=1)
+    def t_mu(*p):       # a tangent point is the stack [g, V]; t_mu gets stacks of them, g and V on axis 1
+        out, lifted = _mu_d_mu([q[:, 0] for q in p], [q[:, 1] for q in p])
+        return np.stack([_on_chart(chart, out, "ternary product left"), lifted], axis=1)
     for start, pts, algebra in chart.sample_slabs(np.random.default_rng(seed), samples, 5, tangents=5):
         _on_chart(chart, pts, "input leaves")
         vecs = pts @ algebra
@@ -371,8 +376,7 @@ def coassociativity_check(chart, samples, seed, tol=1e-10, degree=3, fields=None
     rng = np.random.default_rng(seed)
     ncoords = chart.coords(chart.basepoint).shape[0]
     if fields is None:
-        f1 = PolynomialField.random(ncoords, degree, rng)
-        f2 = PolynomialField.random(ncoords, degree, rng)
+        f1, f2 = (PolynomialField.random(ncoords, degree, rng) for _ in range(2))
     else:
         f1, f2 = fields
         for k, f in enumerate(fields):

@@ -341,6 +341,49 @@ def test_solve_rejects_non_finite_matrix():
             solve(bad, np.eye(3))
 
 
+def _svd_rule_accepts(a):
+    """The SVD rule of oracles.scalar_solve on every matrix of a stack (or on one matrix)."""
+    try:
+        for m in a.reshape(-1, *a.shape[-2:]):
+            oracles.scalar_solve(m, np.eye(a.shape[-1]))
+    except ValueError:
+        return False
+    return True
+
+
+def _conditioned(rng, k, cond, scale):
+    """scale times a random k x k matrix of singular values from 1 down to 1/cond (just 1 when k = 1), the
+    inner ones at either end or between, so that cond_F spreads from cond towards k cond."""
+    u, v = (np.linalg.qr(rng.normal(size=(k, k)))[0] for _ in range(2))
+    exponents = np.sort(np.r_[0.0, rng.choice([0.0, 1.0, rng.uniform()], size=max(k - 2, 0)), 1.0][:k])
+    return scale * (u * cond ** -exponents) @ v.T
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_solve_guard_decides_as_the_svd_rule(k):
+    """The Frobenius bound with its SVD band accepts and rejects exactly where the SVD rule does,
+    near the limit, at scales where the norms overflow or underflow, and on degenerate stacks."""
+    rng = np.random.default_rng(k)
+    ones = np.eye(k)
+    specials = [np.zeros((k, k)), np.ones((k, k)), np.full((k, k), np.nan), np.full((k, k), np.inf),
+                np.full((k, k), -np.inf), np.diag([np.nan] + [1.0] * (k - 1)), np.diag([1e-170] + [1.0] * (k - 1)),
+                np.diag([1e170] + [1.0] * (k - 1)), 1e-160 * ones, 1e160 * ones, 1e300 * ones, 5e-324 * ones]
+    randoms = [_conditioned(rng, k, 10 ** rng.uniform(9.0, 11.0), 10 ** rng.choice([0.0, rng.uniform(-170, 170)]))
+               for _ in range(300)]
+    stacks = [np.zeros((0, k, k))] + [a for m in specials + randoms
+                                      for a in (m, np.stack([m, ones]), np.stack([ones, m, ones]))]
+    decisions = []
+    for a in stacks:
+        b = rng.normal(size=a.shape[:-1] + (2,))
+        decisions.append(_svd_rule_accepts(a))
+        if decisions[-1]:
+            assert _same(solve(a, b), np.linalg.solve(a, b))
+        else:
+            with pytest.raises(ValueError, match="condition number"):
+                solve(a, b)
+    assert all(decisions[1 + 3 * len(specials):]) if k == 1 else 0 < sum(decisions) < len(stacks)
+
+
 def test_dL_rejects_nan_vector():
     chart = CHARTS["so3"]
     with pytest.raises(ValueError, match="not tangent"):
@@ -618,6 +661,20 @@ def test_sample_slabs_match_per_element_draws(small_slabs, name, tangents):
     for part in (0, 1):
         got = np.concatenate([np.swapaxes(slab[part + 1], 0, 1) for slab in slabs])
         assert _same(got, np.array([sample[part] for sample in want]).reshape(got.shape))
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.Philox, np.random.MT19937])
+def test_rx_draw_matches_per_element_draws(bit_generator):
+    """The rx chart's one-call draw gives the bits, and leaves the state, of per-element uniform * choice
+    draws, whether the half-word buffer of choice enters empty or full, with normal draws in between."""
+    draw = CHARTS["rx"].draw
+    for seed in range(200):
+        got, want = (np.random.Generator(bit_generator(seed)) for _ in range(2))
+        for count in (0, 1, 0, 3, 2, 1, 4, 5, charts.SLAB + 1):
+            each = [want.uniform(0.5, 3.0) * want.choice([-1.0, 1.0]) for _ in range(count)]
+            assert _same(draw(got, count).view(np.uint64), np.array(each, dtype=float).reshape(count, 1).view(np.uint64))
+            assert _same(got.bit_generator.state, want.bit_generator.state)
+            assert _same(got.normal(size=count % 3), want.normal(size=count % 3))
 
 
 @pytest.mark.parametrize("tol", [None, 0.0, "past-first"])
