@@ -22,8 +22,6 @@ from .core import (
     product,
     verify_para_associative,
 )
-from .functors import check_fully_faithful, groupify, groupify_diagnose, heapify
-from .groups import FiniteGroup, corpus
 
 __all__ = [
     "FiniteGroup", "FiniteHeap", "FiniteSemiheap", "InvalidTable", "LawError",
@@ -32,3 +30,11 @@ __all__ = [
     "heapify", "is_abelian", "is_biunitary", "is_heap", "is_homomorphism",
     "is_subsemiheap", "opposite", "product", "verify_para_associative",
 ]
+
+
+def __getattr__(name):
+    """The rest of __all__, from functors or else groups: those modules load on first use (PEP 562)."""
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import functors, groups
+    return getattr(functors if hasattr(functors, name) else groups, name)

@@ -31,7 +31,8 @@ def solve(a, b):
     infinite entry has none.  For k x k matrices cond_2 <= cond_F = |a|_F |a^-1|_F <= k cond_2 (Golub and
     Van Loan, Matrix Computations, 4th ed., 2.3 and 3.5): a matrix passes where cond_F <= COND_LIMIT / 2
     and fails where a finite cond_F > 2 k COND_LIMIT, margins far wider than the computed inverse's rounding.
-    The SVD decides the rest (a NaN cond_F, an overflowed norm), and all of a stack with a singular matrix.
+    The SVD decides the rest (a NaN cond_F, an overflowed norm), and all of a stack with a singular matrix;
+    it also refuses a matrix whose inverse overflows, where 1 / sigma_min is not finite (5e-324 I, 1e-310 I).
     """
     a = np.asarray(a)
     with np.errstate(all="ignore"):
@@ -39,11 +40,11 @@ def solve(a, b):
             cond = _norm(a) * _norm(np.linalg.inv(a))
         except np.linalg.LinAlgError:
             cond = np.full(a.shape[:-2], np.nan)
-    band = a[~(cond <= COND_LIMIT / 2)]
-    ok = not ((2 * a.shape[-1] * COND_LIMIT < cond) & (cond < np.inf)).any() and np.isfinite(band).all()
-    if ok and len(band):
-        s = np.linalg.svd(band, compute_uv=False)
-        ok = (s[..., -1] > 0).all() and (s[..., 0] / s[..., -1] <= COND_LIMIT).all()
+        band = a[~(cond <= COND_LIMIT / 2)]
+        ok = not ((2 * a.shape[-1] * COND_LIMIT < cond) & (cond < np.inf)).any() and np.isfinite(band).all()
+        if ok and len(band):
+            s = np.linalg.svd(band, compute_uv=False)
+            ok = (1 / s[..., -1] < np.inf).all() and (s[..., 0] / s[..., -1] <= COND_LIMIT).all()
     if not ok:
         raise ValueError(f"matrix condition number exceeds {COND_LIMIT:g}")
     return np.linalg.solve(a, b)

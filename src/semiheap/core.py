@@ -26,6 +26,22 @@ class LawError(ValueError):
         self.witness = witness
 
 
+class FormatError(ValueError):
+    """Raised by the text parsers of formats for malformed input, at its 1-based line and column when known."""
+
+    def __init__(self, message, line=None, col=None):
+        where = ""
+        if line is not None:
+            where = f" at line {line}" + (f", column {col}" if col is not None else "")
+        super().__init__(message + where)
+        self.line = line
+        self.col = col
+
+
+class Unsupported(ValueError):
+    """Raised by enumeration for a census this program declines by design, whatever the budget."""
+
+
 def _index_array(values, shape, high, what):
     """The index data values as a read-only int64 copy of the given shape, entries in 0..high-1.
 

@@ -22,16 +22,12 @@ from itertools import islice, permutations, product as iproduct
 
 import numpy as np
 
-from .core import _SLAB, FiniteSemiheap, TernaryTable, _cell_bytes
+from .core import _SLAB, FiniteSemiheap, TernaryTable, Unsupported, _cell_bytes
 from .functors import heapify
 from .groups import corpus
 
 # groups.corpus() holds every group up to this order; order 8 lacks Z4xZ2 and Z2^3.
 _CORPUS_COMPLETE_UP_TO = 7
-
-
-class Unsupported(ValueError):
-    """Raised for a census this program declines by design, whatever the budget."""
 
 
 @dataclass

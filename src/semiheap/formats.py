@@ -14,20 +14,7 @@ import bisect
 
 import numpy as np
 
-from .actions import FiniteAction
-from .bundles import DiscreteSemiheapBundle
-from .core import FiniteSemiheap, PointedSemiheap, TernaryTable
-from .groups import FiniteGroup
-
-
-class FormatError(ValueError):
-    def __init__(self, message, line=None, col=None):
-        where = ""
-        if line is not None:
-            where = f" at line {line}" + (f", column {col}" if col is not None else "")
-        super().__init__(message + where)
-        self.line = line
-        self.col = col
+from .core import FiniteSemiheap, FormatError, PointedSemiheap, TernaryTable
 
 
 class _Tokens:
@@ -156,6 +143,7 @@ def parse_grp1(text):
 
 
 def _group_with_identity(mul, e):
+    from .groups import FiniteGroup
     g = FiniteGroup.from_mul(mul)
     if g.e != e:
         raise FormatError(f"declared identity {e} but table identity is {g.e}")
@@ -192,6 +180,7 @@ def parse_act1(text, semiheap):
 
 def _parse_act1_body(toks, semiheap, bundle_size=None):
     """An ACT1 block; in a bundle, bundle_size fixes m and verify_bundle checks the action."""
+    from .actions import FiniteAction
     toks.take_keyword("action")
     m = toks.take_field("m", low=0)
     n = toks.take_field("n", low=0)
@@ -222,6 +211,7 @@ def parse_bnd1(text):
             c base indices
             pairs       one "<p> <s>" pair per total point over the chart
     """
+    from .bundles import DiscreteSemiheapBundle
     toks = _Tokens(text)
     toks.take_keyword("bundle")
     total = toks.take_field("p", low=0)

@@ -123,47 +123,24 @@ def klein_four():
 
 
 def symmetric3():
-    """S3 with elements the permutations of (0,1,2) in lexicographic order."""
+    """S3 with elements the permutations of (0,1,2) in lexicographic order; p q maps k to p[q[k]]."""
     elems = sorted(permutations(range(3)))
-    index = {p: i for i, p in enumerate(elems)}
-    mul = np.empty((6, 6), dtype=np.int64)
-    for i, p in enumerate(elems):
-        for j, q in enumerate(elems):
-            mul[i, j] = index[tuple(p[q[k]] for k in range(3))]
-    return FiniteGroup.from_mul(mul, name="S3")
+    return FiniteGroup.from_mul([[elems.index(tuple(p[k] for k in q)) for q in elems] for p in elems], name="S3")
 
 
 def dihedral4():
-    """D4 of order 8: element i + 4j stands for r^i s^j."""
-    mul = np.empty((8, 8), dtype=np.int64)
-    for i1 in range(4):
-        for j1 in range(2):
-            for i2 in range(4):
-                for j2 in range(2):
-                    i = (i1 + (i2 if j1 == 0 else -i2)) % 4
-                    mul[i1 + 4 * j1, i2 + 4 * j2] = i + 4 * ((j1 + j2) % 2)
-    return FiniteGroup.from_mul(mul, name="D4")
+    """D4 of order 8: element i + 4j stands for r^i s^j, and r^i1 s^j1 r^i2 s^j2 = r^(i1 + (-1)^j1 i2) s^(j1 + j2)."""
+    j, i = np.divmod(np.arange(8), 4)
+    return FiniteGroup.from_mul((i[:, None] + (1 - 2 * j[:, None]) * i) % 4 + 4 * (j[:, None] ^ j), name="D4")
 
 
 def quaternion8():
-    """Q8 with elements ordered 1, -1, i, -i, j, -j, k, -k."""
-    # basis products: table[a][b] = (sign, axis) for axes 1,i,j,k
-    basis = {
-        (0, 0): (1, 0), (0, 1): (1, 1), (0, 2): (1, 2), (0, 3): (1, 3),
-        (1, 0): (1, 1), (1, 1): (-1, 0), (1, 2): (1, 3), (1, 3): (-1, 2),
-        (2, 0): (1, 2), (2, 1): (-1, 3), (2, 2): (-1, 0), (2, 3): (1, 1),
-        (3, 0): (1, 3), (3, 1): (1, 2), (3, 2): (-1, 1), (3, 3): (-1, 0),
-    }
-    def idx(sign, axis):
-        return 2 * axis + (0 if sign > 0 else 1)
-    mul = np.empty((8, 8), dtype=np.int64)
-    for a in range(8):
-        for b in range(8):
-            sa, xa = (1 if a % 2 == 0 else -1), a // 2
-            sb, xb = (1 if b % 2 == 0 else -1), b // 2
-            s, x = basis[(xa, xb)]
-            mul[a, b] = idx(sa * sb * s, x)
-    return FiniteGroup.from_mul(mul, name="Q8")
+    """Q8 with elements ordered 1, -1, i, -i, j, -j, k, -k, multiplied by the Hamilton product."""
+    q = np.repeat(np.eye(4, dtype=np.int64), 2, axis=0) * np.tile([1, -1], 4)[:, None]    # each as (w, x, y, z)
+    (w, x, y, z), (w2, x2, y2, z2) = q.T[:, :, None], q.T[:, None, :]
+    prod = np.stack([w * w2 - x * x2 - y * y2 - z * z2, w * x2 + x * w2 + y * z2 - z * y2,
+                     w * y2 - x * z2 + y * w2 + z * x2, w * z2 + x * y2 - y * x2 + z * w2], axis=-1)
+    return FiniteGroup.from_mul((prod[..., None, :] == q).all(axis=-1).argmax(axis=-1), name="Q8")
 
 
 def corpus():

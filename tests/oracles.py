@@ -505,8 +505,9 @@ def centric_nonclosure_loops(flat, n, max_results):
 
 def scalar_solve(a, b):
     s = np.linalg.svd(a, compute_uv=False) if np.isfinite(a).all() else None
-    if s is None or not (s[-1] > 0 and s[0] / s[-1] <= 1e10):
-        raise ValueError("matrix condition number exceeds 1e+10")
+    with np.errstate(divide="ignore", over="ignore"):      # an inverse that overflows is refused
+        if s is None or not (1 / s[-1] < np.inf and s[0] / s[-1] <= 1e10):
+            raise ValueError("matrix condition number exceeds 1e+10")
     return np.linalg.solve(a, b)
 
 

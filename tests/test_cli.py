@@ -7,7 +7,9 @@ from pathlib import Path
 import semiheap
 from semiheap import formats, functors, groups
 from semiheap.actions import translation_action
-from semiheap.cli import build_parser, main
+from semiheap.bundles import trivial_bundle
+from semiheap.charts import bundled_charts
+from semiheap.cli import CHARTS, build_parser, main
 
 # The CLI subprocess imports the same semiheap as this test run, installed or not.
 SRC = str(Path(semiheap.__file__).resolve().parents[1])
@@ -127,7 +129,6 @@ def test_action_check_and_orbit(tmp_path):
 
 
 def test_bundle_check(tmp_path):
-    from semiheap.bundles import trivial_bundle
     b = trivial_bundle(2, functors.heapify(groups.cyclic(2)).semiheap)
     code, out, _ = run_cli(["bundle-check"], formats.write_bnd1(b))
     assert code == 0 and out.strip() == "pass bundle=true"
@@ -283,13 +284,29 @@ def test_numeric_rejects_non_positive_step():
         assert "--h: must be positive" in err
 
 
+def _verb_inputs(d):
+    """Input files for one call of every verb, written to the directory d; returns d as a str."""
+    s = functors.heapify(groups.cyclic(4)).semiheap
+    files = {"xor.shf": XOR_HEAP, "y.shf": Y_TABLE, "z3.grp": formats.write_grp1(groups.cyclic(3)),
+             "z4.shf": formats.write_shf1(s), "z4.act": formats.write_act1(translation_action(s)),
+             "b.bnd": formats.write_bnd1(trivial_bundle(2, functors.heapify(groups.cyclic(2)).semiheap))}
+    for name, text in files.items():
+        (d / name).write_text(text)
+    return str(d)
+
+
 def test_one_process_answers_each_call_as_a_fresh_process_would(tmp_path, capsys, monkeypatch):
-    # main reuses one parser per process; no call may leave state behind for the next.
+    # main reuses one parser per process; no call may leave state behind for the next.  A fresh
+    # process loads each verb's modules as the verb runs, so its errors are reported the same way.
     # Help text is wrapped to COLUMNS, so both sides get the same width.
     monkeypatch.setenv("COLUMNS", "80")
-    shf, target = tmp_path / "xor.shf", tmp_path / "census.shf"
-    shf.write_text(XOR_HEAP)
-    calls = (["check", "--in", str(shf)], ["check", "--bogus"],
+    d, target = _verb_inputs(tmp_path), tmp_path / "census.shf"
+    shf = f"{d}/xor.shf"
+    calls = (["check", "--in", shf], ["check", "--bogus"], ["heapify", "--in", f"{d}/z3.grp"],
+             ["groupify", "--in", shf], ["translations", "--in", shf, "--law", "right"],
+             ["action-check", "--semiheap", f"{d}/z4.shf", "--in", f"{d}/z4.act"],
+             ["orbit", "--semiheap", f"{d}/z4.shf", "--in", f"{d}/z4.act", "--point", "9"],
+             ["bundle-check", "--in", f"{d}/b.bnd"], ["enumerate", "--n", "8", "--heaps"],
              ["enumerate", "--n", "2", "--out", str(target)], ["enumerate", "--n", "2"],
              ["numeric", "para-assoc", "--seed", "3"], ["numeric", "para-assoc", "--seed", "4"], ["--help"])
     fresh = []
@@ -303,8 +320,54 @@ def test_one_process_answers_each_call_as_a_fresh_process_would(tmp_path, capsys
     for argv, want in zip(calls, fresh):
         assert (main(argv), *capsys.readouterr()) == want, argv
     assert target.read_text() == written
-    assert [code for code, _, _ in fresh] == [0, 2, 0, 0, 0, 0, 0]
-    assert fresh[3][1] == written and fresh[6][1].startswith("usage: semiheap")
+    assert [code for code, _, _ in fresh] == [0, 2, 0, 0, 0, 0, 2, 0, 2, 0, 0, 0, 0, 0]
+    assert fresh[6][2] == "error input point 9 outside space of size 4\n"
+    assert fresh[8][2].startswith("error unsupported heap census not supported for n=8")
+    assert fresh[10][1] == written and fresh[13][1].startswith("usage: semiheap")
+
+
+def test_chart_choices_are_the_bundled_charts():
+    assert list(CHARTS) == sorted(bundled_charts())
+
+
+LOADED_BY_ALL = ["semiheap", "semiheap.cli", "semiheap.core"]
+LOADED_BY_VERB = {
+    "check": ["formats"], "heapify": ["formats", "functors", "groups"],
+    "groupify": ["formats", "functors", "groups"], "translations": ["formats", "translations"],
+    "action-check": ["actions", "formats", "functors", "groups"],
+    "orbit": ["actions", "formats", "functors", "groups"],
+    "bundle-check": ["actions", "bundles", "formats", "functors", "groups"],
+    "enumerate": ["enumeration", "formats", "functors", "groups"], "numeric": ["charts", "numeric"],
+}
+
+
+def test_each_verb_loads_only_the_modules_it_runs(tmp_path):
+    # A fresh interpreter per call; a module imported eagerly again shows up here.
+    d = _verb_inputs(tmp_path)
+    calls = {"check": ["--in", f"{d}/y.shf"], "heapify": ["--in", f"{d}/z3.grp"],
+             "groupify": ["--in", f"{d}/xor.shf"], "translations": ["--in", f"{d}/y.shf", "--law", "left"],
+             "action-check": ["--semiheap", f"{d}/z4.shf", "--in", f"{d}/z4.act"],
+             "orbit": ["--semiheap", f"{d}/z4.shf", "--in", f"{d}/z4.act", "--point", "1"],
+             "bundle-check": ["--in", f"{d}/b.bnd"], "enumerate": ["--n", "2", "--no-tables"],
+             "numeric": ["para-assoc", "--samples", "2"]}
+    probe = ("import sys\nimport semiheap.cli\nif sys.argv[1:]: semiheap.cli.main(sys.argv[1:])\n"
+             "print('numpy' in sys.modules, *sorted(m for m in sys.modules if m.startswith('semiheap')))")
+    runs = [([], []), (["--help"], [])] + [([verb, *args], LOADED_BY_VERB[verb]) for verb, args in calls.items()]
+    for argv, extra in runs:
+        proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True, env=ENV,
+                              stdin=subprocess.DEVNULL)
+        assert proc.returncode == 0, (argv, proc.stderr)
+        want = ["True", *sorted(LOADED_BY_ALL + [f"semiheap.{m}" for m in extra])]
+        assert proc.stdout.splitlines()[-1].split() == want, argv
+
+
+def test_every_public_name_resolves_and_functors_load_on_first_use():
+    probe = ("import sys\nimport semiheap\nbefore = 'semiheap.functors' in sys.modules\nfrom semiheap import *\n"
+             "from semiheap import functors, groups\n"
+             "names = [getattr(semiheap, n) is globals()[n] for n in semiheap.__all__]\n"
+             "print(before, all(names), heapify is functors.heapify, corpus is groups.corpus, hasattr(semiheap, 'x'))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=ENV)
+    assert proc.stdout.split() == ["False", "True", "True", "True", "False"], proc.stderr
 
 
 def test_integers_beyond_int64_exit_2():

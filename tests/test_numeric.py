@@ -61,6 +61,15 @@ def test_solve_condition_guard():
         solve(np.array([[1.0, 0.0], [0.0, 1e-14]]), np.eye(2))
 
 
+def test_solve_refuses_a_matrix_whose_inverse_overflows():
+    # cond_F is NaN at these scales, so the SVD decides: cond_2 = 1, but 1 / sigma_min is not finite
+    b = np.ones((2, 1))
+    for scale in (5e-324, 1e-310):
+        with pytest.raises(ValueError, match="condition number"):
+            solve(scale * np.eye(2), b)
+    assert _same(solve(1e-200 * np.eye(2), b), np.linalg.solve(1e-200 * np.eye(2), b))
+
+
 def test_para_associativity_all_charts():
     for name, chart in sorted(CHARTS.items()):
         r = check_para_associative_numeric(chart, 100, 42)
@@ -269,6 +278,23 @@ def test_tangent_lift_so3():
     assert r.passed and r.max_residual < 1e-6
 
 
+# (fd_residual, para_residual) of tangent_semiheap_check(chart, 20, 7), recorded when d mu at (g0, g1, g2)
+# still had its own call; the lift read from the first inner product of _para_forms keeps every bit.
+TANGENT_SEED7 = {
+    "r1": (4.296188405028545e-11, 4.048977439722931e-16), "r2": (2.802113032504882e-11, 2.936309488801301e-16),
+    "r3": (3.26856689610365e-11, 3.174500315477406e-16), "rx": (2.3642711659426805e-10, 7.818336591820735e-16),
+    "so2": (2.338022438724442e-10, 1.0114613123884174e-15), "so3": (5.557638083230511e-10, 1.1404546864211451e-15),
+    "ut2": (2.2330534298300041e-10, 7.790283451154642e-16),
+}
+
+
+def test_tangent_residuals_of_every_chart_are_pinned():
+    for name, chart in sorted(CHARTS.items()):
+        r = tangent_semiheap_check(chart, 20, 7)
+        assert (r.extra["fd_residual"], r.extra["para_residual"]) == TANGENT_SEED7[name], name
+        assert r.passed and r.max_residual == TANGENT_SEED7[name][0], name
+
+
 def test_coassociativity_unit_is_exact():
     r = coassociativity_check(CHARTS["r1"], 30, 16)
     assert r.extra["unit"] == 0.0
@@ -367,7 +393,8 @@ def test_solve_guard_decides_as_the_svd_rule(k):
     ones = np.eye(k)
     specials = [np.zeros((k, k)), np.ones((k, k)), np.full((k, k), np.nan), np.full((k, k), np.inf),
                 np.full((k, k), -np.inf), np.diag([np.nan] + [1.0] * (k - 1)), np.diag([1e-170] + [1.0] * (k - 1)),
-                np.diag([1e170] + [1.0] * (k - 1)), 1e-160 * ones, 1e160 * ones, 1e300 * ones, 5e-324 * ones]
+                np.diag([1e170] + [1.0] * (k - 1)), 1e-160 * ones, 1e160 * ones, 1e300 * ones, 5e-324 * ones,
+                1e-310 * ones, 1e-200 * ones]
     randoms = [_conditioned(rng, k, 10 ** rng.uniform(9.0, 11.0), 10 ** rng.choice([0.0, rng.uniform(-170, 170)]))
                for _ in range(300)]
     stacks = [np.zeros((0, k, k))] + [a for m in specials + randoms
