@@ -79,6 +79,20 @@ def _cell_bytes(cells, n):
     return np.ndarray(len(cells), (np.void, cells.itemsize * cells.shape[1]), cells).tolist()   # a row of 0 cells too
 
 
+def _cube_stack(cubes):
+    """A stack of (n, n, n) tables as one read-only int64 copy, checked once: a wrong shape, or the first
+    out-of-range entry at its place in its own table, raises the InvalidTable of TernaryTable(that table)."""
+    arr = np.array(cubes, dtype=np.int64)
+    if arr.ndim != 4 or len(set(arr.shape[1:])) > 1:
+        raise InvalidTable(f"ternary table must be an (n,n,n) cube, got shape {arr.shape[1:]}")
+    n = arr.shape[1]
+    if arr.size and arr.view(np.uint64).max() >= n:       # a negative entry reads 2^63 or more
+        bad = np.argwhere(arr.view(np.uint64) >= n)[0]
+        raise InvalidTable(f"entry {arr[tuple(bad)]} at {tuple(bad[1:])} outside carrier 0..{n - 1}")
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class ParaAssocCounterexample:
     """First quintuple where the three para-associative forms disagree."""
@@ -94,18 +108,16 @@ class TernaryTable:
     """A complete ternary operation on the carrier {0, .., n-1}."""
 
     entries: np.ndarray  # shape (n, n, n), values in 0..n-1, read-only
+    _checked: InitVar[bool] = False      # entries is a cube of a stack _cube_stack checked
 
-    def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=np.int64)
-        if arr.ndim != 3 or len(set(arr.shape)) > 1:
-            raise InvalidTable(f"ternary table must be an (n,n,n) cube, got shape {arr.shape}")
-        n = arr.shape[0]
-        if arr.size and (arr.min() < 0 or arr.max() >= n):
-            bad = np.argwhere((arr < 0) | (arr >= n))[0]
-            raise InvalidTable(f"entry {arr[tuple(bad)]} at {tuple(bad)} outside carrier 0..{n - 1}")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "entries", arr)
+    def __post_init__(self, _checked):
+        if not _checked:
+            object.__setattr__(self, "entries", _cube_stack(np.asarray(self.entries, dtype=np.int64)[None])[0])
+
+    @classmethod
+    def stack(cls, cubes):
+        """A table for each (n, n, n) cube of a stack, checked once for the whole stack (_cube_stack)."""
+        return [cls(cube, True) for cube in _cube_stack(cubes)]
 
     @property
     def n(self):

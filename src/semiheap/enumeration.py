@@ -74,8 +74,8 @@ def enumerate_semiheaps(n, up_to_iso=False, method="backtrack", budget=None):
     seconds (nan raises ValueError); when it runs out the result is
     returned as found so far, flagged incomplete.
     """
-    if method not in ("filter", "backtrack"):
-        raise ValueError(f"unknown method {method!r}")
+    if method not in ("filter", "backtrack") or n < 0:
+        raise ValueError(f"unknown method {method!r}" if n >= 0 else f"n must be at least 0, got n={n}")
     deadline = _deadline(budget)
     if method == "backtrack" or n == 0:
         return _census(np.full((n, n, n), -1, dtype=np.int64), up_to_iso, deadline)
@@ -89,16 +89,21 @@ def _census(root, up_to_iso, deadline):
     """The para-associative completions of root: one canonical table per class, or their orbits.
 
     root's constraints must be invariant under relabeling, as the lex-leader
-    break needs.  Each class's orbit is gathered as the search emits the
-    class, within its deadline, so a partial result holds whole orbits.
-    The empty carrier is complete even at budget 0.
+    break needs.  A partial result holds whole orbits, since each search step
+    gathers those of the classes it completes; n = 0 is complete at budget 0.
     """
-    orbits = {}
-    tables, complete, stats = _search(root, deadline if root.size else None, True,
-                                      None if up_to_iso else lambda table: _add_orbit(orbits, table))
+    orbits = None if up_to_iso else {}
+    tables, complete, stats = _search(root, deadline if root.size else None, True, orbits)
     classes = [FiniteSemiheap(t, _certified=True) for t in tables]
-    items = classes if up_to_iso else [FiniteSemiheap(orbits[key], _certified=True) for key in sorted(orbits)]
+    items = classes if up_to_iso else [orbits[key] for key in sorted(orbits)]
     return EnumerationResult(items, complete, stats, classes)
+
+
+def _add_semiheaps(found, cells, n):
+    """Add a stack of flat para-associative n-point tables to a dict by _cell_bytes, as certified semiheaps."""
+    first = dict(zip(_cell_bytes(cells, n), range(len(cells))))     # a row of each distinct table
+    tables = TernaryTable.stack(cells[list(first.values())].reshape(len(first), n, n, n))
+    found.update(zip(first, (FiniteSemiheap(t, _certified=True) for t in tables)))
 
 
 def iso_classes(tables, deadline=None):
@@ -112,7 +117,7 @@ def iso_classes(tables, deadline=None):
     seen, keep = set(), []
     for t in tables:
         if t.key() not in seen:
-            for keys, _, least in _sweep(t):
+            for keys, least in _sweep(t):
                 if _expired(deadline):
                     return EnumerationResult(keep, False)
                 seen.update((t.n, key) for key in keys)
@@ -143,19 +148,11 @@ def _filter_pipeline(n, deadline):
         t, k = t.reshape(-1, n, n, n), np.arange(len(t))[:, None]
         middle = t[k, x1, t[:, x4, x3, x2], x5]
         law = (t[k, t[:, x1, x2, x3], x4, x5] == middle) & (middle == t[k, x1, x2, t[:, x3, x4, x5]])
-        out += map(TernaryTable, t[law.all(axis=1)])
+        out += TernaryTable.stack(t[law.all(axis=1)])
     return out, True
 
 
-def _add_orbit(orbits, table):
-    """Add each distinct relabeling of table to orbits as a TernaryTable when its slab is gathered, by key bytes."""
-    for keys, cubes, _ in _sweep(table):
-        for key, cube in zip(keys, cubes):
-            if key not in orbits:
-                orbits[key] = TernaryTable(cube)
-
-
-def _search(cube, deadline, symmetry_break=False, emit=None):
+def _search(cube, deadline, symmetry_break=False, orbits=None):
     """Every para-associative completion of cube, in lexicographic order.
 
     The search tree is fixed: the assigned cells of cube are forced at the
@@ -170,22 +167,21 @@ def _search(cube, deadline, symmetry_break=False, emit=None):
     stats count each node as a step of one node would.  Returns (tables,
     complete, stats), the tables sorted, complete False once the _deadline
     has passed: a stopped search returns the tables it found, which need
-    not be the lex-first ones.  emit, if given, is handed each table as it
-    is found.  Unassigned cells of cube read -1; the search pads it to
-    (n+1)^3 cells, where an unassigned cell reads n and a pad cell (a
-    coordinate n) n + 1.
+    not be the lex-first ones.  orbits, if given, is a dict each step adds
+    every relabeling of its complete tables to, by key (_add_semiheaps).
+    Unassigned cells of cube read -1; the search pads it to (n+1)^3 cells,
+    where an unassigned cell reads n and a pad cell (a coordinate n) n + 1.
     """
     n = cube.shape[0]
     root = np.pad(np.where(cube < 0, n, cube), (0, 1), constant_values=n + 1).reshape(-1)
     root = root.astype(np.min_scalar_type(n + 1))   # narrow: propagation gathers each cell many times
     index = np.flatnonzero(root <= n)           # the n^3 cells in flat order
     step = max(1, _SLAB // max(1, n ** 5))
-    stats, found, stack, complete = SearchStats(), [], [root], True
-    while stack and (complete := not _expired(deadline)):
-        nodes = np.array(stack[:-step - 1:-1])  # the top of the stack first
-        del stack[-step:]
+    stats, found, stack, complete = SearchStats(), {}, root[None], True
+    while len(stack) and (complete := not _expired(deadline)):
+        nodes, stack = stack[:-step - 1:-1].copy(), stack[:-step]   # the top of the stack first
         consistent = _propagate(nodes, n, stats)
-        stats.conflicts += len(nodes) - int(consistent.sum())
+        stats.conflicts += len(nodes) - np.count_nonzero(consistent)
         nodes = nodes[consistent]
         cells = nodes[:, index]
         width = (cells < n).cumprod(axis=1).sum(axis=1)    # the assigned prefixes
@@ -195,18 +191,16 @@ def _search(cube, deadline, symmetry_break=False, emit=None):
                 break
             stats.symmetry_prunes += int(dominated.sum())
             nodes, cells, width = nodes[~dominated], cells[~dominated], width[~dominated]
-        for table in cells[width == n ** 3]:
-            found.append(TernaryTable(table.reshape(n, n, n)))
-            if emit:
-                emit(found[-1])
+        if len(done := cells[width == n ** 3]):
+            _add_semiheaps(found, done, n)
+            for rows in _relabelings(done, n, n ** 3) if orbits is not None else ():
+                _add_semiheaps(orbits, rows.reshape(len(done) * rows.shape[1], -1), n)
         parents = width < n ** 3
-        children = np.repeat(nodes[parents], n, axis=0)
-        branch = np.repeat(index[width[parents]], n)      # each parent's first unassigned cell, n times
-        children[np.arange(len(children)), branch] = np.tile(np.arange(n), parents.sum())
+        children = nodes[parents].repeat(n, axis=0)     # each parent's n children take 0..n-1 at its branch cell
+        children[np.arange(len(children)), index[width[parents]].repeat(n)] = np.arange(len(children)) % n
         stats.nodes += len(children)
-        stack.extend(children[::-1])           # the lex-least child on top
-    found.sort(key=TernaryTable.key)
-    return found, complete, stats
+        stack = np.concatenate([stack, children[::-1]])     # the lex-least child on top
+    return [found[key].table for key in sorted(found)], complete, stats
 
 
 @cache
@@ -214,20 +208,18 @@ def _quintuple_reads(n):
     """Where the three forms of each quintuple read the padded (n+1)^3 cube, one slab at a time; kept per n.
 
     For the forms [[x1,x2,x3],x4,x5], [x1,[x4,x3,x2],x5] and [x1,x2,[x3,x4,x5]],
-    row k of inner holds the flat index of the inner product, and the outer
-    product of value v sits at v * scale[k] + outer[k], with strides n + 1,
-    so an unassigned inner value n lands on a pad.  A slab holds every x1
-    when all n^5 quintuples fit in _SLAB, else one x1; the next slab reads
-    (n+1)^2 further on wherever x1 enters, which is advance.
+    the outer product of inner value v sits at v * scale[k] + outer[k], with
+    strides n + 1, so an unassigned inner value n lands on a pad; row k of
+    inner reads v * scale[k] from the three scaled cubes, stacked on axis 0.
+    A slab holds every x1 when all n^5 quintuples fit in _SLAB, else one
+    x1; the next slab reads (n+1)^2 further on where x1 enters: advance.
     """
     rows, m = (n if 0 < n ** 5 <= _SLAB else 1), n + 1
     x1, x2, x3, x4, x5 = np.indices((rows, n, n, n, n)).reshape(5, -1)
-    inner = np.stack([(x1 * m + x2) * m + x3, (x4 * m + x3) * m + x2, (x3 * m + x4) * m + x5])
+    inner = np.stack([(x1 * m + x2) * m + x3, ((x4 + m) * m + x3) * m + x2, ((x3 + 2 * m) * m + x4) * m + x5])
     outer = np.stack([x4 * m + x5, x1 * m * m + x5, (x1 * m + x2) * m])
-    # int32 where a stack's indices are summed: half the memory of int64 for the largest temporaries.
-    scale = np.array([[m * m], [m], [1]], dtype=np.int32)
-    advance = m * m * np.array([[[1], [0], [0]], [[0], [1], [1]]], dtype=np.int32)
-    return rows, inner, scale, outer.astype(np.int32), advance
+    scale, advance = np.array([[m * m], [m], [1]]), m * m * np.array([[[1], [0], [0]], [[0], [1], [1]]])
+    return rows, inner, scale, outer, advance
 
 
 def _propagate(nodes, n, stats):
@@ -245,21 +237,18 @@ def _propagate(nodes, n, stats):
     a stack of that row alone would.  Returns which rows stayed consistent.
     """
     rows, inner, scale, outer, advance = _quintuple_reads(n)
-    flat = nodes.reshape(-1)
+    flat, size = nodes.reshape(-1), nodes.shape[1]
     free = np.count_nonzero(nodes == n)
-    consistent = np.ones(len(nodes), dtype=bool)
-    live = np.arange(len(nodes))
+    consistent, live = np.ones(len(nodes), dtype=bool), np.arange(len(nodes))
     while live.size:
         stats.rounds += live.size
         progress = np.zeros(len(nodes), dtype=bool)
-        reads, outs = inner, outer
-        offset = live[:, None, None].astype(np.int32) * nodes.shape[1]
+        reads, outs, offset = inner, outer, live[:, None, None] * size     # where each row starts in flat
         for start in range(0, n, rows):
             if start:
                 reads, outs = reads + advance[0], outs + advance[1]
-            at = nodes[live].take(reads, axis=1) * scale     # (live row, form, quintuple)
-            at += outs
-            at += offset
+            at = (nodes[live, None] * scale + offset).reshape(len(live), -1).take(reads, axis=1)
+            at += outs                                          # (live row, form, quintuple)
             v = flat.take(at)
             value = v.min(axis=1, keepdims=True)
             consistent[live[((v != value) & (v < n)).any(axis=(1, 2))]] = False   # evaluated forms disagree
@@ -267,13 +256,12 @@ def _propagate(nodes, n, stats):
                 live, offset, at, v, value = live[keep], offset[keep], at[keep], v[keep], value[keep]
                 if not live.size:
                     break
-            row, form, q = np.nonzero((v == n) & (value < n))
-            if row.size:
-                cells, values = at[row, form, q], value[row, 0, q]
-                flat[cells] = values
-                progress[live[row]] = True
-                consistent[live[row[flat[cells] != values]]] = False     # a cell forced to two values
-        live = live[progress[live] & consistent[live]]
+            force = (v == n) & (value < n)
+            cells, values = at[force], value.repeat(3, axis=1)[force]
+            flat[cells] = values
+            progress[row := cells // size] = True
+            consistent[row[flat[cells] != values]] = False     # a cell forced to two values
+        live = (progress & consistent).nonzero()[0]
     stats.forced += int(free - np.count_nonzero(nodes == n))
     return consistent
 
@@ -338,9 +326,10 @@ def enumerate_heaps(n, up_to_iso=False, budget=None):
     exception, since the empty semiheap arises from no group.  The corpus
     holds every group only up to order 7, so larger n raises Unsupported.
     """
-    if n > _CORPUS_COMPLETE_UP_TO:
-        raise Unsupported(f"heap census not supported for n={n}: the group corpus is complete "
-                          f"only up to order {_CORPUS_COMPLETE_UP_TO}")
+    if not 0 <= n <= _CORPUS_COMPLETE_UP_TO:
+        raise ValueError(f"n must be at least 0, got n={n}") if n < 0 else Unsupported(
+            f"heap census not supported for n={n}: the group corpus is complete "
+            f"only up to order {_CORPUS_COMPLETE_UP_TO}")
     cube = np.full((n, n, n), -1, dtype=np.int64)
     x, y = np.indices((n, n))
     cube[y, x, x] = y                           # biunitarity: [y,x,x] = y = [x,x,y]
@@ -361,22 +350,20 @@ def canonical_form(table, deadline=None):
     O(_SLAB).  Once deadline, a time.time() reading, has passed it
     returns None.
     """
-    for _, _, least in _sweep(table):
+    for _, least in _sweep(table):
         if _expired(deadline):
             return None
     return TernaryTable(least)
 
 
 def _sweep(table):
-    """table's relabelings a slab at a time (_relabelings): each slab's keys (_cell_bytes), its (n, n, n)
-    cubes, and the cube of least key so far."""
+    """table's relabelings a slab at a time (_relabelings): each slab's keys (_cell_bytes), and the least cube yet."""
     n, least = table.n, None
     for rows in _relabelings(table.entries.reshape(-1), n, n ** 3):
-        keys, cubes = _cell_bytes(rows, n), rows.reshape(len(rows), n, n, n)
-        key = min(keys)
+        key = min(keys := _cell_bytes(rows, n))
         if least is None or key < least[0]:
-            least = key, cubes[keys.index(key)]
-        yield keys, cubes, least[1]
+            least = key, rows[keys.index(key)].reshape(n, n, n)
+        yield keys, least[1]
 
 
 def are_isomorphic(s, s2):

@@ -107,8 +107,10 @@ def check_fully_faithful(g, g2, budget=1_000_000):
     mismatch is an implementation bug, so it raises.  Unpointed semiheap
     homs are reported as well: there are generally more of them.  Each
     hom set is built by prefix extension (_homs) in itertools.product order,
-    and each build may extend at most budget prefix rows.
+    and each build may extend at most budget prefix rows (nan raises ValueError).
     """
+    if np.isnan(budget):                      # no row count is above nan, so the build would be unbounded
+        raise ValueError("budget must be a number of prefix rows, got nan")
     h, h2 = heapify(g), heapify(g2)
     heap = _homs(h.semiheap.table.entries, h2.semiheap.table.entries, budget)
     homs = (_homs(g.mul, g2.mul, budget), heap[heap[:, h.basepoint] == h2.basepoint], heap)
@@ -131,22 +133,21 @@ def _homs(table, table2, budget):
     Level k extends each surviving prefix f[0..k-1] by every value of f[k]
     and keeps the rows that pass the instances level k completes, so each
     instance is tested exactly once.  Prefixes are extended in chunks of
-    at most _SLAB gathered elements, at least one prefix.  Raises
+    at most 4 * _SLAB gathered elements, at least one prefix.  Raises
     BudgetExceeded before the rows extended, summed over the levels, would
     pass budget.
     """
-    n2 = len(table2)
-    prefixes = np.zeros((1, 0), dtype=np.int64)
-    extended = 0
+    n2, flat, strides = len(table2), table2.reshape(-1), len(table2) ** np.arange(table2.ndim)[::-1]
+    prefixes, extended = np.zeros((1, 0), dtype=np.int64), 0
     for a, o in _completing_levels(table):
         extended += len(prefixes) * n2
         if extended > budget:
             raise BudgetExceeded(f"{extended} prefix rows exceed the budget of {budget}")
-        step = max(1, _SLAB // (n2 * max(a.size + o.size, 1)))
+        step = max(1, 4 * _SLAB // (n2 * max(a.size + o.size, 1)))
         kept = [np.zeros((0, prefixes.shape[1] + 1), dtype=np.int64)]
         for start in range(0, len(prefixes), step):
             p = prefixes[start:start + step]
             rows = np.column_stack([np.repeat(p, n2, axis=0), np.tile(np.arange(n2), len(p))])
-            kept.append(rows[(rows[:, o] == table2[tuple(rows[:, c] for c in a.T)]).all(axis=1)])
+            kept.append(rows[(rows[:, o] == flat.take(rows[:, a] @ strides)).all(axis=1)])
         prefixes = np.concatenate(kept)
     return prefixes

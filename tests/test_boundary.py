@@ -25,7 +25,7 @@ from semiheap.bundles import (
     verify_bundle_hom,
     verify_principal_hom,
 )
-from semiheap.core import InvalidTable, SemiheapHom, closure_witness, homomorphism_witness
+from semiheap.core import InvalidTable, SemiheapHom, TernaryTable, closure_witness, homomorphism_witness
 from semiheap.groups import FiniteGroup, group_hom_witness
 
 Z2, Z4 = groups.cyclic(2), groups.cyclic(4)
@@ -78,3 +78,32 @@ def test_index_arrays_are_checked_at_the_boundary(name, flaw):
         bad.reshape(-1)[0] = -1 if flaw == "negative" else high
     with pytest.raises(InvalidTable):
         call(bad)
+
+
+@pytest.mark.parametrize("flaw", ["shape", "negative", "high"])
+def test_table_stack_is_checked_once_with_the_messages_of_one_table(flaw):
+    # TernaryTable.stack checks a whole stack of cubes at once; a flaw in its
+    # second cube raises the InvalidTable that TernaryTable raises for that
+    # cube alone, with the entry's place inside its own table.
+    cubes = np.stack([H2.table.entries, H2.table.entries[::-1]])
+    if flaw == "shape":
+        cubes = cubes[:, :, :, :1]
+    else:
+        cubes[1, 1, 0, 1] = -1 if flaw == "negative" else 2
+    with pytest.raises(InvalidTable) as alone:
+        TernaryTable(cubes[1])
+    with pytest.raises(InvalidTable) as stacked:
+        TernaryTable.stack(cubes)
+    assert str(stacked.value) == str(alone.value)
+
+
+def test_table_stack_gives_read_only_int64_tables_keyed_as_one_table():
+    cubes = np.stack([H4.table.entries, H4.table.entries[::-1], H4.table.entries.T]).astype(np.uint8)
+    tables = TernaryTable.stack(cubes)
+    assert len(tables) == 3
+    for table, cube in zip(tables, cubes):
+        assert table.entries.dtype == np.int64 and not table.entries.flags.writeable
+        assert table.key() == TernaryTable(cube).key() and table.flat() == TernaryTable(cube).flat()
+        with pytest.raises(ValueError):
+            table.entries[0, 0, 0] = 1
+    assert TernaryTable.stack(np.zeros((0, 3, 3, 3), dtype=np.int64)) == []

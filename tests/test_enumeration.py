@@ -26,6 +26,13 @@ def test_counts_n0_n1():
     assert len(enumerate_heaps(1)) == 1
 
 
+def test_negative_n_is_refused_by_name():
+    for run in (enumerate_semiheaps, enumerate_heaps, lambda n: enumerate_semiheaps(n, method="filter")):
+        for n in (-1, -4):
+            with pytest.raises(ValueError, match=f"n={n}"):
+                run(n)
+
+
 def test_both_pipelines_match_loop_oracle_at_n2():
     oracle = semiheap_tables_brute(2)
     for method in ("filter", "backtrack"):

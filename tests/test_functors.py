@@ -156,6 +156,16 @@ def test_fully_faithful_budget_refusal():
         check_fully_faithful(groups.dihedral4(), groups.quaternion8(), budget=100)
 
 
+def test_fully_faithful_refuses_a_nan_budget_and_stops_at_a_negative_one():
+    # No row count is above nan, so a nan budget would bound nothing; a
+    # negative budget is exceeded by the first level's rows.
+    for g in (groups.cyclic(1), groups.cyclic(2)):
+        with pytest.raises(ValueError, match="nan"):
+            check_fully_faithful(g, g, budget=float("nan"))
+        with pytest.raises(BudgetExceeded):
+            check_fully_faithful(g, g, budget=-1)
+
+
 def test_fully_faithful_budget_counts_prefix_rows_not_maps():
     # 8^8 = 16,777,216 maps Z8 -> Q8, far past the default budget of
     # 1,000,000, but the prefix extension extends only a few thousand rows.

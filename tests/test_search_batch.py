@@ -223,6 +223,26 @@ def test_stacked_propagation_stops_a_row_that_conflicts_in_its_first_slab():
     assert (_cells(nodes[0], n) == bad.reshape(-1)).all() and (_cells(nodes[1], n) == heap.reshape(-1)).all()
 
 
+def test_stacked_propagation_stops_only_the_row_whose_cell_is_forced_twice():
+    # In clash, [0,1,1] = 0, [1,0,1] = 1 and [1,1,0] = 0, and no two
+    # evaluated forms disagree.  In its first pass quintuple (1,0,1,1,1)
+    # forces [[1,0,1],1,1] = [1,1,1] to [1,[1,1,0],1] = [1,0,1] = 1, and
+    # quintuple (1,1,0,1,1) forces [1,[1,0,1],1] = [1,1,1] to
+    # [[1,1,0],1,1] = [0,1,1] = 0.  Only the row of that cell, found from
+    # the cell's place in the stack, turns inconsistent; the rows around it
+    # reach the loop oracle's fixpoint.
+    n = 2
+    clash = np.full(n ** 3, -1)
+    clash[[3, 5, 6]] = (0, 1, 0)
+    assert partial_consistent_loops(clash.tolist(), n) and propagate_loops(clash.tolist(), n) is None
+    x = np.arange(n)
+    heap = ((x[:, None, None] - x[None, :, None] + x[None, None, :]) % n).reshape(-1)
+    holes = [np.where(np.arange(n ** 3) % k, -1, heap) for k in (2, 3)]
+    for cubes in ([holes[0], clash, holes[1]], [holes[1], holes[0], clash], [heap, clash, clash, holes[0]]):
+        consistent = _assert_stack_matches_rows_alone(cubes, n)
+        assert consistent.tolist() == [cube is not clash for cube in cubes]
+
+
 def test_propagation_never_contradicts_the_table():
     # Every value forced below a prefix of a semiheap is that semiheap's own.
     rng = np.random.default_rng(20231)
