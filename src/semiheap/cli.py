@@ -30,6 +30,15 @@ EXIT_USAGE = 2
 CHARTS = ("r1", "r2", "r3", "rx", "so2", "so3", "ut2")     # sorted(charts.bundled_charts()), without loading charts
 
 
+def _record(out, head=None, **fields):
+    """One line: head, if any, then key=value in order; a bool reads true/false, a tuple or list joins by commas."""
+    def text(v):
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        return ",".join(map(str, v)) if isinstance(v, (tuple, list)) else str(v)
+    out.write(" ".join(([head] if head else []) + [f"{k}={text(v)}" for k, v in fields.items()]) + "\n")
+
+
 def _checked(kind, ok, what):
     """An argparse type: kind(text), rejected as not what unless ok(value), which nan fails as a comparison."""
     def parse(text):
@@ -89,7 +98,7 @@ def build_parser():
     p.add_argument("--chart", default="so3", choices=CHARTS)
     p.add_argument("--samples", type=_checked(int, lambda v: v > 0, "positive"), default=100)
     p.add_argument("--h", type=_checked(float, lambda v: v > 0, "positive"), default=None)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=_checked(float, lambda v: v > 0, "positive"), default=None)
     p.add_argument("--square", action="store_true",
                    help="mult-function: use the quadratic test function instead of a linear one")
     return parser
@@ -152,30 +161,26 @@ def _dispatch(args, out):
         try:
             formats.parse_act1(_read_input(args), s)
         except LawError as exc:
-            w = exc.witness
-            out.write(f"fail law=action-compatibility point={w.point} "
-                      f"quadruple={','.join(str(v) for v in w.quadruple)} lhs={w.lhs} rhs={w.rhs}\n")
+            _record(out, "fail", law="action-compatibility", **vars(exc.witness))
             return EXIT_FAIL
-        out.write("pass action-compatible=true\n")
+        _record(out, "pass", **{"action-compatible": True})
         return EXIT_OK
     if cmd == "orbit":
         from . import actions, formats
         s = _load_semiheap(args.semiheap)
         action = formats.parse_act1(_read_input(args), s)
         members = sorted(actions.orbit(action, args.point))
-        sym = actions.reachability_symmetric(action)
-        out.write(f"orbit point={args.point} size={len(members)} "
-                  f"members={','.join(str(m) for m in members)} "
-                  f"symmetric={str(sym is None).lower()}\n")
+        _record(out, "orbit", point=args.point, size=len(members), members=members,
+                symmetric=actions.reachability_symmetric(action) is None)
         return EXIT_OK
     if cmd == "bundle-check":
         from . import bundles, formats
         b = formats.parse_bnd1(_read_input(args))
         failure = bundles.verify_bundle(b)
         if failure is not None:
-            out.write(f"fail axiom={failure.axiom} witness={','.join(str(v) for v in failure.witness)}\n")
+            _record(out, "fail", **vars(failure))
             return EXIT_FAIL
-        out.write("pass bundle=true\n")
+        _record(out, "pass", bundle=True)
         return EXIT_OK
     if cmd == "enumerate":
         return _cmd_enumerate(args, out)
@@ -189,16 +194,14 @@ def _cmd_check(args, out):
     table, pt = formats.parse_shf1_raw(_read_input(args))
     witness = verify_para_associative(table)
     if witness is not None:
-        q = ",".join(str(v) for v in witness.quintuple)
-        out.write(f"fail law=para-associative quintuple={q} "
-                  f"outer={witness.outer} middle={witness.middle} inner={witness.inner}\n")
+        _record(out, "fail", law="para-associative", **vars(witness))
         return EXIT_FAIL
     s = FiniteSemiheap(table, _certified=True)
-    line = f"pass para-associative=true heap={str(is_heap(s)).lower()} abelian={str(is_abelian(s)).lower()}"
+    fields = {"para-associative": True, "heap": is_heap(s), "abelian": is_abelian(s)}
     if pt is not None:
         from . import translations
-        line += f" biunital={str(translations.is_biunital(PointedSemiheap(s, pt))).lower()}"
-    out.write(line + "\n")
+        fields["biunital"] = translations.is_biunital(PointedSemiheap(s, pt))
+    _record(out, "pass", **fields)
     return EXIT_OK
 
 
@@ -215,7 +218,7 @@ def _cmd_groupify(args, out):
     if args.no_require_heap:
         result = functors.groupify_diagnose(ps)
         if isinstance(result, functors.GroupAxiomWitness):
-            out.write(f"fail axiom={result.axiom} witness={','.join(str(v) for v in result.witness)}\n")
+            _record(out, "fail", **vars(result))
             return EXIT_FAIL
         out.write(formats.write_grp1(result))
         return EXIT_OK
@@ -230,20 +233,19 @@ def _cmd_translations(args, out):
     if args.law == "centric":
         found = translations.centric_nonclosure_witness([s])
         if found:
-            _, (a, b), (c, d) = found[0]
-            out.write(f"witness law=centric-nonclosure inner={a},{b} outer={c},{d}\n")
+            _, inner, outer = found[0]
+            _record(out, "witness", law="centric-nonclosure", inner=inner, outer=outer)
         else:
-            out.write("pass centric-closed=true\n")
+            _record(out, "pass", **{"centric-closed": True})
         return EXIT_OK
     checker = {"right": translations.right_compose_law,
                "left": translations.left_compose_law,
                "commute": translations.lr_commute}[args.law]
     bad = checker(s)
     if bad is not None:
-        out.write(f"fail law={bad.law} params={','.join(str(v) for v in bad.params)} "
-                  f"point={bad.point} lhs={bad.lhs} rhs={bad.rhs}\n")
+        _record(out, "fail", **vars(bad))
         return EXIT_FAIL
-    out.write(f"pass law={args.law} quadruples={s.n ** 4}\n")
+    _record(out, "pass", law=args.law, quadruples=s.n ** 4)
     return EXIT_OK
 
 
@@ -256,8 +258,7 @@ def _cmd_enumerate(args, out):
     if not args.no_tables:
         for s in found:
             out.write(formats.write_shf1(s))
-    out.write(f"n={args.n} kind={kind} count={len(found)} iso_count={len(found.classes)} "
-              f"complete={str(found.complete).lower()}\n")
+    _record(out, n=args.n, kind=kind, count=len(found), iso_count=len(found.classes), complete=found.complete)
     return EXIT_OK
 
 
@@ -268,8 +269,8 @@ def _cmd_numeric(args, out):
         h = args.h if args.h is not None else 1e-3
         res_h, res_half, ratio = numeric.pushforward_convergence(chart, samples, seed, h=h)
         ok = 3.5 <= ratio <= 4.5
-        out.write(f"check=pushforward res_h={res_h:.3e} res_half={res_half:.3e} "
-                  f"ratio={ratio:.3f} seed={seed} pass={str(ok).lower()}\n")
+        _record(out, check="pushforward", res_h=f"{res_h:.3e}", res_half=f"{res_half:.3e}", ratio=f"{ratio:.3f}",
+                seed=seed, **{"pass": ok})
         return EXIT_OK if ok else EXIT_FAIL
     kw = {} if args.tol is None else {"tol": args.tol}
     u, v = chart.basis[0], chart.basis[min(1, chart.dim - 1)]     # u = v on a one-dimensional chart
@@ -289,7 +290,7 @@ def _cmd_numeric(args, out):
         "exp-hom": lambda: numeric.exp_hom_check(samples, seed, **kw),
     }
     report = checks[args.subcheck]()
-    out.write(report.line() + "\n")
+    _record(out, check=report.check, max_residual=f"{report.max_residual:.3e}", seed=seed, **{"pass": report.passed})
     return EXIT_OK if report.passed else EXIT_FAIL
 
 

@@ -181,7 +181,7 @@ def _search(cube, deadline, symmetry_break=False, orbits=None):
     while len(stack) and (complete := not _expired(deadline)):
         nodes, stack = stack[:-step - 1:-1].copy(), stack[:-step]   # the top of the stack first
         consistent = _propagate(nodes, n, stats)
-        stats.conflicts += len(nodes) - np.count_nonzero(consistent)
+        stats.conflicts += int(len(nodes) - np.count_nonzero(consistent))
         nodes = nodes[consistent]
         cells = nodes[:, index]
         width = (cells < n).cumprod(axis=1).sum(axis=1)    # the assigned prefixes

@@ -37,11 +37,6 @@ class CheckReport:
     witness: object = None
     extra: dict = field(default_factory=dict)
 
-    def line(self):
-        seed = "none" if self.seed is None else str(self.seed)
-        return (f"check={self.check} max_residual={self.max_residual:.3e} "
-                f"seed={seed} pass={str(self.passed).lower()}")
-
 
 class _Fold:
     """The running worst residual of a sampled check, in constant memory.

@@ -35,7 +35,7 @@ def test_check_pass():
 def test_check_failure_witness():
     code, out, _ = run_cli(["check"], Y_TABLE)
     assert code == 1
-    assert out.startswith("fail law=para-associative quintuple=")
+    assert out == "fail law=para-associative quintuple=0,0,0,1,0 outer=1 middle=0 inner=0\n"
 
 
 def test_check_format_error_exit_2():
@@ -93,7 +93,7 @@ def test_groupify_diagnostic_mode():
     const = "semiheap n=2 pt=0\n0 0 0 0 0 0 0 0\n"
     code, out, _ = run_cli(["groupify", "--no-require-heap"], const)
     assert code == 1
-    assert out.startswith("fail axiom=identity")
+    assert out == "fail axiom=identity witness=0,1,0,0\n"
 
 
 def test_groupify_pt_override():
@@ -110,7 +110,31 @@ def test_translations_verbs(tmp_path):
         code, out, _ = run_cli(["translations", "--law", law, "--in", str(shf)])
         assert code == 0 and out.startswith(f"pass law={law}")
     code, out, _ = run_cli(["translations", "--law", "centric", "--in", str(shf)])
-    assert code == 0 and out.startswith("witness law=centric-nonclosure")
+    assert code == 0 and out == "witness law=centric-nonclosure inner=0,0 outer=0,0\n"
+
+
+def test_translations_centric_witness_names_both_pairs(tmp_path, capsys):
+    # C_{11} . C_{11} is no centric translation of this 3-point semiheap, first met at C_{22}.
+    shf = tmp_path / "c.shf"
+    shf.write_text("semiheap n=3\n0 0 0 0 0 0 0 0 0\n0 0 0 0 0 0 0 1 0\n0 0 0 0 0 2 0 0 0\n")
+    assert main(["translations", "--law", "centric", "--in", str(shf)]) == 0
+    assert capsys.readouterr() == ("witness law=centric-nonclosure inner=1,1 outer=2,2\n", "")
+    shf.write_text("semiheap n=2\n0 0 0 0 1 1 1 1\n")
+    assert main(["translations", "--law", "centric", "--in", str(shf)]) == 0
+    assert capsys.readouterr() == ("pass centric-closed=true\n", "")
+
+
+def test_translations_report_a_law_failure_as_a_record(tmp_path, capsys, monkeypatch):
+    # The three composition laws are theorems on every semiheap the CLI accepts, so the
+    # failure line is reached here by a checker that reports a counterexample.
+    from semiheap import translations
+    shf = tmp_path / "xor.shf"
+    shf.write_text(XOR_HEAP)
+    for law, name in (("right", "right_compose_law"), ("left", "left_compose_law"), ("commute", "lr_commute")):
+        bad = translations.LawCounterexample(f"{law}-law", (0, 1, 1, 0), 1, 0, 1)
+        monkeypatch.setattr(translations, name, lambda s, bad=bad: bad)
+        assert main(["translations", "--law", law, "--in", str(shf)]) == 1
+        assert capsys.readouterr() == (f"fail law={law}-law params=0,1,1,0 point=1 lhs=0 rhs=1\n", "")
 
 
 def test_action_check_and_orbit(tmp_path):
@@ -122,22 +146,33 @@ def test_action_check_and_orbit(tmp_path):
     assert code == 0 and out.strip() == "pass action-compatible=true"
     corrupted = act.replace("\n0 1 2", "\n0 1 1", 1)
     code, out, _ = run_cli(["action-check", "--semiheap", str(shf)], corrupted)
-    assert code == 1 and out.startswith("fail law=action-compatibility")
+    assert code == 1 and out == "fail law=action-compatibility point=0 quadruple=0,0,1,0 lhs=2 rhs=1\n"
     code, out, _ = run_cli(["orbit", "--semiheap", str(shf), "--point", "1"], act)
     assert code == 0
-    assert "size=3" in out and "symmetric=true" in out
+    assert out == "orbit point=1 size=3 members=0,1,2 symmetric=true\n"
 
 
-def test_bundle_check(tmp_path):
+def test_bundle_check(tmp_path, capsys):
     b = trivial_bundle(2, functors.heapify(groups.cyclic(2)).semiheap)
-    code, out, _ = run_cli(["bundle-check"], formats.write_bnd1(b))
+    text = formats.write_bnd1(b)
+    code, out, _ = run_cli(["bundle-check"], text)
     assert code == 0 and out.strip() == "pass bundle=true"
+    # One action entry changed, then one projection entry changed.
+    head, body = text.split("action m=4 n=2\n")
+    bad_action = f"{head}action m=4 n=2\n1{body[1:]}"
+    bad_projection = text.replace("projection\n0 0 1 1", "projection\n0 1 1 1")
+    for bad, line in ((bad_action, "fail axiom=action-compatibility witness=0,0,0,0,1\n"),
+                      (bad_projection, "fail axiom=fiber-preservation witness=0,0,1,1\n")):
+        path = tmp_path / "bad.bnd"
+        path.write_text(bad)
+        assert main(["bundle-check", "--in", str(path)]) == 1
+        assert capsys.readouterr() == (line, "")
 
 
 def test_enumerate_summary_lines():
     code, out, _ = run_cli(["enumerate", "--n", "2", "--no-tables"])
     assert code == 0
-    assert out.strip() == "n=2 kind=semiheap count=8 iso_count=6 complete=true"
+    assert out == "n=2 kind=semiheap count=8 iso_count=6 complete=true\n"
     code, out, _ = run_cli(["enumerate", "--n", "3", "--heaps", "--no-tables"])
     assert out.strip() == "n=3 kind=heap count=1 iso_count=1 complete=true"
     code, out, _ = run_cli(["enumerate", "--n", "2", "--up-to-iso", "--no-tables"])
@@ -234,6 +269,27 @@ def test_numeric_reports_echo_seed_and_are_deterministic():
     assert code1 == code2 == 0
     assert out1 == out2
     assert "seed=42" in out1 and out1.startswith("check=para-assoc")
+
+
+def test_numeric_report_line_format(capsys):
+    assert main(["numeric", "exp-hom", "--seed", "7"]) == 0
+    assert capsys.readouterr() == ("check=exp-hom max_residual=6.850e-16 seed=7 pass=true\n", "")
+
+
+def test_numeric_rejects_a_tolerance_that_is_not_positive(capsys):
+    # nan, 0 and a negative tolerance fail every check, however small its residual.
+    for tol in ("nan", "0", "-1"):
+        assert main(["numeric", "exp-hom", "--seed", "1", f"--tol={tol}"]) == 2, tol
+        out, err = capsys.readouterr()
+        assert out == "" and f"--tol: must be positive, got {tol}" in err, tol
+    assert main(["numeric", "exp-hom", "--seed", "1", "--tol", "inf"]) == 0
+    assert capsys.readouterr() == ("check=exp-hom max_residual=5.004e-16 seed=1 pass=true\n", "")
+
+
+def test_numeric_pushforward_line(capsys):
+    assert main(["numeric", "pushforward", "--chart", "so3", "--seed", "42"]) == 0
+    line = "check=pushforward res_h=1.716e-06 res_half=4.290e-07 ratio=4.000 seed=42 pass=true\n"
+    assert capsys.readouterr() == (line, "")
 
 
 def test_numeric_failing_check_exit_1():

@@ -347,13 +347,6 @@ def test_polynomial_field_algebra():
     assert (2.5 * g)(coords) == 12.5
 
 
-def test_report_line_format():
-    r = exp_hom_check(10, 7)
-    line = r.line()
-    assert line.startswith("check=exp-hom max_residual=")
-    assert "seed=7" in line and "pass=true" in line
-
-
 def test_mu_rejects_non_finite_input():
     chart = CHARTS["so3"]
     for bad in (np.full((3, 3), np.nan), np.full((3, 3), np.inf)):

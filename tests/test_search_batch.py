@@ -518,6 +518,12 @@ def test_consistency_calls_pinned_for_n3():
     assert len(labeled) == 135 and labeled.stats == iso.stats
 
 
+def test_search_counters_are_plain_ints():
+    # A numpy scalar compares and prints like an int, but its repr reads np.int64(...).
+    for result in (enumerate_semiheaps(3), enumerate_semiheaps(3, up_to_iso=True), enumerate_heaps(4)):
+        assert all(type(v) is int for v in vars(result.stats).values()), result.stats
+
+
 def test_search_tree_pinned_past_n3():
     # Taken from the one-node-at-a-time recursive search: the stacked steps
     # visit the same tree.
