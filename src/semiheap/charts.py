@@ -22,6 +22,8 @@ import numpy as np
 
 COND_LIMIT = 1e10
 SLAB = 256          # samples per stack, so memory stays bounded for any sample count
+FD_STEP = 1e-5      # the default step of the numeric checks' central differences
+PARA_TOL = 1e-9     # the default tolerance of the sampled para-associativity check
 
 
 def solve(a, b):
@@ -99,8 +101,6 @@ class MatrixHeapChart:
     exp_tangent: Callable                       # Lie algebra element -> group element
     coords: Callable                            # group element -> 1d coordinate array
     project_algebra: Callable                   # matrix -> its part in the Lie algebra
-    h: float = 1e-5
-    tol: float = 1e-9
 
     @property
     def dim(self):

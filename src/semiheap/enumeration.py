@@ -28,6 +28,7 @@ from .groups import corpus
 
 # groups.corpus() holds every group up to this order; order 8 lacks Z4xZ2 and Z2^3.
 _CORPUS_COMPLETE_UP_TO = 7
+_SEMIHEAPS_BELOW = 12      # from here one x1 of _quintuple_reads, n^4 quintuples, overflows a slab: 12^4 > 2^14
 
 
 @dataclass
@@ -72,10 +73,13 @@ def enumerate_semiheaps(n, up_to_iso=False, method="backtrack", budget=None):
     tables go through iso_classes for up_to_iso); "backtrack" is the class
     census (_census) on the empty cube.  budget is a wall-clock limit in
     seconds (nan raises ValueError); when it runs out the result is
-    returned as found so far, flagged incomplete.
+    returned as found so far, flagged incomplete.  n >= 12 raises
+    Unsupported for either method and any budget, before anything is built.
     """
     if method not in ("filter", "backtrack") or n < 0:
         raise ValueError(f"unknown method {method!r}" if n >= 0 else f"n must be at least 0, got n={n}")
+    if n >= _SEMIHEAPS_BELOW:
+        raise Unsupported(f"semiheap census not supported for n={n}: its memory is bounded only for n < 12")
     deadline = _deadline(budget)
     if method == "backtrack" or n == 0:
         return _census(np.full((n, n, n), -1, dtype=np.int64), up_to_iso, deadline)
@@ -341,18 +345,16 @@ def enumerate_heaps(n, up_to_iso=False, budget=None):
     return found
 
 
-def canonical_form(table, deadline=None):
+def canonical_form(table):
     """The relabeling of the table with the least key (TernaryTable.key), the lexicographically least.
 
     Idempotent and relabeling-invariant; two tables are isomorphic iff
-    their canonical forms are equal.  All n! relabelings are swept a slab
-    at a time (_sweep), so time grows as n! * n^3 and memory stays
-    O(_SLAB).  Once deadline, a time.time() reading, has passed it
-    returns None.
+    their canonical forms are equal (are_isomorphic needs one sweep, not
+    two).  All n! relabelings are swept a slab at a time (_sweep), with no
+    deadline, so time grows as n! * n^3 and memory stays O(_SLAB).
     """
     for _, least in _sweep(table):
-        if _expired(deadline):
-            return None
+        pass
     return TernaryTable(least)
 
 
@@ -367,4 +369,6 @@ def _sweep(table):
 
 
 def are_isomorphic(s, s2):
-    return s.n == s2.n and canonical_form(s.table).key() == canonical_form(s2.table).key()
+    """Whether s2.table is a relabeling of s.table: one _sweep of s's, stopped at the first slab holding s2's key."""
+    n, cells = s2.table.key()
+    return n == s.table.n and any(cells in keys for keys, _ in _sweep(s.table))

@@ -18,7 +18,7 @@ from functools import partial
 
 import numpy as np
 
-from .charts import PolynomialField, _elementwise, rel_norm, slabs, solve
+from .charts import FD_STEP, PARA_TOL, PolynomialField, _elementwise, rel_norm, slabs, solve
 
 RK4_STEP = 1e-3
 FLOW_TOL = 1e-6
@@ -120,7 +120,7 @@ def _mu(chart, g1, g2, g3):
 
 def check_para_associative_numeric(chart, samples, seed, tol=None):
     """Max pairwise residual of the three association orders on sampled quintuples."""
-    fold, membership = _Fold(chart.tol if tol is None else tol), _Fold()
+    fold, membership = _Fold(PARA_TOL if tol is None else tol), _Fold()
     for start, g, _ in chart.sample_slabs(np.random.default_rng(seed), samples, 5):
         _on_chart(chart, g, "input leaves")
         _, (outer, middle, inner) = _para_forms(partial(_mu, chart), g)
@@ -129,7 +129,7 @@ def check_para_associative_numeric(chart, samples, seed, tol=None):
     return fold.report("para-assoc", seed, membership=membership.worst)
 
 
-def dL(chart, x, y, z, v, h=None):
+def dL(chart, x, y, z, v, h=FD_STEP):
     """Pushforward of the tangent vector v at z under L_{xy}.
 
     Returns (analytic value, residual against the central finite
@@ -137,7 +137,6 @@ def dL(chart, x, y, z, v, h=None):
     per step of a 1-d array h on a leading axis.  v must satisfy the
     linearized membership constraint at z.
     """
-    h = chart.h if h is None else h
     if not np.all(chart.tangent_residual(z, v) <= TANGENT_TOL):
         raise ValueError(f"vector is not tangent to the {chart.name} chart at the base point")
     analytic = x @ solve(y, v)
@@ -176,7 +175,7 @@ def left_invariant_field_check(chart, v, samples, seed, tol=1e-6, h=None):
     The pushforward of V(z) under L_{xy} is compared with V([x,y,z]); the
     value at the basepoint must reproduce v exactly.
     """
-    h = chart.h if h is None else h
+    h = FD_STEP if h is None else h
     fieldrule = left_invariant_field(chart, v)
     if not np.array_equal(fieldrule(chart.basepoint), v):
         raise AssertionError("field must reproduce its generator at the basepoint")
@@ -201,33 +200,33 @@ def compare_group_vs_heap_invariance(chart, v, samples, seed, tol=1e-6):
     for start, (x,), _ in chart.sample_slabs(np.random.default_rng(seed), samples, 1):
         fold.require(start, (x @ solve(x0, v) == x @ v).all(axis=(-2, -1)))
         target = x @ a
-        fold.add(start, rel_norm(_pushforward_fd(chart, x, x0, x0, v, chart.h) - target, target))
+        fold.add(start, rel_norm(_pushforward_fd(chart, x, x0, x0, v, FD_STEP) - target, target))
     return fold.report("group-vs-heap", seed, exact=not fold.failed)
 
 
-def _rk4_steps(t):
-    return 0 if t == 0.0 else max(1, int(math.ceil(abs(t) / RK4_STEP)))
-
-
 def _rk4(fieldrule, y0, t):
-    """Classical fixed-step RK4 from y0, any stack of points, over signed durations t that
-    broadcast against y0 and all take the same number of steps."""
+    """Classical fixed-step RK4 from y0, any stack of points, over signed durations t that broadcast against y0.
+
+    Each element takes ceil(|t| / RK4_STEP) steps of t / that count (none at t = 0), then holds its value, so it
+    gets its own call's bits from one loop over the largest count.  The rule also sees held end points; where
+    durations share one step (0.1 / 100 == 0.5 / 500 to the bit), each is a state a longer flow reaches.
+    """
     y = np.array(np.broadcast_to(y0, np.broadcast_shapes(np.shape(y0), np.shape(t))), dtype=float)
-    nsteps = _rk4_steps(np.abs(t).max())
-    h = t / max(nsteps, 1)
-    for _ in range(nsteps):
+    steps = np.ceil(np.abs(t) / RK4_STEP)      # at least 1 where t != 0: |t| / RK4_STEP is then above 0
+    h = t / np.maximum(steps, 1)
+    for step in range(int(steps.max(initial=0))):
         k1 = fieldrule(y)
         k2 = fieldrule(y + 0.5 * h * k1)
         k3 = fieldrule(y + 0.5 * h * k2)
         k4 = fieldrule(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y = np.where(step < steps, y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), y)
     return y
 
 
-def bracket_closure(chart, u, v, samples, seed, tol=BRACKET_TOL, t=1e-3):
+def bracket_closure(chart, u, v, samples, seed, tol=BRACKET_TOL):
     """Commutator of the invariant fields of u and v, by flow differences.
 
-    The Lie-derivative quotient (dPhi^U_{-t}) V(Phi^U_t x), centered in t,
+    The Lie-derivative quotient (dPhi^U_{-t}) V(Phi^U_t x), centered at t = +-1e-3,
     is computed with RK4-integrated flows; the RK4 map of a right-linear
     field is itself linear, so it doubles as its own pushforward.  The
     result must match the invariant field of the matrix commutator
@@ -240,7 +239,7 @@ def bracket_closure(chart, u, v, samples, seed, tol=BRACKET_TOL, t=1e-3):
     fold = _Fold(tol)
     for start, (x,), _ in chart.sample_slabs(np.random.default_rng(seed), samples, 1):
         conjugated = lambda s: _rk4(flow_u, _rk4(flow_u, x, s) @ av, -s)
-        fold.add(start, rel_norm(_central(conjugated, t, x.ndim) - x @ w, x @ w))
+        fold.add(start, rel_norm(_central(conjugated, 1e-3, x.ndim) - x @ w, x @ w))
         frame = np.stack([(x @ e).reshape(len(x), -1) for e in chart.basis], axis=-2)
         fold.require(start, np.linalg.matrix_rank(frame) == chart.dim)
     return fold.report("bracket", seed, rank_ok=not fold.failed, commutator=w)
@@ -279,18 +278,16 @@ def multiplicative_vector_field_check(fieldrule, triples, t_grid=(-0.5, -0.1, 0.
     Integrates the flow of the field with fixed-step RK4 and checks
     Phi_t(x - y + z) = Phi_t(x) - Phi_t(y) + Phi_t(z) on every triple and
     every t in the grid.  Returns the first failing (t, triple) witness,
-    in triple-major order.
+    in triple-major order; an empty grid passes with residual 0.
 
-    The points of a slab of triples flow together, so fieldrule gets a
-    (k, m) stack of points, one per column, and must return the field at
-    each column from that column alone: y, y * y, np.full_like(y, c),
-    np.sqrt(y - 1), A @ y and y[0] all do.  Its first values are checked
-    against single points, and a rule that breaks the contract raises
-    ValueError.
+    The points of a slab of triples flow together, every t of the grid in
+    one _rk4 call, so fieldrule gets a (k, m) stack of points, one per
+    column, and must return the field at each column from that column
+    alone: y, y * y, np.full_like(y, c), np.sqrt(y - 1), A @ y and y[0] all
+    do.  Its first values are checked against single points, and a rule
+    that breaks the contract raises ValueError.
     """
-    t_grid, fold, groups = tuple(t_grid), _Fold(tol), {}
-    for q, t in enumerate(t_grid):          # durations that take as many steps flow together
-        groups.setdefault(_rk4_steps(t), []).append(q)
+    t_grid, fold = tuple(t_grid), _Fold(tol)
     for start, slab in slabs(triples):
         slab = [tuple(np.asarray(p, dtype=float) for p in triple) for triple in slab]
         x, y, z = (np.stack([triple[i] for triple in slab], axis=-1) for i in range(3))
@@ -303,14 +300,11 @@ def multiplicative_vector_field_check(fieldrule, triples, t_grid=(-0.5, -0.1, 0.
         if not ok:
             raise ValueError("a field rule maps a (k, m) stack of points, one point per column, "
                              "to the field at each column, computed from that column alone")
-        flows = {}
-        for qs in groups.values():
-            ends = _rk4(fieldrule, np.tile(points, len(qs)), np.repeat([t_grid[q] for q in qs], 4 * m))
-            flows.update(zip(qs, np.split(ends, len(qs), axis=-1)))
-        sides = [(f[:, :m], f[:, m:2 * m] - f[:, 2 * m:3 * m] + f[:, 3 * m:]) for f in map(flows.get, range(nt))]
-        res = [rel_norm(*(a.T[:, None, :] for a in (lhs - rhs, lhs, rhs))) for lhs, rhs in sides]
-        fold.add(start * nt, np.array(res).T, witness=lambda q: (
-            t_grid[q % nt], slab[q // nt], *(side[:, q // nt].copy() for side in sides[q % nt])))
+        ends = _rk4(fieldrule, np.tile(points, nt), np.repeat(t_grid, 4 * m)).reshape(len(points), nt, 4, m)
+        lhs, rhs = ends[:, :, 0], ends[:, :, 1] - ends[:, :, 2] + ends[:, :, 3]    # (k, t, triple)
+        res = rel_norm(*(a.T[..., None, :] for a in (lhs - rhs, lhs, rhs)))      # (triple, t)
+        fold.add(start * nt, res, witness=lambda q: (
+            t_grid[q % nt], slab[q // nt], *(side[:, q % nt, q // nt].copy() for side in (lhs, rhs))))
     return fold.report("mult-field", seed)
 
 
@@ -339,7 +333,7 @@ def tangent_semiheap_check(chart, samples, seed, tol=1e-6, h=None):
     lifted product is checked para-associative on sampled quintuples in
     both components.
     """
-    h = chart.h if h is None else h
+    h = FD_STEP if h is None else h
     fold = _Fold(tol, "fd_residual", "para_residual")
     def t_mu(*p):       # a tangent point is the stack [g, V]; t_mu gets stacks of them, g and V on axis 1
         out, lifted = _mu_d_mu([q[:, 0] for q in p], [q[:, 1] for q in p])
@@ -358,7 +352,7 @@ def tangent_semiheap_check(chart, samples, seed, tol=1e-6, h=None):
     return fold.report("tangent-lift", seed, **fold.parts)
 
 
-def coassociativity_check(chart, samples, seed, tol=1e-10, degree=3, fields=None):
+def coassociativity_check(chart, samples, seed, tol=1e-10, fields=None):
     """The four comultiplication properties, evaluated pointwise.
 
     With Delta f = f . mu: linearity, multiplicativity over products of
@@ -366,12 +360,12 @@ def coassociativity_check(chart, samples, seed, tol=1e-10, degree=3, fields=None
     para-coassociative composites on sampled quintuples.  fields may
     supply an explicit (f1, f2) pair, reading only the chart's
     coordinates (ValueError otherwise); by default two random polynomials
-    of the given degree are drawn from the seed.
+    of degree at most 3 are drawn from the seed.
     """
     rng = np.random.default_rng(seed)
     ncoords = chart.coords(chart.basepoint).shape[0]
     if fields is None:
-        f1, f2 = (PolynomialField.random(ncoords, degree, rng) for _ in range(2))
+        f1, f2 = (PolynomialField.random(ncoords, 3, rng) for _ in range(2))
     else:
         f1, f2 = fields
         for k, f in enumerate(fields):

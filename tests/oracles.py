@@ -21,6 +21,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from semiheap.charts import FD_STEP, PARA_TOL
 from semiheap.functors import FullyFaithfulReport, heapify
 from semiheap.groups import FiniteGroup, LawError
 from semiheap.numeric import PolynomialField
@@ -585,7 +586,7 @@ def scalar_chart(chart):
         lambda rng: translation(rng.uniform(-2.0, 2.0, size=n)),
         lambda a: np.eye(d) + a, lambda g: g[:n, n].copy(), project_translation))
     return SimpleNamespace(
-        name=name, basis=basis, dim=len(basis), basepoint=np.eye(d), h=chart.h, tol=chart.tol,
+        name=name, basis=basis, dim=len(basis), basepoint=np.eye(d), h=FD_STEP, tol=PARA_TOL,
         membership=membership, sample=sample, exp=exp, coords=coords, project=project, combination=combination,
         random_tangent=lambda g, rng: g @ combination(rng.normal(scale=1.0, size=len(basis))))
 
@@ -656,7 +657,7 @@ def para_assoc_loops(chart, samples, seed, tol=None):
     """(max_residual, passed, witness, extra) of check_para_associative_numeric."""
     sc = scalar_chart(chart)
     rng = np.random.default_rng(seed)
-    fold, membership = _Worst(chart.tol if tol is None else tol), _Worst()
+    fold, membership = _Worst(sc.tol if tol is None else tol), _Worst()
     for i in range(samples):
         outer, middle, inner = _para(lambda a, b, c: scalar_mu(sc, a, b, c), [sc.sample(rng) for _ in range(5)])
         fold.add(i, scalar_rel_norm(outer - middle, outer))
@@ -727,8 +728,8 @@ def _rk4_loop(fieldrule, y0, t, step=1e-3):
     return y
 
 
-def bracket_loops(chart, u, v, samples, seed, tol=1e-4, t=1e-3):
-    sc = scalar_chart(chart)
+def bracket_loops(chart, u, v, samples, seed, tol=1e-4):
+    sc, t = scalar_chart(chart), 1e-3
     rng = np.random.default_rng(seed)
     au, av = sc.project(u), sc.project(v)
     w = au @ av - av @ au
@@ -806,17 +807,17 @@ def _coassoc_sample(sc, rng, f1, f2, a, b):
             (_rel(outer, middle, inner), _rel(outer, inner, middle)))
 
 
-def _coassoc_setup(sc, seed, degree, fields):
+def _coassoc_setup(sc, seed, fields):
     rng = np.random.default_rng(seed)
     ncoords = sc.coords(sc.basepoint).shape[0]
     if fields is None:
-        fields = (PolynomialField.random(ncoords, degree, rng), PolynomialField.random(ncoords, degree, rng))
+        fields = (PolynomialField.random(ncoords, 3, rng), PolynomialField.random(ncoords, 3, rng))
     return rng, fields, float(rng.normal()), float(rng.normal())
 
 
-def coassoc_loops(chart, samples, seed, tol=1e-10, degree=3, fields=None):
+def coassoc_loops(chart, samples, seed, tol=1e-10, fields=None):
     sc = scalar_chart(chart)
-    rng, (f1, f2), a, b = _coassoc_setup(sc, seed, degree, fields)
+    rng, (f1, f2), a, b = _coassoc_setup(sc, seed, fields)
     fold = _Worst(tol)
     parts = {k: _Worst() for k in ("linear", "multiplicative", "unit", "para-coassoc")}
     for i in range(samples):
@@ -827,10 +828,10 @@ def coassoc_loops(chart, samples, seed, tol=1e-10, degree=3, fields=None):
     return fold.report(**{k: w.worst for k, w in parts.items()})
 
 
-def coassociativity_residuals_loops(chart, samples, seed, degree=3):
+def coassociativity_residuals_loops(chart, samples, seed):
     """The four worst residuals of the coassociativity check, with plain max folds."""
     sc = scalar_chart(chart)
-    rng, (f1, f2), a, b = _coassoc_setup(sc, seed, degree, None)
+    rng, (f1, f2), a, b = _coassoc_setup(sc, seed, None)
     worst = {"linear": 0.0, "multiplicative": 0.0, "unit": 0.0, "para-coassoc": 0.0}
     for _ in range(samples):
         lin, mult, unit, para = _coassoc_sample(sc, rng, f1, f2, a, b)

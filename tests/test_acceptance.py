@@ -233,8 +233,8 @@ def test_c10_multiplicativity_and_coalgebra():
     square_ok = (not square.passed and square.witness is not None
                  and square.witness[3] == 4.0 and square.witness[4] == 2.0)
 
-    co_so3 = coassociativity_check(SO3, 100, 42, tol=1e-10, degree=3)
-    co_r3 = coassociativity_check(R3, 100, 42, tol=1e-10, degree=3)
+    co_so3 = coassociativity_check(SO3, 100, 42, tol=1e-10)
+    co_r3 = coassociativity_check(R3, 100, 42, tol=1e-10)
     exp = exp_hom_check(1000, 42, tol=1e-12)
     ok = linear.passed and square_ok and co_so3.passed and co_r3.passed and exp.passed
     _emit(10, ok, f"linear={linear.max_residual:.2e} square_witness=(1,0,1) "

@@ -181,6 +181,14 @@ def test_enumerate_summary_lines():
     assert out.strip() == "n=3 kind=semiheap count=135 iso_count=31 complete=true"
 
 
+def test_enumerate_refuses_twelve_or_more_points():
+    for n in ("12", "1000000"):
+        code, out, err = run_cli(["enumerate", "--n", n, "--budget", "1", "--no-tables"])
+        assert (code, out) == (2, "") and err.startswith(f"error unsupported semiheap census not supported for n={n}:")
+    code, out, _ = run_cli(["enumerate", "--n", "11", "--budget", "0.5", "--no-tables"])
+    assert (code, out) == (0, "n=11 kind=semiheap count=0 iso_count=0 complete=false\n")
+
+
 def test_enumerate_counts_classes_beyond_four_points():
     code, out, _ = run_cli(["enumerate", "--n", "5", "--budget", "0.5", "--no-tables"])
     assert code == 0

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from itertools import permutations
 from math import factorial
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from semiheap import enumeration, functors, groups
-from semiheap.core import TernaryTable, is_heap, relabel, verify_para_associative
+from semiheap.core import FiniteSemiheap, TernaryTable, is_heap, relabel, verify_para_associative
 from semiheap.enumeration import (
     SearchStats,
     Unsupported,
@@ -31,6 +32,20 @@ def test_negative_n_is_refused_by_name():
         for n in (-1, -4):
             with pytest.raises(ValueError, match=f"n={n}"):
                 run(n)
+
+
+@pytest.mark.parametrize("method", ["filter", "backtrack"])
+def test_oversized_semiheap_census_is_refused_before_anything_is_built(method):
+    # At n = 12 one x1 of the para-associativity scan (12^4 quintuples) overflows a slab.
+    for n in (12, 10 ** 6):
+        for budget in (None, 0.0, 1.0):
+            tracemalloc.start()
+            try:
+                with pytest.raises(Unsupported, match=f"n={n}"):
+                    enumerate_semiheaps(n, method=method, budget=budget)
+                assert tracemalloc.get_traced_memory()[1] < 1 << 20, (n, budget)
+            finally:
+                tracemalloc.stop()
 
 
 def test_both_pipelines_match_loop_oracle_at_n2():
@@ -201,6 +216,28 @@ def test_isomorphism_checks():
     from itertools import permutations
     assert any(relabel(s3h.table, p).flat() == shuffled.table.flat()
                for p in permutations(range(6)))
+
+
+def test_isomorphism_agrees_with_canonical_forms_on_the_small_census():
+    """One sweep of s's relabelings decides as the comparison of two canonical forms, on every
+    ordered pair of the n <= 3 census classes, each relabeled by a seeded permutation."""
+    rng = np.random.default_rng(29)
+    tables = [s.table for n in range(4) for s in enumerate_semiheaps(n, up_to_iso=True)]
+    tables = [t for c in tables for t in (c, relabel(c, rng.permutation(c.n)))]
+    forms = [canonical_form(t).key() for t in tables]
+    holders = [FiniteSemiheap(t, _certified=True) for t in tables]
+    for a, fa in zip(holders, forms):
+        for b, fb in zip(holders, forms):
+            assert are_isomorphic(a, b) == (fa == fb)
+
+
+def test_isomorphism_of_the_eight_point_heaps():
+    rng = np.random.default_rng(31)
+    heaps = [functors.heapify(g).semiheap for g in (groups.cyclic(8), groups.dihedral4(), groups.quaternion8())]
+    for i, a in enumerate(heaps):
+        for j, b in enumerate(heaps):
+            shuffled = FiniteSemiheap(relabel(b.table, rng.permutation(8)), _certified=True)
+            assert are_isomorphic(a, shuffled) == (i == j)
 
 
 def test_relabeled_z4_heap_isomorphic():

@@ -27,6 +27,7 @@ from semiheap.numeric import (
     sample_triples,
     tangent_semiheap_check,
 )
+from semiheap.numeric import _rk4
 
 import oracles
 from oracles import coassociativity_residuals_loops, tangent_residuals_loops
@@ -710,6 +711,31 @@ def test_grouped_flows_match_per_duration_loops(small_slabs, t_grid, tol):
 
     kw = _kw(tol, partial(run, oracles.mult_field_loops))
     _assert_matches(run(multiplicative_vector_field_check, **kw), run(oracles.mult_field_loops, **kw))
+
+
+def test_rk4_of_mixed_durations_matches_one_call_per_duration():
+    """Each duration takes its own ceil(|t| / RK4_STEP) steps, bit for bit as on its own, on a leading axis
+    (as bracket_closure stacks +-t) and on the last (as the flow check lays out its t-grid): a zero, a
+    sub-step duration, a repeated t and three step counts."""
+    durations = np.array([0.0, 0.0004, -0.003, 0.0105, 0.0, -0.003, 0.0072])
+    so3 = CHARTS["so3"]
+    x = so3.build(np.random.default_rng(5).normal(size=(4, 3)))
+    au = so3.basis[0] + 0.5 * so3.basis[2]
+    together = _rk4(lambda y: y @ au, x, durations[:, None, None, None])
+    for d, got in zip(durations, together):
+        assert _same(got.view(np.uint64), _rk4(lambda y: y @ au, x, d).view(np.uint64))
+    points = np.random.default_rng(6).uniform(-0.8, 0.8, size=(2, 3))
+    together = _rk4(lambda y: y * y, np.tile(points, len(durations)), np.repeat(durations, 3)).reshape(2, -1, 3)
+    for q, d in enumerate(durations):
+        assert _same(together[:, q].view(np.uint64), _rk4(lambda y: y * y, points, d).view(np.uint64))
+
+
+def test_empty_and_all_zero_t_grids():
+    points = np.random.default_rng(7).uniform(-0.8, 0.8, size=(2, 5))
+    assert _same(_rk4(lambda y: y * y, points, np.zeros(5)), points)
+    for t_grid in ((), (0.0, 0.0)):
+        r = multiplicative_vector_field_check(lambda y: y * y, _line_triples(5), t_grid=t_grid)
+        assert r.passed and r.max_residual == 0.0 and r.witness is None
 
 
 def test_rank_deficient_frame_fails_the_bracket():
