@@ -79,7 +79,7 @@ def enumerate_semiheaps(n, up_to_iso=False, method="backtrack", budget=None):
     if method not in ("filter", "backtrack") or n < 0:
         raise ValueError(f"unknown method {method!r}" if n >= 0 else f"n must be at least 0, got n={n}")
     if n >= _SEMIHEAPS_BELOW:
-        raise Unsupported(f"semiheap census not supported for n={n}: its memory is bounded only for n < 12")
+        raise Unsupported(f"semiheap census not supported for n={n}: bounded memory needs n < {_SEMIHEAPS_BELOW}")
     deadline = _deadline(budget)
     if method == "backtrack" or n == 0:
         return _census(np.full((n, n, n), -1, dtype=np.int64), up_to_iso, deadline)
