@@ -14,6 +14,7 @@ import numpy as np
 from .core import (FiniteSemiheap, InvalidTable, LawError, _first_class_path_disagreement, _first_disagreement,
                    _index_array, _narrow)
 from .functors import heapify
+from .groups import cyclic
 
 
 @dataclass(frozen=True)
@@ -115,10 +116,12 @@ def action_from_group_action(g, act):
     bad = group_action_witness(act, g)
     if bad is not None:
         raise LawError(f"not a right group action: {bad[0]} axiom fails", bad)
-    a = np.asarray(act, dtype=np.int64)
-    word = g.mul[g.inv]                       # word[g1,g2] = g1^-1 * g2
-    table = a[:, word]                        # table[p,g1,g2] = a[p, word[g1,g2]]
-    return FiniteAction(heapify(g).semiheap, table)
+    return _heap_action(g, act, verify=True)
+
+
+def _heap_action(g, act, verify):
+    """The action of heapify(g) from a right G-action table act: sigma(p,g1,g2) = act[p, g1^-1 g2]."""
+    return FiniteAction(heapify(g).semiheap, np.asarray(act, dtype=np.int64)[:, g.mul[g.inv]], verify)
 
 
 def right_multiplication_action(g):
@@ -129,20 +132,12 @@ def right_multiplication_action(g):
 def discretized_flow_action(k, m, flow):
     """Heap action of the cyclic step heap Z/k from an additive flow table.
 
-    flow is an (m, k) table with flow[p, 0] = p and
-    flow[flow[p, t1], t2] = flow[p, (t1 + t2) % k]; the induced action is
-    sigma(p, t1, t2) = flow[p, (-t1 + t2) % k].
+    flow is an (m, k) table with flow[p, 0] = p and flow[flow[p, t1], t2] =
+    flow[p, (t1 + t2) % k], a right Z/k-action; the induced action is
+    action_from_group_action's, sigma(p, t1, t2) = flow[p, (-t1 + t2) % k].
     """
     f = _index_array(flow, (m, k), m, "flow table")
-    if not np.array_equal(f[:, 0], np.arange(m)):
-        raise LawError("flow must fix every point at step 0")
-    steps = (np.arange(k)[:, None] + np.arange(k)[None, :]) % k
-    if not np.array_equal(f[f], f[np.arange(m)[:, None, None], steps[None, :, :]]):
-        raise LawError("flow is not additive on the step set")
-    heap = FiniteSemiheap.from_rule(k, lambda a, b, c: (a - b + c) % k)
-    diff = (-np.arange(k)[:, None] + np.arange(k)[None, :]) % k
-    table = f[:, diff]
-    return FiniteAction(heap, table)
+    return action_from_group_action(cyclic(k), f)
 
 
 def equivariance_witness(mapping, a_m, a_n):

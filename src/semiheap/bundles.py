@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actions import FiniteAction, action_compat_witness, group_action_witness
+from .actions import FiniteAction, _heap_action, action_compat_witness, group_action_witness
 from .core import (
     FiniteSemiheap,
     InvalidTable,
@@ -24,7 +24,6 @@ from .core import (
     induce_via_bijection,
     is_homomorphism,
 )
-from .functors import heapify
 from .groups import FiniteGroup, group_hom_witness
 
 
@@ -162,18 +161,23 @@ def _chart_equivariance_witness(chart, act, mul):
     return (p, *w, chart[int(act[(p, *w)])], (bm, int(mul[(lab, *w)])))
 
 
+def _product_layout(base_size, mul):
+    """The product M x F, F's table mul (ternary cube or Cayley table) acting on the fiber label: (projection,
+    action table, cover, charts), point m * n + x over m at label x, one chart over the whole base."""
+    n = len(mul)
+    proj, x = np.divmod(np.arange(base_size * n), n)
+    act = (proj * n).reshape((-1,) + (1,) * (mul.ndim - 1)) + mul[x]
+    return proj, act, (frozenset(range(base_size)),), (dict(enumerate(zip(proj.tolist(), x.tolist()))),)
+
+
 def trivial_bundle(base_size, s):
     """The product bundle M x S with the right-translation action.
 
     Total-space index is m * n + x, matching the pair encoding used for
     semiheap products.
     """
-    n = s.n
-    total = base_size * n
-    proj, x = np.divmod(np.arange(total), n)
-    action = FiniteAction(s, proj[:, None, None] * n + s.table.entries[x], verify=False)
-    chart = {p: (p // n, p % n) for p in range(total)}
-    b = DiscreteSemiheapBundle(base_size, proj, s, action, (frozenset(range(base_size)),), (chart,))
+    proj, act, cover, charts = _product_layout(base_size, s.table.entries)
+    b = DiscreteSemiheapBundle(base_size, proj, s, FiniteAction(s, act, verify=False), cover, charts)
     failure = verify_bundle(b)
     if failure is not None:
         raise AssertionError(f"trivial bundle must verify, got {failure}")
@@ -250,12 +254,8 @@ def heapify_principal(pb):
     p <| (g1, g2) = a(p, g1^-1 g2).  The output passing verify_bundle is
     implied by the principal axioms, so it is asserted, not returned.
     """
-    g = pb.group
-    word = g.mul[g.inv]                          # word[g1,g2] = g1^-1 * g2
-    table = pb.action[:, word]
-    structure = heapify(g).semiheap
-    action = FiniteAction(structure, table, verify=False)
-    b = DiscreteSemiheapBundle(pb.base_size, pb.projection, structure, action, pb.cover, pb.charts)
+    action = _heap_action(pb.group, pb.action, verify=False)
+    b = DiscreteSemiheapBundle(pb.base_size, pb.projection, action.semiheap, action, pb.cover, pb.charts)
     failure = verify_bundle(b)
     if failure is not None:
         raise AssertionError(f"heapified principal bundle must verify, got {failure}")
@@ -264,12 +264,7 @@ def heapify_principal(pb):
 
 def trivial_principal_bundle(base_size, g):
     """The product principal bundle M x G with right multiplication."""
-    n = g.n
-    total = base_size * n
-    proj, x = np.divmod(np.arange(total), n)
-    act = proj[:, None] * n + g.mul[x]
-    chart = {p: (p // n, p % n) for p in range(total)}
-    return FinitePrincipalBundle(g, base_size, proj, act, (frozenset(range(base_size)),), (chart,))
+    return FinitePrincipalBundle(g, base_size, *_product_layout(base_size, g.mul))
 
 
 @dataclass(frozen=True)
@@ -329,9 +324,8 @@ def heapify_principal_hom(h, pb, pb2):
     failure = verify_principal_hom(h, pb, pb2)
     if failure is not None:
         raise LawError(f"not a principal-bundle hom: {failure.axiom}", failure)
-    s, s2 = heapify(pb.group).semiheap, heapify(pb2.group).semiheap
-    hom = BundleHom(h.total_map, h.base_map, SemiheapHom(s, s2, h.group_hom))
     b, b2 = heapify_principal(pb), heapify_principal(pb2)
+    hom = BundleHom(h.total_map, h.base_map, SemiheapHom(b.structure, b2.structure, h.group_hom))
     if verify_bundle_hom(hom, b, b2) is not None:
         raise AssertionError("heapified principal homs must be semiheap-bundle homs")
     return hom

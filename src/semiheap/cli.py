@@ -13,7 +13,6 @@ import sys
 import numpy as np
 
 from .core import (
-    FiniteSemiheap,
     FormatError,
     InvalidTable,
     LawError,
@@ -21,7 +20,6 @@ from .core import (
     Unsupported,
     is_abelian,
     is_heap,
-    verify_para_associative,
 )
 
 EXIT_OK = 0
@@ -90,7 +88,8 @@ def build_parser():
     p.add_argument("--no-tables", action="store_true", help="summary line only")
 
     p = sub.add_parser("numeric", parents=[writes], help="numerical heap checks on matrix charts")
-    p.add_argument("--seed", type=int, default=0, help="seed of the sampled points")
+    p.add_argument("--seed", type=_checked(int, lambda v: v >= 0, "non-negative"), default=0,
+                   help="seed of the sampled points")
     p.add_argument("subcheck", choices=["para-assoc", "pushforward", "left-invariant",
                                         "group-vs-heap", "bracket", "mult-function",
                                         "mult-field", "tangent", "coassoc", "euclidean",
@@ -138,7 +137,11 @@ def _read_input(args):
 def _load_semiheap(path):
     from . import formats
     with open(path) as fh:
-        s = formats.parse_shf1(fh.read())
+        return _unpointed(formats.parse_shf1(fh.read()))
+
+
+def _unpointed(s):
+    """The semiheap of a parse_shf1 result, without the basepoint it may carry."""
     return s.semiheap if isinstance(s, PointedSemiheap) else s
 
 
@@ -191,16 +194,16 @@ def _dispatch(args, out):
 
 def _cmd_check(args, out):
     from . import formats
-    table, pt = formats.parse_shf1_raw(_read_input(args))
-    witness = verify_para_associative(table)
-    if witness is not None:
-        _record(out, "fail", law="para-associative", **vars(witness))
+    try:
+        parsed = formats.parse_shf1(_read_input(args))
+    except LawError as exc:
+        _record(out, "fail", law="para-associative", **vars(exc.witness))
         return EXIT_FAIL
-    s = FiniteSemiheap(table, _certified=True)
+    s = _unpointed(parsed)
     fields = {"para-associative": True, "heap": is_heap(s), "abelian": is_abelian(s)}
-    if pt is not None:
+    if parsed is not s:
         from . import translations
-        fields["biunital"] = translations.is_biunital(PointedSemiheap(s, pt))
+        fields["biunital"] = translations.is_biunital(parsed)
     _record(out, "pass", **fields)
     return EXIT_OK
 
@@ -208,13 +211,11 @@ def _cmd_check(args, out):
 def _cmd_groupify(args, out):
     from . import formats, functors
     parsed = formats.parse_shf1(_read_input(args))
-    if isinstance(parsed, PointedSemiheap):
-        ps = parsed if args.pt is None else PointedSemiheap(parsed.semiheap, args.pt)
-    else:
-        if args.pt is None:
-            print("error input groupify needs pt= in the header or --pt", file=sys.stderr)
-            return EXIT_USAGE
-        ps = PointedSemiheap(parsed, args.pt)
+    pt = parsed.basepoint if args.pt is None and isinstance(parsed, PointedSemiheap) else args.pt
+    if pt is None:
+        print("error input groupify needs pt= in the header or --pt", file=sys.stderr)
+        return EXIT_USAGE
+    ps = PointedSemiheap(_unpointed(parsed), pt)
     if args.no_require_heap:
         result = functors.groupify_diagnose(ps)
         if isinstance(result, functors.GroupAxiomWitness):
@@ -228,8 +229,7 @@ def _cmd_groupify(args, out):
 
 def _cmd_translations(args, out):
     from . import formats, translations
-    parsed = formats.parse_shf1(_read_input(args))
-    s = parsed.semiheap if isinstance(parsed, PointedSemiheap) else parsed
+    s = _unpointed(formats.parse_shf1(_read_input(args)))
     if args.law == "centric":
         found = translations.centric_nonclosure_witness([s])
         if found:

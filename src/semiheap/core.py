@@ -69,11 +69,16 @@ def _narrow(arr, bound):
     return out
 
 
+def _cell_dtype(n):
+    """The big-endian dtype of the values _cell_bytes writes for an n-point table."""
+    return ">u1" if n <= 1 << 8 else ">u2" if n <= 1 << 16 else ">u4"
+
+
 def _cell_bytes(cells, n):
     """An n-point table's (n, n, n) cells as bytes, or the list of those of each row of a 2-D stack of flat
     tables: each value big-endian in _narrow's dtype for n, whatever the dtype of cells, so that for one n
     the bytes order as the tables do lexicographically."""
-    cells = cells.astype(">u1" if n <= 1 << 8 else ">u2" if n <= 1 << 16 else ">u4")
+    cells = cells.astype(_cell_dtype(n))
     if cells.ndim == 3:
         return cells.tobytes()
     return np.ndarray(len(cells), (np.void, cells.itemsize * cells.shape[1]), cells).tolist()   # a row of 0 cells too

@@ -22,7 +22,7 @@ from itertools import islice, permutations, product as iproduct
 
 import numpy as np
 
-from .core import _SLAB, FiniteSemiheap, TernaryTable, Unsupported, _cell_bytes
+from .core import _SLAB, FiniteSemiheap, TernaryTable, Unsupported, _cell_bytes, _cell_dtype
 from .functors import heapify
 from .groups import corpus
 
@@ -97,17 +97,15 @@ def _census(root, up_to_iso, deadline):
     gathers those of the classes it completes; n = 0 is complete at budget 0.
     """
     orbits = None if up_to_iso else {}
-    tables, complete, stats = _search(root, deadline if root.size else None, True, orbits)
-    classes = [FiniteSemiheap(t, _certified=True) for t in tables]
+    classes, complete, stats = _search(root, deadline if root.size else None, True, orbits)
     items = classes if up_to_iso else [orbits[key] for key in sorted(orbits)]
     return EnumerationResult(items, complete, stats, classes)
 
 
-def _add_semiheaps(found, cells, n):
-    """Add a stack of flat para-associative n-point tables to a dict by _cell_bytes, as certified semiheaps."""
-    first = dict(zip(_cell_bytes(cells, n), range(len(cells))))     # a row of each distinct table
-    tables = TernaryTable.stack(cells[list(first.values())].reshape(len(first), n, n, n))
-    found.update(zip(first, (FiniteSemiheap(t, _certified=True) for t in tables)))
+def _semiheaps(keys, n):
+    """The certified semiheaps of a list of _cell_bytes keys of n-point tables, checked as one TernaryTable.stack."""
+    cells = np.frombuffer(b"".join(keys), _cell_dtype(n)).reshape(len(keys), n, n, n)
+    return [FiniteSemiheap(t, _certified=True) for t in TernaryTable.stack(cells)]
 
 
 def iso_classes(tables, deadline=None):
@@ -168,11 +166,12 @@ def _search(cube, deadline, symmetry_break=False, orbits=None):
     own copy of the padded cube.  The nodes wait on a stack, the lex-least
     on top, and each step takes up to max(1, _SLAB // n^5) of them off it,
     propagates and tests them as one stack and pushes their children;
-    stats count each node as a step of one node would.  Returns (tables,
-    complete, stats), the tables sorted, complete False once the _deadline
-    has passed: a stopped search returns the tables it found, which need
-    not be the lex-first ones.  orbits, if given, is a dict each step adds
-    every relabeling of its complete tables to, by key (_add_semiheaps).
+    stats count each node as a step of one node would.  Returns (semiheaps,
+    complete, stats), the semiheaps sorted, complete False once the _deadline
+    has passed: a stopped search returns those it found, which need not be
+    the lex-first ones.  Complete tables are kept as keys and made semiheaps
+    at the end; orbits, if given, is a dict each step adds every new relabeling
+    of its complete tables to, by key, as a semiheap, within the budget.
     Unassigned cells of cube read -1; the search pads it to (n+1)^3 cells,
     where an unassigned cell reads n and a pad cell (a coordinate n) n + 1.
     """
@@ -181,7 +180,7 @@ def _search(cube, deadline, symmetry_break=False, orbits=None):
     root = root.astype(np.min_scalar_type(n + 1))   # narrow: propagation gathers each cell many times
     index = np.flatnonzero(root <= n)           # the n^3 cells in flat order
     step = max(1, _SLAB // max(1, n ** 5))
-    stats, found, stack, complete = SearchStats(), {}, root[None], True
+    stats, found, stack, complete = SearchStats(), set(), root[None], True
     while len(stack) and (complete := not _expired(deadline)):
         nodes, stack = stack[:-step - 1:-1].copy(), stack[:-step]   # the top of the stack first
         consistent = _propagate(nodes, n, stats)
@@ -196,15 +195,16 @@ def _search(cube, deadline, symmetry_break=False, orbits=None):
             stats.symmetry_prunes += int(dominated.sum())
             nodes, cells, width = nodes[~dominated], cells[~dominated], width[~dominated]
         if len(done := cells[width == n ** 3]):
-            _add_semiheaps(found, done, n)
+            found.update(_cell_bytes(done, n))
             for rows in _relabelings(done, n, n ** 3) if orbits is not None else ():
-                _add_semiheaps(orbits, rows.reshape(len(done) * rows.shape[1], -1), n)
+                new = list(set(_cell_bytes(rows.reshape(len(done) * rows.shape[1], -1), n)).difference(orbits))
+                orbits.update(zip(new, _semiheaps(new, n)))
         parents = width < n ** 3
         children = nodes[parents].repeat(n, axis=0)     # each parent's n children take 0..n-1 at its branch cell
         children[np.arange(len(children)), index[width[parents]].repeat(n)] = np.arange(len(children)) % n
         stats.nodes += len(children)
         stack = np.concatenate([stack, children[::-1]])     # the lex-least child on top
-    return [found[key].table for key in sorted(found)], complete, stats
+    return _semiheaps(sorted(found), n), complete, stats
 
 
 @cache

@@ -92,37 +92,24 @@ def _take_ints(toks, count, what, high):
 
 
 def parse_shf1(text):
-    """Parse SHF1; returns FiniteSemiheap or PointedSemiheap (if pt= present)."""
-    toks = _Tokens(text)
-    s = _parse_shf1_body(toks)
-    toks.done()
-    return s
+    """Parse SHF1; returns FiniteSemiheap or PointedSemiheap (if pt= present).
 
-
-def parse_shf1_raw(text):
-    """Parse SHF1 without running the law verifier.
-
-    Returns (TernaryTable, basepoint or None); lets callers own the
-    verification step and report witnesses themselves.
+    The whole text is read (FormatError) before the table is verified
+    (LawError, with verify_para_associative's witness).
     """
     toks = _Tokens(text)
-    table, pt = _parse_shf1_table(toks)
+    table, pt = _take_shf1(toks)
     toks.done()
-    return table, pt
+    s = FiniteSemiheap(table)
+    return s if pt is None else PointedSemiheap(s, pt)
 
 
-def _parse_shf1_table(toks):
+def _take_shf1(toks):
+    """An SHF1 header and table, unverified: (TernaryTable, basepoint or None)."""
     toks.take_keyword("semiheap")
     n = toks.take_field("n", low=0)
     pt = toks.take_field("pt", low=0, high=n) if toks.peek_field("pt") else None
-    entries = _take_ints(toks, n ** 3, "table entry", n)
-    return TernaryTable(entries.reshape(n, n, n)), pt
-
-
-def _parse_shf1_body(toks):
-    table, pt = _parse_shf1_table(toks)
-    s = FiniteSemiheap(table)
-    return PointedSemiheap(s, pt) if pt is not None else s
+    return TernaryTable(_take_ints(toks, n ** 3, "table entry", n).reshape(n, n, n)), pt
 
 
 def write_shf1(s):
@@ -219,9 +206,7 @@ def parse_bnd1(text):
     toks.take_keyword("projection")
     proj = _take_ints(toks, total, "projection entry", base)
     toks.take_keyword("structure")
-    s = _parse_shf1_body(toks)
-    if isinstance(s, PointedSemiheap):
-        s = s.semiheap
+    s = FiniteSemiheap(_take_shf1(toks)[0])       # a basepoint in the header is dropped
     action = _parse_act1_body(toks, s, bundle_size=total)
     toks.take_keyword("cover")
     k = toks.take_field("k", low=0)

@@ -50,14 +50,10 @@ class FiniteGroup:
         n = len(mul)
         mul = _index_array(mul, (n, n), n, "Cayley table")
         ar = np.arange(n)
-        e = None
-        for c in range(n):
-            if np.array_equal(mul[c], ar) and np.array_equal(mul[:, c], ar):
-                e = c
-                break
-        if e is None:
+        ids = np.flatnonzero((mul == ar).all(axis=1) & (mul.T == ar).all(axis=1))   # rows c with c x = x = x c
+        if not ids.size:
             raise LawError("no two-sided identity in table")
-        return cls(mul, e, (mul == e).argmax(axis=1), name=name)
+        return cls(mul, int(ids[0]), (mul == ids[0]).argmax(axis=1), name=name)
 
 
 @dataclass(frozen=True)

@@ -145,6 +145,21 @@ def test_flow_action_rotation():
         assert verify_action(a) is None
 
 
+def test_flow_action_is_the_heap_action_of_its_cyclic_group_action():
+    # The rotation flows for k = 1..6, and their quotients onto fewer points: table for table the action
+    # that action_from_group_action builds from Z/k, and sigma(p, t1, t2) = flow[p, (t2 - t1) % k] on the
+    # heap [a, b, c] = a - b + c mod k, read entry by entry.
+    for k in range(1, 7):
+        for m in {d for d in range(1, k + 1) if k % d == 0}:
+            flow = np.array([[(p + t) % m for t in range(k)] for p in range(m)])
+            a, want = discretized_flow_action(k, m, flow), action_from_group_action(groups.cyclic(k), flow)
+            assert a.semiheap.key() == want.semiheap.key() == FiniteSemiheap.from_rule(
+                k, lambda x, y, z: (x - y + z) % k).key()
+            assert a.table.dtype == want.table.dtype and np.array_equal(a.table, want.table)
+            assert all(a.table[p, t1, t2] == flow[p, (t2 - t1) % k]
+                       for p in range(m) for t1 in range(k) for t2 in range(k))
+
+
 def test_identity_flow_gives_trivial_action():
     flow = np.tile(np.arange(3)[:, None], (1, 4))
     a = discretized_flow_action(4, 3, flow)

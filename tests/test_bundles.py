@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from semiheap import functors, groups
-from semiheap.actions import FiniteAction
+from semiheap.actions import FiniteAction, action_from_group_action
 from semiheap.bundles import (
     BundleFailure,
     BundleHom,
@@ -71,6 +71,26 @@ def test_twisted_principal_bundles_heapify():
     for pb in (twisted_z2_bundle(), twisted_z4_bundle(), trivial_principal_bundle(2, groups.cyclic(3))):
         b = heapify_principal(pb)
         assert verify_bundle(b) is None
+
+
+def twisted_principal_bundle(g, base):
+    """A principal G-bundle over base points, covered by a trivial chart and one twisted on fiber m by (3m + 1)."""
+    n, total = g.n, base * g.n
+    proj, x = np.divmod(np.arange(total), n)
+    twist = [(3 * m + 1) % n for m in range(base)]
+    plain = {p: (p // n, p % n) for p in range(total)}
+    twisted = {p: (p // n, int(g.mul[twist[p // n], p % n])) for p in range(total)}
+    return FinitePrincipalBundle(g, base, proj, proj[:, None] * n + g.mul[x], (frozenset(range(base)),) * 2,
+                                 (plain, twisted))
+
+
+def test_heapified_principal_action_is_the_heap_action_of_the_group_action():
+    for g in [groups.cyclic(n) for n in range(2, 9)] + [groups.symmetric3(), groups.dihedral4(),
+                                                        groups.quaternion8()]:
+        for pb in (trivial_principal_bundle(3, g), twisted_principal_bundle(g, 3)):
+            b, want = heapify_principal(pb), action_from_group_action(pb.group, pb.action)
+            assert b.structure.key() == want.semiheap.key() == functors.heapify(pb.group).semiheap.key()
+            assert b.action.table.dtype == want.table.dtype and np.array_equal(b.action.table, want.table)
 
 
 def test_single_point_base_reduces_to_structure():

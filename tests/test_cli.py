@@ -294,6 +294,13 @@ def test_numeric_rejects_a_tolerance_that_is_not_positive(capsys):
     assert capsys.readouterr() == ("check=exp-hom max_residual=5.004e-16 seed=1 pass=true\n", "")
 
 
+def test_numeric_rejects_a_negative_seed(capsys):
+    # The sampler's generator takes no negative seed; the parser refuses one as malformed input.
+    assert main(["numeric", "para-assoc", "--seed", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: semiheap numeric") and "--seed: must be non-negative, got -1" in err
+
+
 def test_numeric_pushforward_line(capsys):
     assert main(["numeric", "pushforward", "--chart", "so3", "--seed", "42"]) == 0
     line = "check=pushforward res_h=1.716e-06 res_half=4.290e-07 ratio=4.000 seed=42 pass=true\n"

@@ -108,7 +108,7 @@ def test_labeled_census_is_the_direct_search(n):
         direct, complete, _ = enumeration._search(root, None)
         labeled, iso = census(n), census(n, up_to_iso=True)
         assert complete and labeled.complete and iso.complete
-        assert [s.table.flat() for s in labeled] == [t.flat() for t in direct]
+        assert [s.table.flat() for s in labeled] == [s.table.flat() for s in direct]
         assert labeled.stats == iso.stats
         assert [s.table.flat() for s in labeled.classes] == [s.table.flat() for s in iso] == \
                [s.table.flat() for s in iso.classes]

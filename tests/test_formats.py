@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -14,7 +15,7 @@ from semiheap.bundles import (
     trivial_principal_bundle,
     verify_bundle,
 )
-from semiheap.core import PointedSemiheap
+from semiheap.core import LawError, PointedSemiheap, TernaryTable, verify_para_associative
 from semiheap.formats import (
     FormatError,
     parse_act1,
@@ -22,7 +23,6 @@ from semiheap.formats import (
     parse_grp1,
     parse_hom1,
     parse_shf1,
-    parse_shf1_raw,
     write_act1,
     write_bnd1,
     write_grp1,
@@ -40,9 +40,21 @@ def test_shf1_round_trip_plain_and_pointed():
     assert back.basepoint == 2 and back.semiheap.key() == s.key()
 
 
-def test_shf1_raw_skips_verification():
-    table, pt = parse_shf1_raw("semiheap n=2\n0 0 1 1 0 0 1 1\n")
-    assert pt is None and table.n == 2
+def test_shf1_refuses_every_non_para_associative_two_point_table_with_the_verifier_witness():
+    failing = 0
+    for cells in itertools.product(range(2), repeat=8):
+        table = TernaryTable.from_flat(2, cells)
+        witness = verify_para_associative(table)
+        for head in ("semiheap n=2", "semiheap n=2 pt=1"):
+            text = f"{head}\n{' '.join(map(str, cells))}\n"
+            if witness is None:
+                assert parse_shf1(text).table.key() == table.key()
+                continue
+            with pytest.raises(LawError) as info:
+                parse_shf1(text)
+            assert info.value.witness == witness
+        failing += witness is not None
+    assert failing == 256 - 8          # the 2-point census counts 8 semiheaps
 
 
 def test_shf1_diagnostics():
@@ -56,6 +68,8 @@ def test_shf1_diagnostics():
         parse_shf1("heap n=2\n0 1 1 0 1 0 0 1\n")
     with pytest.raises(FormatError):
         parse_shf1("semiheap n=2 pt=5\n0 1 1 0 1 0 0 1\n")
+    with pytest.raises(FormatError, match="trailing garbage '9'"):      # read whole before its table is verified
+        parse_shf1("semiheap n=2\n0 0 1 1 0 0 1 1 9\n")
 
 
 def test_shf1_comments_and_empty():
@@ -215,7 +229,7 @@ def test_a_bad_last_entry_of_a_one_line_body_is_found_in_linear_time():
         line = " ".join(body[:-1] + [bad])
         col = len(line) - len(bad) + 1
         start = time.perf_counter()
-        _raises_at(parse_shf1_raw, f"semiheap n={n}\n{line}\n", f"{message} at line 2, column {col}", 2, col)
+        _raises_at(parse_shf1, f"semiheap n={n}\n{line}\n", f"{message} at line 2, column {col}", 2, col)
         assert time.perf_counter() - start < 1.0
 
 

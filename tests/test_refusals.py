@@ -52,7 +52,7 @@ CASES = {
         lambda: reachability_check(PointedSemiheap(RIGHT, 0)),
         ("returns", LawCounterexample("reachability", (1, 0), 0, 0, 1))),
     "discretized_flow_action on a flow that fixes step 0 but is not additive": (
-        lambda: discretized_flow_action(4, 2, SWAP), (LawError, "flow is not additive on the step set")),
+        lambda: discretized_flow_action(4, 2, SWAP), (LawError, "not a right group action: compatibility axiom fails")),
     "equivariance_witness across two semiheaps": (
         lambda: equivariance_witness(np.arange(2), translation_action(H2), translation_action(LEFT)),
         (InvalidTable, "equivariance needs actions of the same semiheap")),

@@ -543,7 +543,7 @@ def _n3_searches():
     direct, complete, stats = enumeration._search(np.full((3, 3, 3), -1, dtype=np.int64), None)
     iso, labeled = enumerate_semiheaps(3, up_to_iso=True), enumerate_semiheaps(3)
     assert complete and iso.complete and labeled.complete
-    tables = [[t.flat() for t in direct]] + [[s.table.flat() for s in r] for r in (iso, labeled, labeled.classes)]
+    tables = [[s.table.flat() for s in direct]] + [[s.table.flat() for s in r] for r in (iso, labeled, labeled.classes)]
     return tables, (stats, iso.stats, labeled.stats)
 
 
