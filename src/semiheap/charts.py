@@ -24,6 +24,7 @@ COND_LIMIT = 1e10
 SLAB = 256          # samples per stack, so memory stays bounded for any sample count
 FD_STEP = 1e-5      # the default step of the numeric checks' central differences
 PARA_TOL = 1e-9     # the default tolerance of the sampled para-associativity check
+_UT2_LOW, _UT2_RANGE = np.array([0.5, -1.0, 0.5]), np.array([1.5, 2.0, 1.5])     # ut2's draw: low, high - low
 
 
 def solve(a, b):
@@ -210,8 +211,8 @@ def upper_triangular2():
     return MatrixHeapChart(
         name="ut2", dim_matrix=2, basis=basis,
         membership_residual=lambda g: rel_norm(np.tril(g, -1), g),
-        # identity component: positive diagonal bounded away from zero
-        draw=lambda rng, count: rng.uniform((0.5, -1.0, 0.5), (2.0, 1.0, 2.0), size=(count, 3)),
+        # identity component: positive diagonal bounded away from zero, drawn as numpy's uniform(low, high) does
+        draw=lambda rng, count: _UT2_LOW + _UT2_RANGE * rng.random((count, 3)),
         build=lambda raw: _matrices([[raw[..., 0], raw[..., 1]], [0.0, raw[..., 2]]]),
         exp_tangent=_exp_upper_2,
         coords=_flat_coords,
@@ -270,8 +271,7 @@ def nonzero_reals():
 
 def bundled_charts():
     """Every chart shipped with the package, keyed by name."""
-    charts = [so2(), so3(), upper_triangular2(), translations(1),
-              translations(2), translations(3), nonzero_reals()]
+    charts = (so2(), so3(), upper_triangular2(), translations(1), translations(2), translations(3), nonzero_reals())
     return {c.name: c for c in charts}
 
 

@@ -158,25 +158,23 @@ def write_hom1(mapping, m):
 
 
 def parse_act1(text, semiheap):
-    """Parse ACT1 against a given structure semiheap."""
-    toks = _Tokens(text)
-    action = _parse_act1_body(toks, semiheap)
-    toks.done()
-    return action
-
-
-def _parse_act1_body(toks, semiheap, bundle_size=None):
-    """An ACT1 block; in a bundle, bundle_size fixes m and verify_bundle checks the action."""
+    """Parse ACT1 against a given structure semiheap; the whole text is read before the action is verified."""
     from .actions import FiniteAction
+    toks = _Tokens(text)
+    table = _take_act1(toks, semiheap.n)
+    toks.done()
+    return FiniteAction(semiheap, table)
+
+
+def _take_act1(toks, n, bundle_size=None):
+    """An ACT1 block's (m, n, n) table, unverified, for a structure semiheap on n points; bundle_size fixes m."""
     toks.take_keyword("action")
-    m = toks.take_field("m", low=0)
-    n = toks.take_field("n", low=0)
-    if bundle_size is not None and (m, n) != (bundle_size, semiheap.n):
-        raise FormatError(f"action header ({m},{n}) does not match bundle ({bundle_size},{semiheap.n})")
-    if n != semiheap.n:
-        raise FormatError(f"action declares n={n} but the semiheap has {semiheap.n} elements")
-    table = _take_ints(toks, m * n * n, "action entry", m).reshape(m, n, n)
-    return FiniteAction(semiheap, table, verify=bundle_size is None)
+    m, declared = toks.take_field("m", low=0), toks.take_field("n", low=0)
+    if bundle_size is not None and (m, declared) != (bundle_size, n):
+        raise FormatError(f"action header ({m},{declared}) does not match bundle ({bundle_size},{n})")
+    if declared != n:
+        raise FormatError(f"action declares n={declared} but the semiheap has {n} elements")
+    return _take_ints(toks, m * n * n, "action entry", m).reshape(m, n, n)
 
 
 def write_act1(action):
@@ -198,34 +196,31 @@ def parse_bnd1(text):
             c base indices
             pairs       one "<p> <s>" pair per total point over the chart
     """
+    from .actions import FiniteAction
     from .bundles import DiscreteSemiheapBundle
     toks = _Tokens(text)
     toks.take_keyword("bundle")
-    total = toks.take_field("p", low=0)
-    base = toks.take_field("m", low=0)
+    total, base = toks.take_field("p", low=0), toks.take_field("m", low=0)
     toks.take_keyword("projection")
     proj = _take_ints(toks, total, "projection entry", base)
     toks.take_keyword("structure")
-    s = FiniteSemiheap(_take_shf1(toks)[0])       # a basepoint in the header is dropped
-    action = _parse_act1_body(toks, s, bundle_size=total)
+    table = _take_shf1(toks)[0]       # a basepoint in the header is dropped
+    act = _take_act1(toks, table.n, bundle_size=total)
     toks.take_keyword("cover")
-    k = toks.take_field("k", low=0)
     cover, charts = [], []
-    for _ in range(k):
+    for _ in range(toks.take_field("k", low=0)):
         toks.take_keyword("chart")
-        size = toks.take_field("size", low=0)
-        u = frozenset(int(v) for v in _take_ints(toks, size, "base index", base))
+        u = frozenset(int(v) for v in _take_ints(toks, toks.take_field("size", low=0), "base index", base))
         toks.take_keyword("pairs")
-        count = sum(1 for p in range(total) if int(proj[p]) in u)
         chart = {}
-        for _ in range(count):
+        for _ in range(sum(1 for p in range(total) if int(proj[p]) in u)):
             p = toks.take_int("total point", 0, total)
-            sl = toks.take_int("fiber label", 0, s.n)
-            chart[p] = (int(proj[p]), sl)
+            chart[p] = (int(proj[p]), toks.take_int("fiber label", 0, table.n))
         cover.append(u)
         charts.append(chart)
     toks.done()
-    return DiscreteSemiheapBundle(base, proj, s, action, tuple(cover), tuple(charts))
+    s = FiniteSemiheap(table)       # verify_bundle checks the action
+    return DiscreteSemiheapBundle(base, proj, s, FiniteAction(s, act, verify=False), tuple(cover), tuple(charts))
 
 
 def write_bnd1(b):

@@ -205,21 +205,25 @@ def compare_group_vs_heap_invariance(chart, v, samples, seed, tol=1e-6):
 
 
 def _rk4(fieldrule, y0, t):
-    """Classical fixed-step RK4 from y0, any stack of points, over signed durations t that broadcast against y0.
-
-    Each element takes ceil(|t| / RK4_STEP) steps of t / that count (none at t = 0), then holds its value, so it
-    gets its own call's bits from one loop over the largest count.  The rule also sees held end points; where
-    durations share one step (0.1 / 100 == 0.5 / 500 to the bit), each is a state a longer flow reaches.
-    """
+    """Classical fixed-step RK4 from y0, any stack of points, over signed durations t that broadcast against y0
+    and vary along one axis at most.  Each element takes ceil(|t| / RK4_STEP) steps of t / that count (none at
+    t = 0), with its own call's bits, in phases, one per distinct count: after its last step an element leaves
+    the stack, and the rule is not called on it again."""
     y = np.array(np.broadcast_to(y0, np.broadcast_shapes(np.shape(y0), np.shape(t))), dtype=float)
-    steps = np.ceil(np.abs(t) / RK4_STEP)      # at least 1 where t != 0: |t| / RK4_STEP is then above 0
-    h = t / np.maximum(steps, 1)
-    for step in range(int(steps.max(initial=0))):
-        k1 = fieldrule(y)
-        k2 = fieldrule(y + 0.5 * h * k1)
-        k3 = fieldrule(y + 0.5 * h * k2)
-        k4 = fieldrule(y + h * k3)
-        y = np.where(step < steps, y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), y)
+    t = np.reshape(t, (1,) * (y.ndim - np.ndim(t)) + np.shape(t))      # t's axes line up with y's
+    counts = np.ceil(np.abs(t) / RK4_STEP)      # at least 1 where t != 0: |t| / RK4_STEP is then above 0
+    h, done = t / np.maximum(counts, 1), 0
+    for count in sorted(set(counts.ravel().tolist()) - {0.0}):
+        live = np.flatnonzero(counts.ravel() >= count)        # along t's axis; all of y while all of t flows
+        at = () if live.size == counts.size else (slice(None),) * int(np.argmax(t.shape)) + (live,)
+        ya, ha, half, sixth = y[at], h[at], 0.5 * h[at], h[at] / 6.0
+        for _ in range(int(count) - done):
+            k1 = fieldrule(ya)
+            k2 = fieldrule(ya + half * k1)
+            k3 = fieldrule(ya + half * k2)
+            k4 = fieldrule(ya + ha * k3)
+            ya = ya + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y[at], done = ya, int(count)
     return y
 
 
@@ -248,9 +252,10 @@ def bracket_closure(chart, u, v, samples, seed, tol=BRACKET_TOL):
 def multiplicative_function_check(chart, f, triples, tol=1e-12, seed=None, pointed=True):
     """Check f([x,y,z]) = f(x) - f(y) + f(z) on the given triples.
 
-    Products and coordinates are computed on stacks of triples; f gets the
-    coordinates of one point at a time.  Returns the first failing triple
-    as the witness.  Pointed charts also require f(basepoint) = 0.
+    f is called once per slab, on the (4, m, ncoords) stack of the coordinates of [x,y,z], x, y and z, and
+    must return one value per point from that point's coordinates alone, as a PolynomialField does: its
+    first value in each row is checked against a single-point call, and an f that breaks this raises
+    ValueError.  Returns the first failing triple as the witness.  Pointed charts also require f(basepoint) = 0.
     """
     fold = _Fold(tol)
     if pointed:
@@ -260,9 +265,15 @@ def multiplicative_function_check(chart, f, triples, tol=1e-12, seed=None, point
             return fold.report("mult-function", seed)
     for start, slab in slabs(triples):
         x, y, z = (np.array([triple[i] for triple in slab]) for i in range(3))
-        cm, cx, cy, cz = (chart.coords(g) for g in (mu(chart, x, y, z), x, y, z))
-        lhs = np.array([float(f(c)) for c in cm])
-        rhs = np.array([float(f(a)) - float(f(b)) + float(f(c)) for a, b, c in zip(cx, cy, cz)])
+        coords = np.stack([chart.coords(g) for g in (mu(chart, x, y, z), x, y, z)])
+        try:
+            v = np.broadcast_to(np.asarray(f(coords), dtype=float), coords.shape[:-1])
+            ok = np.allclose(v[:, 0], [float(f(c)) for c in coords[:, 0]], rtol=1e-12, atol=1e-12, equal_nan=True)
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise ValueError("f must map a stack of coordinates to one value per point, from that point alone")
+        lhs, rhs = v[0], v[1] - v[2] + v[3]
         fold.add(start, _rel(lhs, rhs), witness=lambda i: (*slab[i], float(lhs[i]), float(rhs[i])))
     return fold.report("mult-function", seed)
 
@@ -284,8 +295,8 @@ def multiplicative_vector_field_check(fieldrule, triples, t_grid=(-0.5, -0.1, 0.
     one _rk4 call, so fieldrule gets a (k, m) stack of points, one per
     column, and must return the field at each column from that column
     alone: y, y * y, np.full_like(y, c), np.sqrt(y - 1), A @ y and y[0] all
-    do.  Its first values are checked against single points, and a rule
-    that breaks the contract raises ValueError.
+    do.  Its values are checked against single points, column by column,
+    and a rule that breaks the contract raises ValueError.
     """
     t_grid, fold = tuple(t_grid), _Fold(tol)
     for start, slab in slabs(triples):
@@ -309,10 +320,8 @@ def multiplicative_vector_field_check(fieldrule, triples, t_grid=(-0.5, -0.1, 0.
 
 
 def d_mu(chart, g, vs):
-    """Analytic differential of the ternary product at (g1,g2,g3).
-
-    d mu(V1,V2,V3) = V1 g2^-1 g3 - g1 g2^-1 V2 g2^-1 g3 + g1 g2^-1 V3.
-    """
+    """Analytic differential of the ternary product at (g1,g2,g3):
+    d mu(V1,V2,V3) = V1 g2^-1 g3 - g1 g2^-1 V2 g2^-1 g3 + g1 g2^-1 V3."""
     return _mu_d_mu(g, vs)[1]
 
 
@@ -362,8 +371,7 @@ def coassociativity_check(chart, samples, seed, tol=1e-10, fields=None):
     coordinates (ValueError otherwise); by default two random polynomials
     of degree at most 3 are drawn from the seed.
     """
-    rng = np.random.default_rng(seed)
-    ncoords = chart.coords(chart.basepoint).shape[0]
+    rng, ncoords = np.random.default_rng(seed), chart.coords(chart.basepoint).shape[0]
     if fields is None:
         f1, f2 = (PolynomialField.random(ncoords, 3, rng) for _ in range(2))
     else:
@@ -393,15 +401,12 @@ def euclidean_semiheap_check(n, samples, seed, tol=1e-12):
     product, and the fiberwise bundle action compatibility
     v d(x1,x2) d(x3,x4) = v d(x1, x2 d(x3,x4)).
     """
-    rng = np.random.default_rng(seed)
+    rng, fold = np.random.default_rng(seed), _Fold(tol)
     g = lambda a, b: np.vecdot(a, b)[..., None]       # kept as an axis, so products broadcast
-    fold = _Fold(tol)
     for start, slab in slabs(range(samples)):
         # each sample draws w, x, y, z, q and then v, kept as (1, n) rows so rel_norm takes vector norms
         w, x, y, z, q, v = rng.normal(size=(len(slab), 6, 1, n)).swapaxes(0, 1)
-        s1 = g(w, x) * g(y, z)
-        s2 = g(w, x * g(y, z))
-        s3 = g(y, g(x, w) * z)
+        s1, s2, s3 = g(w, x) * g(y, z), g(w, x * g(y, z)), g(y, g(x, w) * z)
         scale = np.fmax(1.0, abs(s1))
         fold.add(start, abs(s1 - s2) / scale, abs(s1 - s3) / scale)
         _, (outer, middle, inner) = _para_forms(lambda a, b, c: a * g(b, c), [w, x, y, z, q])
@@ -418,8 +423,7 @@ def exp_hom_check(samples, seed, tol=1e-12):
     The additive heap maps to the multiplicative heap with 0 -> 1, as a
     pointed-heap homomorphism; a basepoint not sent to 1 fails the report.
     """
-    rng = np.random.default_rng(seed)
-    fold = _Fold(tol)
+    rng, fold = np.random.default_rng(seed), _Fold(tol)
     fold.require(0, math.exp(0.0) == 1.0, witness=lambda _: "basepoint")
     for start, slab in slabs(range(samples)):
         lhs, rhs = _elementwise(lambda x, y, z: (math.exp(x - y + z), math.exp(x) * (1.0 / math.exp(y)) * math.exp(z)),

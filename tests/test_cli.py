@@ -169,6 +169,21 @@ def test_bundle_check(tmp_path, capsys):
         assert capsys.readouterr() == (line, "")
 
 
+def test_bundle_check_reads_the_whole_text_before_verifying_its_structure(tmp_path, capsys):
+    """A structure that is not para-associative fails the law (exit 1), but the same text with trailing
+    garbage is malformed input (exit 2): the whole text is read before the structure is verified."""
+    text = formats.write_bnd1(trivial_bundle(2, functors.heapify(groups.cyclic(2)).semiheap))
+    bad = text.replace("semiheap n=2\n0 1 1 0\n1 0 0 1\n", "semiheap n=2\n0 1 1 1 1 1 1 0\n")
+    assert bad != text
+    for body, code, err in ((bad, 1, "fail law witness=ParaAssocCounterexample(quintuple=(0, 0, 1, 1, 1), "
+                                     "outer=0, middle=1, inner=0)\n"),
+                            (bad + "7\n", 2, "error input trailing garbage '7' at line 20, column 1\n")):
+        path = tmp_path / "bad.bnd"
+        path.write_text(body)
+        assert main(["bundle-check", "--in", str(path)]) == code
+        assert capsys.readouterr() == ("", err)
+
+
 def test_enumerate_summary_lines():
     code, out, _ = run_cli(["enumerate", "--n", "2", "--no-tables"])
     assert code == 0

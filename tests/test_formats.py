@@ -133,6 +133,23 @@ def test_bnd1_action_header_and_deferred_verification():
     assert verify_bundle(bad).axiom == "action-compatibility"
 
 
+def test_act1_and_bnd1_read_the_whole_text_before_verifying():
+    """Trailing garbage is a FormatError even where the embedded structure or the action breaks a law."""
+    b = trivial_bundle(2, functors.heapify(groups.cyclic(2)).semiheap)
+    bad = write_bnd1(b).replace("semiheap n=2\n0 1 1 0\n1 0 0 1\n", "semiheap n=2\n0 1 1 1 1 1 1 0\n")
+    with pytest.raises(LawError):
+        parse_bnd1(bad)
+    with pytest.raises(FormatError, match="trailing garbage '7'"):
+        parse_bnd1(bad + "7\n")
+    s = functors.heapify(groups.cyclic(3)).semiheap
+    head, body = write_act1(translation_action(s)).split("\n", 1)
+    bad = f"{head}\n{(int(body[0]) + 1) % 3}{body[1:]}"
+    with pytest.raises(LawError):
+        parse_act1(bad, s)
+    with pytest.raises(FormatError, match="trailing garbage '7'"):
+        parse_act1(bad + "7\n", s)
+
+
 def test_bnd1_trailing_garbage():
     b = trivial_bundle(1, functors.heapify(groups.cyclic(2)).semiheap)
     with pytest.raises(FormatError, match="trailing garbage"):

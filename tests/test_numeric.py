@@ -27,7 +27,7 @@ from semiheap.numeric import (
     sample_triples,
     tangent_semiheap_check,
 )
-from semiheap.numeric import _rk4
+from semiheap.numeric import RK4_STEP, _rk4
 
 import oracles
 from oracles import coassociativity_residuals_loops, tangent_residuals_loops
@@ -439,7 +439,8 @@ def test_nan_residual_stays_the_worst_and_names_its_sample():
     triples = sample_triples(chart, 40, 1)
 
     def f(c):
-        return float(c[0]) + 1e-9 * float(c[0]) ** 2 if c[0] < 2.5 else math.nan
+        c = c[..., 0]
+        return np.where(c < 2.5, c + 1e-9 * c ** 2, math.nan)
 
     def has_nan(x, y, z):
         return any(math.isnan(f(chart.coords(g))) for g in (x, y, z, mu(chart, x, y, z)))
@@ -449,6 +450,34 @@ def test_nan_residual_stays_the_worst_and_names_its_sample():
     r = multiplicative_function_check(chart, f, triples, tol=1e-3, pointed=False)
     assert not r.passed and math.isnan(r.max_residual)
     assert r.witness[0] is triples[first][0]
+
+
+@pytest.mark.parametrize("f", [lambda c: float(c[0]), lambda c: c[0] if c[0] < 2.5 else math.nan,
+                               lambda c: float(np.sum(c)), lambda c: np.sum(c)])
+def test_function_reading_one_point_at_a_time_is_refused(f):
+    chart = CHARTS["r1"]
+    with pytest.raises(ValueError, match="one value per point, from that point alone"):
+        multiplicative_function_check(chart, f, sample_triples(chart, 5, 6), pointed=False)
+
+
+@pytest.mark.parametrize("name", sorted(CHARTS))
+def test_mult_function_matches_the_loops_to_the_bit(name):
+    """Residual, verdict and witness values of one f call per slab equal the per-point loops' bits."""
+    def bits(x):
+        return np.float64(x).view(np.uint64)
+
+    def witness_bits(w):
+        return w and [v.tobytes() if isinstance(v, np.ndarray) else bits(v) if isinstance(v, float) else v for v in w]
+
+    chart = CHARTS[name]
+    for seed in range(1, 9):
+        for f in (_coordinate_sum(chart), SQUARE):
+            for kw in ({}, {"tol": 0.0, "pointed": False}):
+                r = multiplicative_function_check(chart, f, sample_triples(chart, 30, seed), **kw)
+                worst, passed, witness, _ = oracles.mult_function_loops(
+                    chart, f, oracles.sample_triples_loops(chart, 30, seed), **kw)
+                assert bits(r.max_residual) == bits(worst) and r.passed == passed
+                assert witness_bits(r.witness) == witness_bits(witness)
 
 
 def test_witness_is_the_first_failing_sample_not_the_worst():
@@ -728,6 +757,27 @@ def test_rk4_of_mixed_durations_matches_one_call_per_duration():
     together = _rk4(lambda y: y * y, np.tile(points, len(durations)), np.repeat(durations, 3)).reshape(2, -1, 3)
     for q, d in enumerate(durations):
         assert _same(together[:, q].view(np.uint64), _rk4(lambda y: y * y, points, d).view(np.uint64))
+    # one point per duration on the last axis, the step counts in no order and each column leaving at its own count
+    shuffled = durations[[3, 0, 6, 2, 1, 5, 4]]
+    points = np.random.default_rng(8).uniform(-0.8, 0.8, size=(2, len(shuffled)))
+    together = _rk4(lambda y: y * y, points, shuffled)
+    for q, d in enumerate(shuffled):
+        assert _same(together[:, q].view(np.uint64), _rk4(lambda y: y * y, points[:, q], d).view(np.uint64))
+    # a size-1 t flows the whole stack
+    assert _same(_rk4(lambda y: y * y, points, shuffled[:1]).view(np.uint64),
+                 np.transpose([_rk4(lambda y: y * y, p, shuffled[0]) for p in points.T]).view(np.uint64))
+
+
+def test_finished_flows_leave_the_rk4_stack():
+    """On the default grid the rule sees each column 4 times per step of its own duration, ceil(|t| / RK4_STEP)
+    steps: 4 x 1,200 step-columns per column of one t, where flowing every column to the longest t took 4 x 2,000."""
+    triples, columns = _line_triples(5), []
+    r = multiplicative_vector_field_check(lambda y: columns.append(y.shape[-1] if y.ndim == 2 else 1) or y, triples)
+    group = 4 * len(triples)                # [x,y,z], x, y and z of every triple, for one t
+    steps = sum(math.ceil(abs(t) / RK4_STEP) for t in (-0.5, -0.1, 0.1, 0.5))
+    assert steps == 1_200 and r.passed
+    # the contract check sees the group once as a stack and once column by column
+    assert sum(columns) == 2 * group + 4 * steps * group
 
 
 def test_empty_and_all_zero_t_grids():
