@@ -12,7 +12,7 @@ from dataclasses import dataclass, InitVar
 import numpy as np
 
 from .core import (FiniteSemiheap, InvalidTable, LawError, _first_class_path_disagreement, _first_disagreement,
-                   _index_array, _narrow)
+                   _index_array, _translation_rows)
 from .functors import heapify
 from .groups import cyclic
 
@@ -36,12 +36,8 @@ def action_compat_witness(table, semiheap):
     """
     n = semiheap.n
     a = _index_array(table, (None, n, n), None, "action table")
-    m = a.shape[0]
-    t = semiheap.table.entries
-    cube = _narrow(a, m)                        # the compared values, gathered by take
-    pairs, values = a.reshape(m * n, n), cube.reshape(m * n, n)   # [p * n + x1, x2] = a[p,x1,x2]
-    hit = _first_class_path_disagreement(values, n ** 3, (lambda r: cube.take(pairs[r], axis=0),  # a[a[p,x1,x2],x3,x4]
-                                                          lambda r: values[r].take(t, axis=1)))   # a[p,x1,[x2,x3,x4]]
+    values, *forms = _translation_rows(a, semiheap.table.entries, a.shape[0])
+    hit = _first_class_path_disagreement(values, n ** 3, forms)
     if hit is None:
         return None
     (pair, *rest), (lhs, rhs) = hit

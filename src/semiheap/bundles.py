@@ -177,10 +177,14 @@ def trivial_bundle(base_size, s):
     semiheap products.
     """
     proj, act, cover, charts = _product_layout(base_size, s.table.entries)
-    b = DiscreteSemiheapBundle(base_size, proj, s, FiniteAction(s, act, verify=False), cover, charts)
-    failure = verify_bundle(b)
-    if failure is not None:
-        raise AssertionError(f"trivial bundle must verify, got {failure}")
+    return _verified("trivial bundle", base_size, proj, FiniteAction(s, act, verify=False), cover, charts)
+
+
+def _verified(what, base_size, projection, action, cover, charts):
+    """A bundle on the action's semiheap that verifies by construction: a failure raises AssertionError."""
+    b = DiscreteSemiheapBundle(base_size, projection, action.semiheap, action, cover, charts)
+    if (failure := verify_bundle(b)) is not None:
+        raise AssertionError(f"{what} must verify, got {failure}")
     return b
 
 
@@ -205,9 +209,7 @@ def fiber_semiheap(b, m, i):
             continue
         other = np.array([b.charts[j][p][1] for p in fiber], dtype=np.int64)
         induced_j = induce_via_bijection(other, b.structure)
-        inv_j = {int(s): a for a, s in enumerate(other)}
-        transition = np.array([inv_j[int(s)] for s in labels], dtype=np.int64)
-        if not is_homomorphism(transition, induced, induced_j):
+        if not is_homomorphism(np.argsort(other)[labels], induced, induced_j):
             raise AssertionError("cross-chart fiber structures must be isomorphic")
     return induced, fiber
 
@@ -255,11 +257,7 @@ def heapify_principal(pb):
     implied by the principal axioms, so it is asserted, not returned.
     """
     action = _heap_action(pb.group, pb.action, verify=False)
-    b = DiscreteSemiheapBundle(pb.base_size, pb.projection, action.semiheap, action, pb.cover, pb.charts)
-    failure = verify_bundle(b)
-    if failure is not None:
-        raise AssertionError(f"heapified principal bundle must verify, got {failure}")
-    return b
+    return _verified("heapified principal bundle", pb.base_size, pb.projection, action, pb.cover, pb.charts)
 
 
 def trivial_principal_bundle(base_size, g):

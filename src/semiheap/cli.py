@@ -18,6 +18,7 @@ from .core import (
     LawError,
     PointedSemiheap,
     Unsupported,
+    _unpointed,
     is_abelian,
     is_heap,
 )
@@ -140,11 +141,6 @@ def _load_semiheap(path):
         return _unpointed(formats.parse_shf1(fh.read()))
 
 
-def _unpointed(s):
-    """The semiheap of a parse_shf1 result, without the basepoint it may carry."""
-    return s.semiheap if isinstance(s, PointedSemiheap) else s
-
-
 def _dispatch(args, out):
     cmd = args.command
     if cmd == "check":
@@ -265,9 +261,9 @@ def _cmd_enumerate(args, out):
 def _cmd_numeric(args, out):
     from . import charts, numeric
     chart, samples, seed = charts.bundled_charts()[args.chart], args.samples, args.seed
+    step = {} if args.h is None else {"h": args.h}      # each check's own default step unless --h is given
     if args.subcheck == "pushforward":
-        h = args.h if args.h is not None else 1e-3
-        res_h, res_half, ratio = numeric.pushforward_convergence(chart, samples, seed, h=h)
+        res_h, res_half, ratio = numeric.pushforward_convergence(chart, samples, seed, **step)
         ok = 3.5 <= ratio <= 4.5
         _record(out, check="pushforward", res_h=f"{res_h:.3e}", res_half=f"{res_half:.3e}", ratio=f"{ratio:.3f}",
                 seed=seed, **{"pass": ok})
@@ -276,15 +272,15 @@ def _cmd_numeric(args, out):
     u, v = chart.basis[0], chart.basis[min(1, chart.dim - 1)]     # u = v on a one-dimensional chart
     checks = {
         "para-assoc": lambda: numeric.check_para_associative_numeric(chart, samples, seed, **kw),
-        "left-invariant": lambda: numeric.left_invariant_field_check(chart, u, samples, seed, h=args.h, **kw),
+        "left-invariant": lambda: numeric.left_invariant_field_check(chart, u, samples, seed, **step, **kw),
         "group-vs-heap": lambda: numeric.compare_group_vs_heap_invariance(chart, u, samples, seed, **kw),
         "bracket": lambda: numeric.bracket_closure(chart, u, v, samples, seed, **kw),
         "mult-function": lambda: numeric.multiplicative_function_check(
-            chart, _coordinate_function(chart, args.square), numeric.sample_triples(chart, samples, seed),
+            chart, _coordinate_function(chart, args.square), numeric._triples(chart, samples, seed),
             seed=seed, **kw),
         "mult-field": lambda: numeric.multiplicative_vector_field_check(
             lambda y: y, _line_triples(samples, seed), seed=seed, **kw),
-        "tangent": lambda: numeric.tangent_semiheap_check(chart, samples, seed, h=args.h, **kw),
+        "tangent": lambda: numeric.tangent_semiheap_check(chart, samples, seed, **step, **kw),
         "coassoc": lambda: numeric.coassociativity_check(chart, samples, seed, **kw),
         "euclidean": lambda: numeric.euclidean_semiheap_check(3, samples, seed, **kw),
         "exp-hom": lambda: numeric.exp_hom_check(samples, seed, **kw),
@@ -303,9 +299,9 @@ def _coordinate_function(chart, square):
 
 
 def _line_triples(samples, seed):
-    """Seeded triples of points of the real line for the mult-field check."""
+    """Seeded triples of points of the real line for the mult-field check, drawn as they are read."""
     rng = np.random.default_rng(seed)
-    return [tuple(rng.uniform(-0.8, 0.8, size=1) for _ in range(3)) for _ in range(samples)]
+    return (tuple(rng.uniform(-0.8, 0.8, size=1) for _ in range(3)) for _ in range(samples))
 
 
 if __name__ == "__main__":

@@ -163,7 +163,7 @@ _SLAB = 1 << 14
 
 
 def _slab_rows(row_size, slab=_SLAB):
-    """Rows per slab of _first_disagreement: slab elements, at least one row."""
+    """Rows of row_size elements per slab, the one rule of every slab loop: slab elements, at least one row."""
     return slab // row_size if 0 < row_size <= slab else 1
 
 
@@ -246,6 +246,14 @@ def _first_class_path_disagreement(keys, row_size, forms, loose=None):
     return None
 
 
+def _translation_rows(a, t, bound):
+    """The narrow rows [r * n + x1, x2] = a[r,x1,x2] of an (m, n, n) index array a with values below bound, and the
+    class path's forms of a slice of them, a[a[r,x1,x2],x3,x4] and a[r,x1,t[x2,x3,x4]] for an n-point table t."""
+    cube = _narrow(a, bound)                    # the compared values, gathered by take
+    pairs, values = (x.reshape(a.shape[0] * a.shape[1], a.shape[2]) for x in (a, cube))   # not (-1, n): n may be 0
+    return values, lambda r: cube.take(pairs[r], axis=0), lambda r: values[r].take(t, axis=1)
+
+
 def verify_para_associative(table):
     """Check the three-way identity over all n^5 quintuples, pair (x1, x2) by pair on the class path of
     _first_class_path_disagreement: outer = [L(x3),x4,x5] and inner = L([x3,x4,x5]) read the pair only
@@ -253,10 +261,8 @@ def verify_para_associative(table):
     n^4 work, not n^5.  Returns None or the lexicographically first ParaAssocCounterexample."""
     t = table.entries
     n = table.n
-    cube = _narrow(t, n)                        # the compared values, gathered by take
-    pairs, values = t.reshape(n * n, n), cube.reshape(n * n, n)   # [x1 * n + x2, x3] = [x1,x2,x3]
-    hit = _first_class_path_disagreement(values, n ** 3, (lambda r: cube.take(pairs[r], axis=0),   # [[x1,x2,x3],x4,x5]
-                                                          lambda r: values[r].take(t, axis=1)),   # [x1,x2,[x3,x4,x5]]
+    values, outer, inner = _translation_rows(t, t, n)
+    hit = _first_class_path_disagreement(values, n ** 3, (outer, inner),
                                          loose=np.ascontiguousarray(t.transpose(2, 1, 0)))   # [x1,[x4,x3,x2],x5]
     if hit is None:
         return None
@@ -320,6 +326,11 @@ class PointedSemiheap:
     @property
     def table(self):
         return self.semiheap.table
+
+
+def _unpointed(s):
+    """The semiheap of a semiheap or a pointed semiheap (parse_shf1 returns either), without its basepoint."""
+    return s.semiheap if isinstance(s, PointedSemiheap) else s
 
 
 def is_biunitary(s, x):
@@ -488,16 +499,11 @@ def induce_via_bijection(phi, s):
 def induced_pair_iso(phi, psi, s):
     """The canonical isomorphism psi^-1 . phi between the two structures
     induced by bijections phi and psi, returned as a verified hom."""
-    n = s.n
-    arr_phi = _check_bijection(phi, n)
-    arr_psi = _check_bijection(psi, n)
-    inv_psi = np.argsort(arr_psi)
-    mapping = inv_psi[arr_phi]
-    return SemiheapHom(induce_via_bijection(arr_phi, s), induce_via_bijection(arr_psi, s), mapping)
+    source, target = induce_via_bijection(phi, s), induce_via_bijection(psi, s)     # each checks its bijection
+    return SemiheapHom(source, target, np.argsort(np.asarray(psi, dtype=np.int64))[np.asarray(phi, dtype=np.int64)])
 
 
 def induce_pointed_via_bijection(phi, ps):
     """Pointed version: the basepoint transports to phi^-1(pt)."""
-    arr = _check_bijection(phi, ps.n)
-    inv = np.argsort(arr)
-    return PointedSemiheap(induce_via_bijection(arr, ps.semiheap), int(inv[ps.basepoint]))
+    induced = induce_via_bijection(phi, ps.semiheap)       # checks the bijection
+    return PointedSemiheap(induced, int(np.argsort(np.asarray(phi, dtype=np.int64))[ps.basepoint]))

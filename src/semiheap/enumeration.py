@@ -22,7 +22,7 @@ from itertools import islice, permutations, product as iproduct
 
 import numpy as np
 
-from .core import _SLAB, FiniteSemiheap, TernaryTable, Unsupported, _cell_bytes, _cell_dtype
+from .core import _SLAB, FiniteSemiheap, TernaryTable, Unsupported, _cell_bytes, _cell_dtype, _slab_rows
 from .functors import heapify
 from .groups import corpus
 
@@ -140,11 +140,11 @@ def _expired(deadline):
 
 def _filter_pipeline(n, deadline):
     """Para-associative tables on n >= 1 points in itertools.product order, checked in stacks of at most
-    max(1, _SLAB // n^5) whole tables with the deadline read before each; the three-form gather is the
+    _slab_rows(n^5, _SLAB) whole tables with the deadline read before each; the three-form gather is the
     filter's own, not _quintuple_reads, so it stays independent of the search it cross-checks."""
     x1, x2, x3, x4, x5 = np.indices((n,) * 5).reshape(5, -1)
     candidates, out = iproduct(range(n), repeat=n ** 3), []
-    while len(t := np.array(list(islice(candidates, max(1, _SLAB // n ** 5))), dtype=np.int64)):
+    while len(t := np.array(list(islice(candidates, _slab_rows(n ** 5, _SLAB))), dtype=np.int64)):
         if _expired(deadline):
             return out, False
         t, k = t.reshape(-1, n, n, n), np.arange(len(t))[:, None]
@@ -164,7 +164,7 @@ def _search(cube, deadline, symmetry_break=False, orbits=None):
     relabeling precedes its assigned prefix; forced cells can lie past the
     last branch, so a complete table is tested whole.  Each node is its
     own copy of the padded cube.  The nodes wait on a stack, the lex-least
-    on top, and each step takes up to max(1, _SLAB // n^5) of them off it,
+    on top, and each step takes up to _slab_rows(n^5, _SLAB) of them off it,
     propagates and tests them as one stack and pushes their children;
     stats count each node as a step of one node would.  Returns (semiheaps,
     complete, stats), the semiheaps sorted, complete False once the _deadline
@@ -179,7 +179,7 @@ def _search(cube, deadline, symmetry_break=False, orbits=None):
     root = np.pad(np.where(cube < 0, n, cube), (0, 1), constant_values=n + 1).reshape(-1)
     root = root.astype(np.min_scalar_type(n + 1))   # narrow: propagation gathers each cell many times
     index = np.flatnonzero(root <= n)           # the n^3 cells in flat order
-    step = max(1, _SLAB // max(1, n ** 5))
+    step = _slab_rows(n ** 5, _SLAB)
     stats, found, stack, complete = SearchStats(), set(), root[None], True
     while len(stack) and (complete := not _expired(deadline)):
         nodes, stack = stack[:-step - 1:-1].copy(), stack[:-step]   # the top of the stack first
@@ -315,7 +315,7 @@ def _relabeling_slabs(n):
     """Each slab's permutations, and the flat source cell of every relabeled cell."""
     perms = permutations(range(n))
     labels = np.min_scalar_type(n)      # narrow, as the search's cubes are: rows compare with them
-    while len(perm := np.array(list(islice(perms, max(1, _SLAB // max(1, n ** 3)))), dtype=labels)):
+    while len(perm := np.array(list(islice(perms, _slab_rows(n ** 3, _SLAB))), dtype=labels)):
         inv = np.argsort(perm, axis=1)
         cells = (inv[:, :, None, None] * n + inv[:, None, :, None]) * n + inv[:, None, None, :]
         yield np.column_stack((perm, np.full(len(perm), n, dtype=labels))), cells.reshape(len(perm), -1)

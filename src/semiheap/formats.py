@@ -14,7 +14,7 @@ import bisect
 
 import numpy as np
 
-from .core import FiniteSemiheap, FormatError, PointedSemiheap, TernaryTable
+from .core import FiniteSemiheap, FormatError, PointedSemiheap, TernaryTable, _unpointed
 
 
 class _Tokens:
@@ -113,9 +113,8 @@ def _take_shf1(toks):
 
 
 def write_shf1(s):
-    pointed = isinstance(s, PointedSemiheap)
-    inner = s.semiheap if pointed else s
-    head = f"semiheap n={inner.n}" + (f" pt={s.basepoint}" if pointed else "")
+    inner = _unpointed(s)
+    head = f"semiheap n={inner.n}" + (f" pt={s.basepoint}" if inner is not s else "")
     return head + "\n" + _int_block(inner.table.entries.reshape(-1), inner.n * inner.n)
 
 
@@ -203,6 +202,7 @@ def parse_bnd1(text):
     total, base = toks.take_field("p", low=0), toks.take_field("m", low=0)
     toks.take_keyword("projection")
     proj = _take_ints(toks, total, "projection entry", base)
+    fiber_sizes = np.bincount(proj, minlength=base)      # a chart's pairs: one per point over its base points
     toks.take_keyword("structure")
     table = _take_shf1(toks)[0]       # a basepoint in the header is dropped
     act = _take_act1(toks, table.n, bundle_size=total)
@@ -213,7 +213,7 @@ def parse_bnd1(text):
         u = frozenset(int(v) for v in _take_ints(toks, toks.take_field("size", low=0), "base index", base))
         toks.take_keyword("pairs")
         chart = {}
-        for _ in range(sum(1 for p in range(total) if int(proj[p]) in u)):
+        for _ in range(int(fiber_sizes[list(u)].sum())):
             p = toks.take_int("total point", 0, total)
             chart[p] = (int(proj[p]), toks.take_int("fiber label", 0, table.n))
         cover.append(u)

@@ -18,6 +18,7 @@ from .core import (
     TernaryTable,
     _SLAB,
     _first_non_biunitary,
+    _slab_rows,
     is_heap,
     is_homomorphism,
 )
@@ -143,7 +144,7 @@ def _homs(table, table2, budget):
         extended += len(prefixes) * n2
         if extended > budget:
             raise BudgetExceeded(f"{extended} prefix rows exceed the budget of {budget}")
-        step = max(1, 4 * _SLAB // (n2 * max(a.size + o.size, 1)))
+        step = _slab_rows(n2 * (a.size + o.size), 4 * _SLAB)
         kept = [np.zeros((0, prefixes.shape[1] + 1), dtype=np.int64)]
         for start in range(0, len(prefixes), step):
             p = prefixes[start:start + step]

@@ -75,22 +75,15 @@ def group_axiom_witness(mul, e, inv):
     if hit is not None:
         (x,), (_, left, right) = hit
         return GroupAxiomWitness("identity", (e, x, left, right))
-    bad = associativity_witness(mul)
-    if bad is not None:
-        return GroupAxiomWitness("associativity", bad)
+    hit = _first_disagreement(ar.size, ar.size ** 2, lambda r: mul[mul[r]], lambda r: mul[r][:, mul])   # (ab)c, a(bc)
+    if hit is not None:
+        return GroupAxiomWitness("associativity", hit[0])
     hit = _first_disagreement(ar.size, 1, lambda r: mul[ar[r], inv[r]], lambda r: mul[inv[r], ar[r]],
                               lambda r: np.asarray(e))
     if hit is None:
         return None
     (x,), _ = hit
     return GroupAxiomWitness("inverse", (x, int(inv[x])))
-
-
-def associativity_witness(mul):
-    """First triple with (ab)c != a(bc) in a Cayley table, or None."""
-    n = mul.shape[0]
-    hit = _first_disagreement(n, n * n, lambda r: mul[mul[r]], lambda r: mul[r][:, mul])
-    return None if hit is None else hit[0]
 
 
 def group_hom_witness(mapping, g, g2):

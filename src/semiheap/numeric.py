@@ -118,9 +118,9 @@ def _mu(chart, g1, g2, g3):
     return _on_chart(chart, g1 @ solve(g2, g3), "ternary product left")
 
 
-def check_para_associative_numeric(chart, samples, seed, tol=None):
+def check_para_associative_numeric(chart, samples, seed, tol=PARA_TOL):
     """Max pairwise residual of the three association orders on sampled quintuples."""
-    fold, membership = _Fold(PARA_TOL if tol is None else tol), _Fold()
+    fold, membership = _Fold(tol), _Fold()
     for start, g, _ in chart.sample_slabs(np.random.default_rng(seed), samples, 5):
         _on_chart(chart, g, "input leaves")
         _, (outer, middle, inner) = _para_forms(partial(_mu, chart), g)
@@ -169,13 +169,12 @@ def left_invariant_field(chart, v):
     return lambda x: x @ v
 
 
-def left_invariant_field_check(chart, v, samples, seed, tol=1e-6, h=None):
+def left_invariant_field_check(chart, v, samples, seed, tol=1e-6, h=FD_STEP):
     """Finite-difference invariance of the field generated by v.
 
     The pushforward of V(z) under L_{xy} is compared with V([x,y,z]); the
     value at the basepoint must reproduce v exactly.
     """
-    h = FD_STEP if h is None else h
     fieldrule = left_invariant_field(chart, v)
     if not np.array_equal(fieldrule(chart.basepoint), v):
         raise AssertionError("field must reproduce its generator at the basepoint")
@@ -279,7 +278,12 @@ def multiplicative_function_check(chart, f, triples, tol=1e-12, seed=None, point
 
 
 def sample_triples(chart, samples, seed):
-    return [triple for _, g, _ in chart.sample_slabs(np.random.default_rng(seed), samples, 3) for triple in zip(*g)]
+    return list(_triples(chart, samples, seed))
+
+
+def _triples(chart, samples, seed):
+    """The seeded triples of sample_triples, drawn a slab at a time as they are read."""
+    return (triple for _, g, _ in chart.sample_slabs(np.random.default_rng(seed), samples, 3) for triple in zip(*g))
 
 
 def multiplicative_vector_field_check(fieldrule, triples, t_grid=(-0.5, -0.1, 0.1, 0.5),
@@ -333,7 +337,7 @@ def _mu_d_mu(g, vs):
     return g1 @ s23, v1 @ s23 - g1 @ s2v2 @ s23 + g1 @ s2v3
 
 
-def tangent_semiheap_check(chart, samples, seed, tol=1e-6, h=None):
+def tangent_semiheap_check(chart, samples, seed, tol=1e-6, h=FD_STEP):
     """Para-associativity of the tangent lift, with an FD cross-check on d mu.
 
     Tangent points are pairs (g, V); the lifted product is
@@ -342,7 +346,6 @@ def tangent_semiheap_check(chart, samples, seed, tol=1e-6, h=None):
     lifted product is checked para-associative on sampled quintuples in
     both components.
     """
-    h = FD_STEP if h is None else h
     fold = _Fold(tol, "fd_residual", "para_residual")
     def t_mu(*p):       # a tangent point is the stack [g, V]; t_mu gets stacks of them, g and V on axis 1
         out, lifted = _mu_d_mu([q[:, 0] for q in p], [q[:, 1] for q in p])

@@ -18,7 +18,8 @@ from itertools import islice
 
 import numpy as np
 
-from .core import _first_class_path_disagreement, _first_disagreement, _narrow, _row_classes, is_biunitary
+from .core import (_first_class_path_disagreement, _first_disagreement, _narrow, _row_classes, _translation_rows,
+                   is_biunitary)
 
 
 @dataclass(frozen=True)
@@ -73,11 +74,9 @@ def left_compose_law(s):
 
     Read at every point p through L_{x1x2}: [x1,x2,[x3,x4,p]] against [[x1,x2,x3],x4,p].
     """
-    t, n = s.table.entries, s.n
-    cube = _narrow(t, n)
-    pairs, values = t.reshape(n * n, n), cube.reshape(n * n, n)
-    return _law_witness("left-compose", s, values, (lambda r: values[r].take(t, axis=1),
-                                                    lambda r: cube.take(pairs[r], axis=0)))
+    t = s.table.entries
+    values, outer, inner = _translation_rows(t, t, s.n)
+    return _law_witness("left-compose", s, values, (inner, outer))
 
 
 def lr_commute(s):
@@ -85,12 +84,10 @@ def lr_commute(s):
 
     Read at every point p through L_{x1x2}: [x1,x2,[p,x3,x4]] against [[x1,x2,p],x3,x4].
     """
-    t, n = s.table.entries, s.n
-    cube = _narrow(t, n)
-    pairs, values = t.reshape(n * n, n), cube.reshape(n * n, n)
+    t = s.table.entries
     right = np.ascontiguousarray(t.transpose(1, 2, 0))      # right[a, b, x] = [x,a,b]
-    return _law_witness("lr-commute", s, values, (lambda r: values[r].take(right, axis=1),
-                                                  lambda r: cube.take(pairs[r], axis=0).transpose(0, 2, 3, 1)))
+    values, outer, inner = _translation_rows(t, right, s.n)
+    return _law_witness("lr-commute", s, values, (inner, lambda r: outer(r).transpose(0, 2, 3, 1)))
 
 
 def centric_nonclosure_witness(semiheaps, max_results=1):
@@ -142,10 +139,8 @@ def reachability_check(ps):
     """Every x must satisfy L_{x, x0}(x0) = x.  Returns None or a witness."""
     t = ps.table.entries
     x0 = ps.basepoint
-    for x in range(ps.n):
-        if int(t[x, x0, x0]) != x:
-            return LawCounterexample("reachability", (x, x0), x0, int(t[x, x0, x0]), x)
-    return None
+    hit = _first_disagreement(ps.n, 1, lambda r: t[r, x0, x0], lambda r: np.arange(ps.n)[r])
+    return None if hit is None else LawCounterexample("reachability", (hit[0][0], x0), x0, *hit[1])
 
 
 def left_invariant_functions(ps):

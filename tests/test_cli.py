@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import semiheap
@@ -368,6 +369,34 @@ def test_numeric_rejects_non_positive_step():
         code, out, err = run_cli(["numeric", sub, "--samples", "5", "--h", "0"])
         assert code == 2 and out == "", sub
         assert "--h: must be positive" in err
+
+
+def test_numeric_step_defaults_to_each_checks_own(capsys):
+    # Without --h a check runs at its own default step: the lines equal those at that step given.
+    for sub, default in (("pushforward", "0.001"), ("left-invariant", "1e-05"), ("tangent", "1e-05")):
+        argv = ["numeric", sub, "--samples", "20", "--seed", "3"]
+        assert main(argv) == 0
+        without = capsys.readouterr()
+        assert main([*argv, "--h", default]) == 0
+        assert capsys.readouterr() == without, sub
+
+
+def test_numeric_mult_checks_draw_their_samples_a_slab_at_a_time(capsys):
+    # mult-function and mult-field read their triples as they are drawn, as every other numeric
+    # verb does, so a run's peak stays flat as --samples grows; the lines are those of every
+    # sample drawn first.
+    def peak(argv):
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--samples", "20000", "--seed", "42"]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(["numeric", "mult-function", "--chart", "r3"]) < 4 * 2 ** 20
+    assert peak(["numeric", "mult-field"]) < 4 * 2 ** 20
+    assert capsys.readouterr().out == ("check=mult-function max_residual=8.882e-16 seed=42 pass=true\n"
+                                       "check=mult-field max_residual=8.216e-15 seed=42 pass=true\n")
 
 
 def _verb_inputs(d):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -356,6 +358,18 @@ def test_induce_pointed_moves_basepoint():
     phi = np.array([2, 0, 1])   # phi: M -> S
     out = induce_pointed_via_bijection(phi, ps)
     assert int(phi[out.basepoint]) == ps.basepoint
+
+
+@pytest.mark.parametrize("bad", [[0, 0, 1], [0, 1], [0, 1, 3]])
+def test_induced_isomorphisms_reject_a_non_bijection(bad):
+    # A repeated value, a short map and a value outside the carrier: each of phi and psi of
+    # induced_pair_iso, and the pointed map, is refused naming the bad map.
+    z3, ps, good = z_heap(3), functors.heapify(groups.cyclic(3)), [2, 0, 1]
+    for call in (lambda: induced_pair_iso(bad, good, z3), lambda: induced_pair_iso(good, bad, z3),
+                 lambda: induced_pair_iso(np.array(bad), np.array(good), z3),
+                 lambda: induce_pointed_via_bijection(bad, ps)):
+        with pytest.raises(InvalidTable, match=re.escape(f"not a bijection onto 0..2: {bad}")):
+            call()
 
 
 def test_induce_rejects_non_bijection():

@@ -254,6 +254,18 @@ def _lines(*lines):
     return "\n".join(lines) + "\n"
 
 
+def test_bnd1_charts_are_counted_from_the_fiber_sizes():
+    # 2,000 empty charts over a 20,000-point total space: each chart's pair count comes from the fiber
+    # sizes of its base points, read once, where a scan of every total point per chart took seconds.
+    text = _lines("bundle p=20000 m=1", "projection", " ".join(["0"] * 20000), "structure", "semiheap n=1", "0",
+                  "action m=20000 n=1", " ".join(map(str, range(20000))), "cover k=2000",
+                  *["chart size=0", "pairs"] * 2000)
+    start = time.perf_counter()
+    b = parse_bnd1(text)
+    assert time.perf_counter() - start < 2.0
+    assert b.total_size == 20000 and b.cover == (frozenset(),) * 2000 and b.charts == ({},) * 2000
+
+
 def _bnd1_lines(b):
     """The lines write_bnd1 lays out for b, every integer written one value at a time."""
     n, total = b.structure.n, b.total_size

@@ -4,6 +4,7 @@ from semiheap import enumeration, functors, groups
 from semiheap.core import FiniteSemiheap, PointedSemiheap, product
 from oracles import left_invariant_components_loops
 from semiheap.translations import (
+    LawCounterexample,
     centric_endomap,
     centric_nonclosure_witness,
     is_biunital,
@@ -163,3 +164,17 @@ def test_non_biunital_with_larger_invariant_space():
     assert not is_biunital(ps)
     dim, _ = left_invariant_functions(ps)
     assert dim == 2
+
+
+def test_reachability_witness_is_the_first_x_a_loop_finds():
+    # On every semiheap of orders 2 and 3 at every basepoint: the first x with [x, x0, x0] != x,
+    # with lhs [x, x0, x0] and rhs x, or None where every x is reached.
+    for n in (2, 3):
+        for s in enumeration.enumerate_semiheaps(n):
+            t = s.table.entries
+            for x0 in range(n):
+                want = next((LawCounterexample("reachability", (x, x0), x0, int(t[x, x0, x0]), x)
+                             for x in range(n) if t[x, x0, x0] != x), None)
+                got = reachability_check(PointedSemiheap(s, x0))
+                assert got == want
+                assert got is None or type(got.lhs) is int and type(got.params[0]) is int
