@@ -11,6 +11,7 @@ Parsers reject trailing garbage and out-of-range entries and report
 """
 
 import bisect
+from itertools import accumulate, cycle
 
 import numpy as np
 
@@ -20,19 +21,17 @@ from .core import FiniteSemiheap, FormatError, PointedSemiheap, TernaryTable, _u
 class _Tokens:
     """Whitespace tokenizer over one flat word list; a token's line and column are found only for an error."""
 
-    def __init__(self, text):
-        self.lines = text.splitlines()
-        self.words, self.ends, self.pos = [], [0], 0     # ends[i]: the number of tokens on lines 1..i
-        for raw in self.lines:
-            self.words += raw.split("#", 1)[0].split()
-            self.ends.append(len(self.words))
+    def __init__(self, text):       # str.split() breaks at every line end splitlines() knows, so one split will do
+        self.text, self.pos = text, 0
+        self.words = ("\n".join(line.split("#", 1)[0] for line in text.splitlines()) if "#" in text else text).split()
 
     def error(self, message):
         """A FormatError at the 1-based line and column of the token just taken."""
-        index = self.pos - 1
-        ln = bisect.bisect_right(self.ends, index)
-        line, col = self.lines[ln - 1].split("#", 1)[0], 0
-        for tok in line.split()[:index - self.ends[ln - 1] + 1]:
+        index, lines = self.pos - 1, [line.split("#", 1)[0] for line in self.text.splitlines()]
+        ends = [0, *accumulate(len(line.split()) for line in lines)]     # ends[i]: the tokens on lines 1..i
+        ln = bisect.bisect_right(ends, index)
+        line, col = lines[ln - 1], 0
+        for tok in line.split()[:index - ends[ln - 1] + 1]:
             col = line.index(tok, col) + len(tok)
         return FormatError(message, ln, col - len(tok) + 1)
 
@@ -77,18 +76,20 @@ class _Tokens:
             raise self.error(f"trailing garbage {self.take()!r}")
 
 
-def _take_ints(toks, count, what, high):
-    """The next count tokens as one int64 array, converted by int() and range-checked to 0..high-1 at once."""
+def _take_ints(toks, count, *columns):
+    """The next count tokens, rows of (what, high) columns, as one int64 array, int()-converted and range-checked."""
     words = toks.words[toks.pos:toks.pos + count]
     try:
-        arr = np.array(list(map(int, words)), dtype=np.int64)
-        if len(words) == count and ((arr >= 0) & (arr < high)).all():
+        arr = np.asarray(words, dtype=np.int64)     # numpy converts each str by int(), so it takes what int() takes
+        rows, highs = arr.reshape(-1, len(columns)), [high for _, high in columns]
+        if len(words) == count and ((rows >= 0) & (rows < highs)).all():
             toks.pos += count
             return arr
     except (ValueError, OverflowError):
         pass
     # A bad slice: take_int raises at its first bad token, and only that token's position is computed.
-    return np.array([toks.take_int(what, 0, high) for _ in range(count)], dtype=np.int64)
+    return np.array([toks.take_int(what, 0, high) for _, (what, high) in zip(range(count), cycle(columns))],
+                    dtype=np.int64)
 
 
 def parse_shf1(text):
@@ -109,13 +110,13 @@ def _take_shf1(toks):
     toks.take_keyword("semiheap")
     n = toks.take_field("n", low=0)
     pt = toks.take_field("pt", low=0, high=n) if toks.peek_field("pt") else None
-    return TernaryTable(_take_ints(toks, n ** 3, "table entry", n).reshape(n, n, n)), pt
+    return TernaryTable(_take_ints(toks, n ** 3, ("table entry", n)).reshape(n, n, n)), pt
 
 
 def write_shf1(s):
     inner = _unpointed(s)
     head = f"semiheap n={inner.n}" + (f" pt={s.basepoint}" if inner is not s else "")
-    return head + "\n" + _int_block(inner.table.entries.reshape(-1), inner.n * inner.n)
+    return head + "\n" + _int_block(inner.table.entries, inner.n * inner.n)
 
 
 def parse_grp1(text):
@@ -123,7 +124,7 @@ def parse_grp1(text):
     toks.take_keyword("group")
     n = toks.take_field("n", low=1)
     e = toks.take_field("e", low=0, high=n)
-    mul = _take_ints(toks, n * n, "Cayley entry", n).reshape(n, n)
+    mul = _take_ints(toks, n * n, ("Cayley entry", n)).reshape(n, n)
     toks.done()
     return _group_with_identity(mul, e)
 
@@ -137,7 +138,7 @@ def _group_with_identity(mul, e):
 
 
 def write_grp1(g):
-    return f"group n={g.n} e={g.e}\n" + _int_block(g.mul.reshape(-1), g.n)
+    return f"group n={g.n} e={g.e}\n" + _int_block(g.mul, g.n)
 
 
 def parse_hom1(text):
@@ -146,7 +147,7 @@ def parse_hom1(text):
     toks.take_keyword("hom")
     n = toks.take_field("n", low=0)
     m = toks.take_field("m", low=0)
-    arr = _take_ints(toks, n, "hom entry", m)
+    arr = _take_ints(toks, n, ("hom entry", m))
     toks.done()
     return arr, n, m
 
@@ -173,12 +174,12 @@ def _take_act1(toks, n, bundle_size=None):
         raise FormatError(f"action header ({m},{declared}) does not match bundle ({bundle_size},{n})")
     if declared != n:
         raise FormatError(f"action declares n={declared} but the semiheap has {n} elements")
-    return _take_ints(toks, m * n * n, "action entry", m).reshape(m, n, n)
+    return _take_ints(toks, m * n * n, ("action entry", m)).reshape(m, n, n)
 
 
 def write_act1(action):
     m, n = action.space_size, action.semiheap.n
-    return f"action m={m} n={n}\n" + _int_block(action.table.reshape(-1), n * n)
+    return f"action m={m} n={n}\n" + _int_block(action.table, n * n)
 
 
 def parse_bnd1(text):
@@ -201,7 +202,7 @@ def parse_bnd1(text):
     toks.take_keyword("bundle")
     total, base = toks.take_field("p", low=0), toks.take_field("m", low=0)
     toks.take_keyword("projection")
-    proj = _take_ints(toks, total, "projection entry", base)
+    proj = _take_ints(toks, total, ("projection entry", base))
     fiber_sizes = np.bincount(proj, minlength=base)      # a chart's pairs: one per point over its base points
     toks.take_keyword("structure")
     table = _take_shf1(toks)[0]       # a basepoint in the header is dropped
@@ -210,14 +211,12 @@ def parse_bnd1(text):
     cover, charts = [], []
     for _ in range(toks.take_field("k", low=0)):
         toks.take_keyword("chart")
-        u = frozenset(int(v) for v in _take_ints(toks, toks.take_field("size", low=0), "base index", base))
+        u = frozenset(_take_ints(toks, toks.take_field("size", low=0), ("base index", base)).tolist())
         toks.take_keyword("pairs")
-        chart = {}
-        for _ in range(int(fiber_sizes[list(u)].sum())):
-            p = toks.take_int("total point", 0, total)
-            chart[p] = (int(proj[p]), toks.take_int("fiber label", 0, table.n))
+        points, labels = _take_ints(toks, 2 * int(fiber_sizes[list(u)].sum()), ("total point", total),
+                                    ("fiber label", table.n)).reshape(-1, 2).T
         cover.append(u)
-        charts.append(chart)
+        charts.append(dict(zip(points.tolist(), zip(proj[points].tolist(), labels.tolist()))))
     toks.done()
     s = FiniteSemiheap(table)       # verify_bundle checks the action
     return DiscreteSemiheapBundle(base, proj, s, FiniteAction(s, act, verify=False), tuple(cover), tuple(charts))
@@ -229,18 +228,17 @@ def write_bnd1(b):
              write_shf1(b.structure).rstrip("\n"),
              write_act1(b.action).rstrip("\n"), f"cover k={len(b.cover)}"]
     for u, chart in zip(b.cover, b.charts):
-        members = sorted(u)
-        lines.append(f"chart size={len(members)}")
-        lines.append(" ".join(str(m) for m in members) if members else "")
-        lines.append("pairs")
-        for p in sorted(chart):
-            lines.append(f"{p} {chart[p][1]}")
+        pairs = np.array([(p, chart[p][1]) for p in sorted(chart)], dtype=np.int64)
+        lines += [f"chart size={len(u)}", " ".join(map(str, sorted(u))), "pairs", _int_block(pairs, 2).rstrip("\n")]
     return "\n".join(line for line in lines if line != "") + "\n"
 
 
 def _int_block(values, per_line):
-    vals = list(map(str, values.tolist()))
-    if not vals:
+    """Lines of per_line values; each distinct value is rendered once by str(), then the strings are gathered."""
+    flat = values.reshape(-1)
+    if not flat.size:
         return ""
-    lines = [" ".join(vals[i:i + per_line]) for i in range(0, len(vals), per_line)]
-    return "\n".join(lines) + "\n"
+    table = 0 <= flat.min() and flat.max() < flat.size       # 0..max, no longer than the values; else the sorted set
+    distinct, at = (np.arange(int(flat.max()) + 1), flat) if table else np.unique(flat, return_inverse=True)
+    vals = np.array(list(map(str, distinct.tolist())), dtype=object)[at].tolist()
+    return "".join(" ".join(vals[i:i + per_line]) + "\n" for i in range(0, len(vals), per_line))

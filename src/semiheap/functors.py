@@ -70,7 +70,7 @@ def groupify_diagnose(h):
     """
     mul, inv = _groupify_tables(h)
     bad = group_axiom_witness(mul, h.basepoint, inv)
-    return FiniteGroup(mul, h.basepoint, inv) if bad is None else bad
+    return FiniteGroup(mul, h.basepoint, inv, _certified=True) if bad is None else bad
 
 
 def transport_group_hom(mapping, g, g2):

@@ -22,6 +22,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from semiheap.charts import FD_STEP, PARA_TOL
+from semiheap.core import FormatError
 from semiheap.functors import FullyFaithfulReport, heapify
 from semiheap.groups import FiniteGroup, LawError
 from semiheap.numeric import PolynomialField
@@ -920,6 +921,27 @@ def token_positions(text):
             items.append((tok, ln, col + 1))
             col += len(tok)
     return items
+
+
+def entry_values(text, slots):
+    """The integer entries of a text format at slots (token index, what, high), each converted by int() alone.
+
+    The first bad entry raises the FormatError a parser gives for it: the same
+    message, line and column, positions taken from token_positions.
+    """
+    items, values = token_positions(text), []
+    for index, what, high in slots:
+        if index >= len(items):
+            raise FormatError(f"unexpected end of input, expected {what}")
+        tok, line, col = items[index]
+        try:
+            value = int(tok)
+        except ValueError:
+            raise FormatError(f"expected integer {what}, got {tok!r}", line, col) from None
+        if not 0 <= value < high:
+            raise FormatError(f"{what} {value} out of range", line, col)
+        values.append(value)
+    return values
 
 
 def int_lines(values, per_line):

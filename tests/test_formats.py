@@ -1,10 +1,11 @@
 import itertools
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import int_lines, token_positions
+from oracles import entry_values, int_lines, token_positions
 
 from semiheap import functors, groups
 from semiheap.actions import translation_action
@@ -239,6 +240,72 @@ def test_errors_name_the_first_bad_token_where_the_eager_oracle_puts_it(fmt):
     _raises_at(parse, garbage, f"trailing garbage '7' at line {line}, column {col}", line, col)
 
 
+def _parsed_entries(fmt, parsed):
+    """The integer entries of a parse result in the order of _entry_slots (of BND1, through its first chart)."""
+    if fmt == "SHF1":
+        return parsed.semiheap.table.entries.reshape(-1).tolist()
+    if fmt == "GRP1":
+        return parsed.mul.reshape(-1).tolist()
+    if fmt == "HOM1":
+        return parsed[0].tolist()
+    if fmt == "ACT1":
+        return parsed.table.reshape(-1).tolist()
+    pairs = [v for p, (_, label) in parsed.charts[0].items() for v in (p, label)]
+    return [*parsed.projection.tolist(), *parsed.structure.table.entries.reshape(-1).tolist(),
+            *parsed.action.table.reshape(-1).tolist(), *sorted(parsed.cover[0]), *pairs]
+
+
+def _spellings(value):
+    """Tokens that int() reads as value and that are not plain ASCII decimals."""
+    digits = str(value)
+    out = [digits.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")),       # Arabic-Indic digits
+           digits.translate(str.maketrans("0123456789", "𝟎𝟏𝟐𝟑𝟒𝟓𝟔𝟕𝟖𝟗")),       # mathematical bold digits
+           "+" + digits, "0" + digits]
+    return out + ["-0"] * (value == 0) + [digits[0] + "_" + digits[1:]] * (value >= 10)
+
+
+def _edgy(tokens, seed):
+    """tokens separated by CRLF, form feeds, \\x1c, U+2028 and '#' comments, some written right after a token."""
+    rng = random.Random(seed)
+    out = ["# edge separators\r\n"]
+    for tok in tokens:
+        out += [tok, rng.choice((" ", "\t", "\r\n", "\x0c", "\x1c", "\u2028", "#c 1\r\n", " # x\x0c", "#\u2028"))]
+    return "".join(out)
+
+
+def test_entries_are_read_as_int_reads_them_one_token_at_a_time():
+    """Every entry spelling int() takes parses to the eager oracle's value; every one it refuses fails where it does."""
+    used = set()
+    for fmt, (parse, text) in _texts().items():
+        tokens = [tok for tok, _, _ in token_positions(text)]
+        slots = _entry_slots(fmt, tokens)
+        for k, (index, _, _) in enumerate(slots[::2]):
+            spellings = _spellings(int(tokens[index]))
+            tokens[index] = spellings[k % len(spellings)]
+            used.add(tokens[index])
+        edgy = _edgy(tokens, 0)
+        assert _parsed_entries(fmt, parse(edgy)) == entry_values(edgy, slots) == _parsed_entries(fmt, parse(text))
+        picks = {0, 1, len(slots) // 2, len(slots) - 1, *random.Random(fmt).sample(range(len(slots)), 3)}
+        for bad in ("5.0", "0x10", "−1", "1__0", str(2 ** 63)):
+            for index in sorted(slots[k][0] for k in picks):
+                planted = _edgy(tokens[:index] + [bad] + tokens[index + 1:], index)
+                with pytest.raises(FormatError) as want:
+                    entry_values(planted, slots)
+                _raises_at(parse, planted, str(want.value), want.value.line, want.value.col)
+    assert {"٣", "𝟑", "1_0", "+1", "00", "-0"} <= used
+
+
+def test_the_int_writer_is_bounded_by_the_value_count():
+    image, m = np.array([0, 10 ** 12, 7]), 10 ** 12 + 1
+    tracemalloc.start()
+    try:
+        text = write_hom1(image, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == _lines(f"hom n=3 m={m}", *int_lines(image, 16)) and peak < 2 ** 20
+
+
 def test_a_bad_last_entry_of_a_one_line_body_is_found_in_linear_time():
     n = 40
     body = [str((i + k) % n) for i in range(n * n) for k in range(n)]     # 64,000 entries
@@ -274,7 +341,7 @@ def _bnd1_lines(b):
              f"action m={total} n={n}", *int_lines(b.action.table.reshape(-1), n * n), f"cover k={len(b.cover)}"]
     for u, chart in zip(b.cover, b.charts):
         lines += [f"chart size={len(u)}", " ".join(map(str, sorted(u))), "pairs"]
-        lines += [f"{p} {chart[p][1]}" for p in sorted(chart)]
+        lines += int_lines([v for p in sorted(chart) for v in (p, chart[p][1])], 2)
     return lines
 
 

@@ -85,6 +85,25 @@ def test_groupify_diagnose_succeeds_on_actual_heaps():
     assert np.array_equal(g.mul, groups.dihedral4().mul)
 
 
+def test_groupify_diagnose_checks_the_group_axioms_once(monkeypatch):
+    from semiheap import functors
+    from semiheap.core import FiniteSemiheap
+    z48, const = groups.cyclic(48), PointedSemiheap(FiniteSemiheap.from_rule(2, lambda x, y, z: 0), 0)
+    heap = heapify(z48)
+    real, calls = groups.group_axiom_witness, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(groups, "group_axiom_witness", counted)        # FiniteGroup's own check looks it up here
+    monkeypatch.setattr(functors, "group_axiom_witness", counted)
+    g = groupify_diagnose(heap)
+    assert isinstance(g, FiniteGroup) and g.key() == z48.key() and np.array_equal(g.inv, z48.inv) and len(calls) == 1
+    calls.clear()
+    assert groupify_diagnose(const) == GroupAxiomWitness("identity", (0, 1, 0, 0)) and len(calls) == 1
+
+
 def test_groupify_diagnose_matches_the_loop_oracle():
     # Para-associativity implies associativity of [x,e,y], so at n <= 3 only
     # the identity and inverse axioms fail; the groups are the pointed heaps.
